@@ -1,75 +1,71 @@
 #!/usr/bin/env python3
-"""Benchmark the jitted kernel lane against the numpy/scipy fallback.
+"""Time the 1D kernels on desk-scale problems.
 
-Times the three hot paths (tridiagonal solve, homogeneous-polynomial cell
-evaluation, and the fused implicit Picard step) on desk-scale problems and
-prints a side-by-side table.  Run:
+Times the tridiagonal solve, the homogeneous-polynomial cell evaluation,
+the implicit-step residual and one Picard solve of an implicit step to a
+max-norm residual of 1e-9 (plain and regularized), and prints microseconds
+per call (best of the repeats).  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from crossdiff import kernels
-from crossdiff.entropy import build_coefficients
-from crossdiff.params import Params
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from crossdiff import kernels  # noqa: E402
+from crossdiff.entropy import build_coefficients  # noqa: E402
+from crossdiff.params import Params  # noqa: E402
 
 
-def _time(func, repeats):
-    func()  # warm-up (jit compilation, cache effects)
+def _time_us(func, repeats):
+    func()  # warm-up (imports, cache effects)
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
         func()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return 1e6 * best
 
 
 def bench(cells: int, repeats: int) -> None:
-    if kernels.NUMBA_LANE is None:
-        print("numba is not installed; only the numpy lane is available")
-        return
     rng = np.random.default_rng(0)
-    rows = []
-
-    # tridiagonal direct solve
+    a, b, c, d = 2.0, 1.0, 1.0, 1.0
+    tau, dx = 1e-3, 1.0 / cells
+    x = (np.arange(cells) + 0.5) / cells
+    F = 1.0 + 0.5 * np.cos(np.pi * x)
+    G = np.ones(cells)
     lower = -rng.uniform(0.1, 1.0, cells)
     upper = -rng.uniform(0.1, 1.0, cells)
     lower[0] = upper[-1] = 0.0
     diag = 1.0 + np.abs(lower) + np.abs(upper)
     rhs = rng.standard_normal(cells)
-    rows.append(("thomas solve", cells,
-                 _time(lambda: kernels.NUMBA_LANE["thomas"](lower, diag, upper, rhs), repeats),
-                 _time(lambda: kernels.NUMPY_LANE["thomas"](lower, diag, upper, rhs), repeats)))
+    coeffs = build_coefficients(Params(a, b, c, d), 6).coeffs
 
-    # polynomial evaluation over cells
-    params = Params(2.0, 1.0, 1.0, 1.0)
-    coeffs = build_coefficients(params, 6).coeffs
-    f = rng.uniform(0.0, 3.0, cells)
-    g = rng.uniform(0.0, 3.0, cells)
-    rows.append(("entropy cells (n=6)", cells,
-                 _time(lambda: kernels.NUMBA_LANE["phi_cells"](coeffs, f, g), repeats),
-                 _time(lambda: kernels.NUMPY_LANE["phi_cells"](coeffs, f, g), repeats)))
+    rows = [
+        ("thomas", lambda: kernels.thomas(lower, diag, upper, rhs)),
+        ("phi_cells (n=6)", lambda: kernels.phi_cells(coeffs, F, G)),
+        ("residual_1d", lambda: kernels.residual_1d(
+            F, G, F, G, a, b, c, d, tau, dx, 0.0, np.inf, False, True)),
+    ]
+    for label, reg, eps, rho in (("picard_1d", False, 0.0, np.inf),
+                                 ("picard_1d regularized", True, 1e-3, 1e3)):
+        # the residual floor grows like tau/dx^2 times machine epsilon: tol
+        # 1e-12 stalls from about 1024 cells, 1e-9 converges up to at least
+        # 16384, and a stalled solve would time the iteration cap instead
+        args = (F, G, a, b, c, d, tau, dx, eps, rho, reg, True, 1e-9, 200)
+        if not kernels.picard_1d(*args)[4]:
+            label += " (not converged)"
+        rows.append((label, lambda args=args: kernels.picard_1d(*args)))
 
-    # one fused implicit step (plain and regularized)
-    x = (np.arange(cells) + 0.5) / cells
-    F = 1.0 + 0.5 * np.cos(np.pi * x)
-    G = np.ones(cells)
-    dx = 1.0 / cells
-    for label, reg, eps, rho in (("implicit step", False, 0.0, np.inf),
-                                 ("regularized step", True, 1e-3, 1e3)):
-        args = (F, G, 2.0, 1.0, 1.0, 1.0, 1e-3, dx, eps, rho, reg, True, 1e-12, 100)
-        rows.append((label, cells,
-                     _time(lambda: kernels.NUMBA_LANE["picard_1d"](*args), repeats),
-                     _time(lambda: kernels.NUMPY_LANE["picard_1d"](*args), repeats)))
-
-    print(f"{'kernel':<22} {'cells':>7} {'numba [ms]':>12} {'numpy [ms]':>12} {'speedup':>9}")
-    for name, n, t_nb, t_np in rows:
-        print(f"{name:<22} {n:>7} {t_nb * 1e3:>12.4f} {t_np * 1e3:>12.4f} "
-              f"{t_np / t_nb:>8.1f}x")
+    print(f"{'kernel':<24} {'cells':>7} {'us/call':>12}")
+    for name, func in rows:
+        print(f"{name:<24} {cells:>7} {_time_us(func, repeats):>12.1f}")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,5 @@ from .diagnostics import (
     steady_residual,
     summarize_run,
 )
-from .kernels import ACTIVE_LANE, HAVE_NUMBA, USE_NUMBA
 
 __version__ = "0.1.0"

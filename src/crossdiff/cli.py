@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``    -- single simulation; writes ``diagnostics.csv``, state
-  snapshots, and ``summary.txt`` with the inequality verdicts.
+  snapshots named by step index, and ``summary.txt`` with the inequality
+  verdicts.
 * ``sweep``  -- Cartesian product over comma-separated values of the numeric
   options, one worker process per run, per-run output directories.
 * ``verify`` -- the randomized algebraic property suites (no PDE solve).
@@ -50,6 +51,27 @@ EXIT_IO = 5
 
 class ConfigError(Exception):
     pass
+
+
+# error class -> (stderr label, exit code); the first matching entry wins
+_EXIT_CODES = (
+    (ConfigError, "config", EXIT_CONFIG),
+    (InvalidInput, "input", EXIT_CONFIG),
+    (NonConvergence, "nonconvergence", EXIT_NONCONVERGENCE),
+    (InvariantViolation, "invariant", EXIT_INVARIANT),
+    (SchemeError, "scheme", EXIT_FAILURE),
+    (OSError, "io", EXIT_IO),
+)
+_REPORTED = tuple(cls for cls, _, _ in _EXIT_CODES)
+
+
+def _report_error(err: Exception, where: str = "") -> int:
+    """Print ``err`` to stderr under its category and return the exit code
+    that ``run`` and every ``sweep`` member use for it."""
+    for cls, label, code in _EXIT_CODES:
+        if isinstance(err, cls):
+            print(f"error [{label}]{where}: {err}", file=sys.stderr)
+            return code
 
 
 def _fmt(x: float) -> str:
@@ -270,8 +292,7 @@ def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
     if config.snapshot_every > 0:
         snap_indices.update(range(0, len(trajectory), config.snapshot_every))
     for idx in sorted(snap_indices):
-        t, state, _ = trajectory[idx]
-        _write_state(out_dir / f"state_{t:.6f}.csv", state)
+        _write_state(out_dir / f"state_{idx:06d}.csv", trajectory[idx][1])
 
     final_state = trajectory[-1][1]
     verdicts = diagnostics.summarize_run(trajectory, params, tau)
@@ -323,8 +344,8 @@ def execute_run(config: RunConfig) -> int:
     while True:
         try:
             trajectory = run(initial, tau, config.t_final, params, opts)
-        except NonConvergence as err:
-            if retries > 0:
+        except (NonConvergence, InvariantViolation) as err:
+            if isinstance(err, NonConvergence) and retries > 0:
                 retries -= 1
                 tau *= 0.5
                 print(f"retrying with halved time step tau={tau:g} ({err})",
@@ -333,14 +354,7 @@ def execute_run(config: RunConfig) -> int:
             if err.partial:
                 write_outputs(out_dir, config, params, tau, err.partial,
                               f"FAILED: {err}")
-            print(f"error [nonconvergence]: {err}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
-        except InvariantViolation as err:
-            if err.partial:
-                write_outputs(out_dir, config, params, tau, err.partial,
-                              f"FAILED: {err}")
-            print(f"error [invariant]: {err}", file=sys.stderr)
-            return EXIT_INVARIANT
+            raise
         break
     write_outputs(out_dir, config, params, tau, trajectory, "COMPLETED")
     verdicts = diagnostics.summarize_run(trajectory, params, tau)
@@ -403,12 +417,8 @@ def cmd_sweep(args) -> int:
 def _sweep_worker(values: dict[str, str]) -> int:
     try:
         return execute_run(build_config({}, values))
-    except ConfigError as err:
-        print(f"error [config] in {values.get('out', '?')}: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SchemeError as err:
-        print(f"error in {values.get('out', '?')}: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    except _REPORTED as err:
+        return _report_error(err, f" in {values.get('out', '?')}")
 
 
 def cmd_verify(args) -> int:
@@ -508,21 +518,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error [config]: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidInput as err:
-        print(f"error [input]: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonConvergence as err:
-        print(f"error [nonconvergence]: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InvariantViolation as err:
-        print(f"error [invariant]: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as err:
-        print(f"error [io]: {err}", file=sys.stderr)
-        return EXIT_IO
+    except _REPORTED as err:
+        return _report_error(err)
 
 
 if __name__ == "__main__":  # pragma: no cover

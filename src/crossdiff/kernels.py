@@ -1,12 +1,4 @@
-"""Hot numeric kernels in two interchangeable lanes.
-
-The jitted lane compiles tight loops with numba; the fallback lane is
-vectorized numpy plus scipy's banded LAPACK solver.  Lane selection happens
-once at import time: set ``CROSSDIFF_NUMBA=0`` (or ``false``/``off``) to force
-the fallback, and the fallback is also used automatically when numba is not
-importable.  Both lanes stay importable side by side (``NUMBA_LANE`` /
-``NUMPY_LANE``) so tests can assert their equivalence and
-``benchmarks/bench_kernels.py`` can time them against each other.
+"""Hot 1D numeric kernels: vectorized numpy plus LAPACK's tridiagonal solver.
 
 Conventions shared by every kernel here (1D, uniform mesh, zero-flux closure):
 faces are indexed 0..n for n cells, boundary faces carry zero flux, and the
@@ -19,147 +11,48 @@ and multiplies the mobility block by the sigmoid damping factor.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import scipy.linalg
-
-_env = os.environ.get("CROSSDIFF_NUMBA", "1").strip().lower()
-_NUMBA_WANTED = _env not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-USE_NUMBA = _NUMBA_WANTED and HAVE_NUMBA
+from scipy.linalg.lapack import dgtsv
 
 
 # ---------------------------------------------------------------------------
 # tridiagonal direct solve
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _thomas_loop(lower, diag, upper, rhs):
-    # Thomas factorization; valid without pivoting because every system
-    # assembled here is a strictly diagonally dominant M-matrix.
-    n = diag.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+def _gtsv(sub, diag, sup, rhs):
+    # LAPACK gtsv (Gaussian elimination with partial pivoting), called
+    # directly: scipy.linalg.solve_banded dispatches (1, 1) systems to the
+    # same routine but spends most of a small solve validating its input
+    x, info = dgtsv(sub, diag, sup, rhs)[3:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix (gtsv info={info})")
     return x
 
 
-def _thomas_banded(lower, diag, upper, rhs):
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+def thomas(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with sub-diagonal ``lower[1:]``,
+    diagonal ``diag`` and super-diagonal ``upper[:-1]``."""
+    return _gtsv(lower[1:], diag, upper[:-1], rhs)
 
 
 # ---------------------------------------------------------------------------
 # homogeneous polynomial evaluation on cell arrays
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _phi_cells_loop(coeffs, x1, x2):
-    n = coeffs.shape[0] - 1
-    m = x1.shape[0]
-    out = np.empty(m)
-    for i in range(m):
-        acc = 0.0
-        p1 = 1.0
-        for j in range(n + 1):
-            acc += coeffs[j] * p1 * x2[i] ** (n - j)
-            p1 *= x1[i]
-        out[i] = acc
-    return out
-
-
-def _phi_cells_vec(coeffs, x1, x2):
+def phi_cells(coeffs, x1, x2):
+    """sum_j coeffs[j] * x1**j * x2**(n-j) per cell, n = len(coeffs) - 1."""
     n = coeffs.shape[0] - 1
     js = np.arange(n + 1)
     return (coeffs * x1[:, None] ** js * x2[:, None] ** (n - js)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
-# face fluxes and residual of the implicit step (1D)
+# face terms and residual of the implicit step (1D)
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _fluxes_1d_loop(f, g, a, b, c, d, dx, eps, rho, reg, upwind):
-    n = f.shape[0]
-    flux_f = np.zeros(n + 1)
-    flux_g = np.zeros(n + 1)
-    lam = np.ones(n + 1)
-    mf = np.zeros(n + 1)
-    mg = np.zeros(n + 1)
-    for j in range(1, n):
-        fl = f[j - 1]
-        fr = f[j]
-        gl = g[j - 1]
-        gr = g[j]
-        gradf = (fr - fl) / dx
-        gradg = (gr - gl) / dx
-        dpf = a * gradf + b * gradg
-        dpg = c * gradf + d * gradg
-        if reg:
-            s = 0.5 * (max(fl, 0.0) + max(fr, 0.0) + max(gl, 0.0) + max(gr, 0.0))
-            lam[j] = 2.0 / (1.0 + np.exp(eps * s))
-        if upwind:
-            fu = fr if dpf > 0.0 else fl
-            gu = gr if dpg > 0.0 else gl
-            if reg:
-                mf[j] = _alpha_cut(fu, rho)
-                mg[j] = _alpha_cut(gu, rho)
-            else:
-                mf[j] = max(fu, 0.0)
-                mg[j] = max(gu, 0.0)
-        else:
-            if reg:
-                mf[j] = 0.5 * (_alpha_cut(fl, rho) + _alpha_cut(fr, rho))
-                mg[j] = 0.5 * (_alpha_cut(gl, rho) + _alpha_cut(gr, rho))
-            else:
-                mf[j] = 0.5 * (max(fl, 0.0) + max(fr, 0.0))
-                mg[j] = 0.5 * (max(gl, 0.0) + max(gr, 0.0))
-        flux_f[j] = lam[j] * mf[j] * dpf
-        flux_g[j] = lam[j] * mg[j] * dpg
-        if reg:
-            flux_f[j] += eps * gradf
-            flux_g[j] += eps * gradg
-    return flux_f, flux_g, lam, mf, mg
-
-
-@njit(cache=True)
-def _alpha_cut(z, rho):
-    if z <= 0.0:
-        return 0.0
-    if z <= rho - 1.0:
-        return z
-    if z <= rho:
-        return (rho - 1.0) * (rho - z)
-    return 0.0
-
+#
+# The step works on the stacked state u = (f, g) of shape (2, n), so every
+# face quantity below is computed for both components by one array
+# operation; row 0 belongs to f, row 1 to g.
 
 def _alpha_cut_vec(z, rho):
     z = np.asarray(z, dtype=float)
@@ -167,197 +60,89 @@ def _alpha_cut_vec(z, rho):
     return np.where((z <= 0.0) | (z >= rho), 0.0, out)
 
 
-def _fluxes_1d_vec(f, g, a, b, c, d, dx, eps, rho, reg, upwind):
-    n = f.shape[0]
-    gradf = np.zeros(n + 1)
-    gradg = np.zeros(n + 1)
-    gradf[1:n] = np.diff(f) / dx
-    gradg[1:n] = np.diff(g) / dx
-    dpf = a * gradf + b * gradg
-    dpg = c * gradf + d * gradg
-    lam = np.ones(n + 1)
-    mf = np.zeros(n + 1)
-    mg = np.zeros(n + 1)
-    fl, fr = f[:-1], f[1:]
-    gl, gr = g[:-1], g[1:]
+def _faces_1d(u, coef, dx, eps, rho, reg, upwind):
+    """Everything the step needs on faces 0..n: component gradients,
+    damping ``lam`` (the scalar 1.0 without regularization), face
+    mobilities and fluxes.  ``coef`` is the (2, 2) pressure matrix
+    [[a, b], [c, d]]."""
+    n = u.shape[1]
+    grad = np.zeros((2, n + 1))
+    grad[:, 1:n] = (u[:, 1:] - u[:, :-1]) / dx
+    dp = coef[:, :1] * grad[0] + coef[:, 1:] * grad[1]
     if reg:
-        s = 0.5 * (np.maximum(fl, 0.0) + np.maximum(fr, 0.0)
-                   + np.maximum(gl, 0.0) + np.maximum(gr, 0.0))
+        pos = np.maximum(u, 0.0)
+        s = 0.5 * (pos[0, :-1] + pos[0, 1:] + pos[1, :-1] + pos[1, 1:])
+        lam = np.ones(n + 1)
         lam[1:n] = 2.0 / (1.0 + np.exp(eps * s))
         cut = lambda z: _alpha_cut_vec(z, rho)
     else:
+        lam = 1.0
         cut = lambda z: np.maximum(z, 0.0)
+    mob = np.zeros((2, n + 1))
     if upwind:
-        mf[1:n] = cut(np.where(dpf[1:n] > 0.0, fr, fl))
-        mg[1:n] = cut(np.where(dpg[1:n] > 0.0, gr, gl))
+        mob[:, 1:n] = cut(np.where(dp[:, 1:n] > 0.0, u[:, 1:], u[:, :-1]))
     else:
-        mf[1:n] = 0.5 * (cut(fl) + cut(fr))
-        mg[1:n] = 0.5 * (cut(gl) + cut(gr))
-    flux_f = lam * mf * dpf
-    flux_g = lam * mg * dpg
+        mob[:, 1:n] = 0.5 * (cut(u[:, :-1]) + cut(u[:, 1:]))
+    flux = lam * mob * dp
     if reg:
-        flux_f += eps * gradf
-        flux_g += eps * gradg
-    return flux_f, flux_g, lam, mf, mg
+        flux += eps * grad
+    return grad, lam, mob, flux
 
 
-@njit(cache=True)
-def _residual_1d_loop(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
-                      eps, rho, reg, upwind):
-    n = f.shape[0]
-    flux_f, flux_g, _, _, _ = _fluxes_1d_loop(f, g, a, b, c, d, dx,
-                                              eps, rho, reg, upwind)
-    rf = np.empty(n)
-    rg = np.empty(n)
-    for i in range(n):
-        rf[i] = f[i] - (tau / dx) * (flux_f[i + 1] - flux_f[i]) - prev_f[i]
-        rg[i] = g[i] - (tau / dx) * (flux_g[i + 1] - flux_g[i]) - prev_g[i]
-    return rf, rg
+def _residual(u, prev, flux, tau_dx):
+    return u - tau_dx * (flux[:, 1:] - flux[:, :-1]) - prev
 
 
-def _residual_1d_vec(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
-                     eps, rho, reg, upwind):
-    flux_f, flux_g, _, _, _ = _fluxes_1d_vec(f, g, a, b, c, d, dx,
-                                             eps, rho, reg, upwind)
-    rf = f - (tau / dx) * np.diff(flux_f) - prev_f
-    rg = g - (tau / dx) * np.diff(flux_g) - prev_g
-    return rf, rg
+def residual_1d(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
+                eps, rho, reg, upwind):
+    """Residual arrays (rf, rg) of the implicit step equation at (f, g)."""
+    u = np.stack((f, g))
+    coef = np.array([[a, b], [c, d]], dtype=float)
+    flux = _faces_1d(u, coef, dx, eps, rho, reg, upwind)[3]
+    r = _residual(u, np.stack((prev_f, prev_g)), flux, tau / dx)
+    return r[0], r[1]
 
 
 # ---------------------------------------------------------------------------
-# fused Picard solve of one implicit step (1D)
+# Picard solve of one implicit step (1D)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _picard_1d_loop(prev_f, prev_g, a, b, c, d, tau, dx, eps, rho, reg,
-                    upwind, tol, max_iters, omega=1.0):
-    # omega < 1 under-relaxes the frozen-coefficient update; used as a
-    # restart strategy when the plain iteration limit-cycles
-    n = prev_f.shape[0]
-    f = prev_f.copy()
-    g = prev_g.copy()
-    rf, rg = _residual_1d_loop(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
-                               eps, rho, reg, upwind)
-    res = max(np.abs(rf).max(), np.abs(rg).max())
-    iters = 0
+def picard_1d(prev_f, prev_g, a, b, c, d, tau, dx, eps, rho, reg,
+              upwind, tol, max_iters, omega=1.0):
+    """Frozen-coefficient iteration for one implicit step from (prev_f,
+    prev_g).  Each sweep freezes the face mobilities and the coupling
+    gradients at the current iterate and solves one tridiagonal system per
+    component: f implicit in f with b*grad(g) on the right-hand side, g
+    implicit in g with c*grad(f) there.  ``omega < 1`` under-relaxes the
+    update, a restart strategy for when the plain iteration limit-cycles.
+    Returns (f, g, iterations, max-norm residual, converged)."""
+    prev = np.stack((prev_f, prev_g))
+    coef = np.array([[a, b], [c, d]], dtype=float)
+    self_coef = np.array([[a], [d]], dtype=float)
+    cross_coef = np.array([[b], [c]], dtype=float)
     eps_eff = eps if reg else 0.0
     tau_dx = tau / dx
     tau_dx2 = tau / (dx * dx)
-    lower = np.empty(n)
-    diag = np.empty(n)
-    upper = np.empty(n)
-    rhs = np.empty(n)
-    while res > tol and iters < max_iters:
-        iters += 1
-        _, _, lam, mf, mg = _fluxes_1d_loop(f, g, a, b, c, d, dx,
-                                            eps, rho, reg, upwind)
-        # frozen face gradients of the coupled component
-        dgf = np.zeros(n + 1)
-        dff = np.zeros(n + 1)
-        for j in range(1, n):
-            dff[j] = (f[j] - f[j - 1]) / dx
-            dgf[j] = (g[j] - g[j - 1]) / dx
-        # component f: implicit in f, coupling b*grad(g) frozen
-        for i in range(n):
-            wl = tau_dx2 * (eps_eff + lam[i] * mf[i] * a) if i > 0 else 0.0
-            wr = tau_dx2 * (eps_eff + lam[i + 1] * mf[i + 1] * a) if i < n - 1 else 0.0
-            lower[i] = -wl
-            upper[i] = -wr
-            diag[i] = 1.0 + wl + wr
-            bl = lam[i] * mf[i] * b * dgf[i]
-            br = lam[i + 1] * mf[i + 1] * b * dgf[i + 1]
-            rhs[i] = prev_f[i] + tau_dx * (br - bl)
-        f_new = _thomas_loop(lower, diag, upper, rhs)
-        # component g: implicit in g, coupling c*grad(f) frozen
-        for i in range(n):
-            wl = tau_dx2 * (eps_eff + lam[i] * mg[i] * d) if i > 0 else 0.0
-            wr = tau_dx2 * (eps_eff + lam[i + 1] * mg[i + 1] * d) if i < n - 1 else 0.0
-            lower[i] = -wl
-            upper[i] = -wr
-            diag[i] = 1.0 + wl + wr
-            cl = lam[i] * mg[i] * c * dff[i]
-            cr = lam[i + 1] * mg[i + 1] * c * dff[i + 1]
-            rhs[i] = prev_g[i] + tau_dx * (cr - cl)
-        g_new = _thomas_loop(lower, diag, upper, rhs)
-        if omega == 1.0:
-            f = f_new
-            g = g_new
-        else:
-            f = f + omega * (f_new - f)
-            g = g + omega * (g_new - g)
-        rf, rg = _residual_1d_loop(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
-                                   eps, rho, reg, upwind)
-        res = max(np.abs(rf).max(), np.abs(rg).max())
-    return f, g, iters, res, res <= tol
 
+    def evaluate(u):
+        # the face terms of the residual at an iterate are the frozen
+        # coefficients of the next sweep, so each iterate is evaluated once
+        grad, lam, mob, flux = _faces_1d(u, coef, dx, eps, rho, reg, upwind)
+        res = np.abs(_residual(u, prev, flux, tau_dx)).max()
+        return (grad, lam * mob), res
 
-def _picard_1d_vec(prev_f, prev_g, a, b, c, d, tau, dx, eps, rho, reg,
-                   upwind, tol, max_iters, omega=1.0):
-    n = prev_f.shape[0]
-    f = prev_f.copy()
-    g = prev_g.copy()
-    rf, rg = _residual_1d_vec(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
-                              eps, rho, reg, upwind)
-    res = max(np.abs(rf).max(), np.abs(rg).max())
+    u = prev
+    (grad, k), res = evaluate(u)
     iters = 0
-    eps_eff = eps if reg else 0.0
-    tau_dx = tau / dx
-    tau_dx2 = tau / (dx * dx)
     while res > tol and iters < max_iters:
         iters += 1
-        _, _, lam, mf, mg = _fluxes_1d_vec(f, g, a, b, c, d, dx,
-                                           eps, rho, reg, upwind)
-        dff = np.zeros(n + 1)
-        dgf = np.zeros(n + 1)
-        dff[1:n] = np.diff(f) / dx
-        dgf[1:n] = np.diff(g) / dx
-        wf = tau_dx2 * (eps_eff + lam * mf * a)
-        wf[0] = wf[n] = 0.0
-        bt = lam * mf * b * dgf
-        rhs = prev_f + tau_dx * np.diff(bt)
-        f_new = _thomas_banded(-wf[:-1], 1.0 + wf[:-1] + wf[1:], -wf[1:], rhs)
-        wg = tau_dx2 * (eps_eff + lam * mg * d)
-        wg[0] = wg[n] = 0.0
-        ct = lam * mg * c * dff
-        rhs = prev_g + tau_dx * np.diff(ct)
-        g_new = _thomas_banded(-wg[:-1], 1.0 + wg[:-1] + wg[1:], -wg[1:], rhs)
-        if omega == 1.0:
-            f, g = f_new, g_new
-        else:
-            f = f + omega * (f_new - f)
-            g = g + omega * (g_new - g)
-        rf, rg = _residual_1d_vec(f, g, prev_f, prev_g, a, b, c, d, tau, dx,
-                                  eps, rho, reg, upwind)
-        res = max(np.abs(rf).max(), np.abs(rg).max())
-    return f, g, iters, res, res <= tol
-
-
-# ---------------------------------------------------------------------------
-# lane binding
-# ---------------------------------------------------------------------------
-
-NUMPY_LANE = {
-    "thomas": _thomas_banded,
-    "phi_cells": _phi_cells_vec,
-    "fluxes_1d": _fluxes_1d_vec,
-    "residual_1d": _residual_1d_vec,
-    "picard_1d": _picard_1d_vec,
-}
-
-NUMBA_LANE = {
-    "thomas": _thomas_loop,
-    "phi_cells": _phi_cells_loop,
-    "fluxes_1d": _fluxes_1d_loop,
-    "residual_1d": _residual_1d_loop,
-    "picard_1d": _picard_1d_loop,
-} if HAVE_NUMBA else None
-
-_ACTIVE = NUMBA_LANE if USE_NUMBA else NUMPY_LANE
-
-thomas = _ACTIVE["thomas"]
-phi_cells = _ACTIVE["phi_cells"]
-fluxes_1d = _ACTIVE["fluxes_1d"]
-residual_1d = _ACTIVE["residual_1d"]
-picard_1d = _ACTIVE["picard_1d"]
-
-ACTIVE_LANE = "numba" if USE_NUMBA else "numpy"
+        w = tau_dx2 * (eps_eff + k * self_coef)
+        w[:, 0] = w[:, -1] = 0.0
+        coupling = k * cross_coef * grad[::-1]
+        rhs = prev + tau_dx * (coupling[:, 1:] - coupling[:, :-1])
+        diag = 1.0 + w[:, :-1] + w[:, 1:]
+        off = -w[:, 1:-1]
+        u_new = np.stack([_gtsv(off[i], diag[i], off[i], rhs[i]) for i in (0, 1)])
+        u = u_new if omega == 1.0 else u + omega * (u_new - u)
+        (grad, k), res = evaluate(u)
+    return u[0], u[1], iters, res, res <= tol

@@ -157,7 +157,8 @@ def step_regularized(prev: State, tau: float, params: Params, eps: float,
 def run(initial: State, tau: float, t_final: float, params: Params,
         opts: SolverOptions, observers=()) -> list[tuple[float, State, StepReport]]:
     """March to t_final with uniform steps; returns [(time, state, report)]
-    including the initial entry.
+    including the initial entry.  ``t_final`` must be a whole multiple of
+    ``tau`` (to 1e-9 relative), so the run ends exactly at ``t_final``.
 
     With ``opts.check_invariants`` (default) every accepted step is tested
     against mass conservation, nonnegativity, entropy monotonicity, the
@@ -170,7 +171,11 @@ def run(initial: State, tau: float, t_final: float, params: Params,
     if not t_final > 0.0:
         raise InvalidInput(f"t_final must be positive, got {t_final}")
     _validate_step_inputs(initial, tau)
-    n_steps = max(1, int(math.ceil(t_final / tau - 1e-12)))
+    ratio = t_final / tau
+    n_steps = round(ratio) if math.isfinite(ratio) else 0
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
+        raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
+                           f"the time step tau={tau}")
     regularized = opts.regularization is not None
 
     report0 = _report_for(initial, params, opts, iterations=0, residual=0.0)

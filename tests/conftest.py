@@ -6,8 +6,8 @@ import crossdiff as cd
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger jit compilation once so timed tests measure algorithms, not
-    compilation."""
+    """Run each step path once so timed tests measure algorithms, not
+    first-call import and cache costs."""
     p = cd.Params(2.0, 1.0, 1.0, 1.0)
     grid = cd.Grid1D(8, 1.0)
     ic = cd.State(grid, np.linspace(0.5, 1.5, 8), np.ones(8))

@@ -158,7 +158,7 @@ class TestRunCommand:
                          "--out", tmp_path / "m"]) == 0
         assert _run_cli(["run", "--a", 2, "--b", 1, "--c", 1, "--d", 1, *common,
                          "--out", tmp_path / "e"]) == 0
-        for name in ("diagnostics.csv", "state_0.000000.csv", "state_0.004000.csv"):
+        for name in ("diagnostics.csv", "state_000000.csv", "state_000004.csv"):
             assert (tmp_path / "m" / name).read_bytes() == \
                 (tmp_path / "e" / name).read_bytes()
 
@@ -204,6 +204,15 @@ class TestRunCommand:
         rows = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert len(rows) == 2
 
+    def test_rejects_t_final_not_a_multiple_of_tau(self, tmp_path, capsys):
+        # ceil(t_final / tau) steps would silently end at t = 1.2
+        code = _run_cli(["run", "--cells", 8, "--tau", "0.3", "--t-final", "1",
+                         "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "t_final=1.0" in err and "tau=0.3" in err
+        assert not (tmp_path / "o").exists()
+
     def test_tau_retry_recovers(self, tmp_path):
         out = tmp_path / "o"
         code = _run_cli(["run", "--cells", 16, "--tau", "5.0", "--t-final", "5",
@@ -217,14 +226,25 @@ class TestRunCommand:
                          "1e-3", "--tol", "1e-12", "--snapshot-every", 2,
                          "--out", out]) == 0
         snaps = sorted(p.name for p in out.glob("state_*.csv"))
-        assert snaps == ["state_0.000000.csv", "state_0.002000.csv",
-                         "state_0.004000.csv"]
+        assert snaps == ["state_000000.csv", "state_000002.csv",
+                         "state_000004.csv"]
+
+    def test_snapshot_names_unique_for_tiny_steps(self, tmp_path):
+        # names derived from the time rounded to 6 decimals used to collide
+        out = tmp_path / "o"
+        assert _run_cli(["run", "--cells", 8, "--tau", "1e-7", "--t-final",
+                         "5e-7", "--snapshot-every", 1, "--out", out]) == 0
+        snaps = sorted(p.name for p in out.glob("state_*.csv"))
+        assert snaps == [f"state_{i:06d}.csv" for i in range(6)]
+        initial = (out / "state_000000.csv").read_text()
+        final = (out / "state_000005.csv").read_text()
+        assert initial != final
 
     def test_state_file_layout(self, tmp_path):
         out = tmp_path / "o"
         assert _run_cli(["run", "--cells", 8, "--t-final", "1e-3", "--tau",
                          "1e-3", "--tol", "1e-12", "--out", out]) == 0
-        rows = (out / "state_0.000000.csv").read_text().strip().splitlines()
+        rows = (out / "state_000000.csv").read_text().strip().splitlines()
         assert rows[0] == "index,x,f,g"
         assert len(rows) == 9
         first = rows[1].split(",")
@@ -238,7 +258,7 @@ class TestRunCommand:
         assert code == 0
         rows = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert len(rows) == 4
-        state_rows = (out / "state_0.000000.csv").read_text().strip().splitlines()
+        state_rows = (out / "state_000000.csv").read_text().strip().splitlines()
         assert state_rows[0] == "index,x,y,f,g"
         assert len(state_rows) == 101
         summary = (out / "summary.txt").read_text()
@@ -301,6 +321,18 @@ class TestSweepCommand:
         assert len(manifest) == 5
         for i in range(4):
             assert (out / f"run_{i:03d}" / "diagnostics.csv").exists()
+
+    def test_invalid_member_exits_like_run(self, tmp_path, capfd):
+        # tau=0.3 does not divide t_final; tau=0.25 does and must still run
+        out = tmp_path / "sw"
+        code = _run_cli(["sweep", "--cells", 8, "--t-final", "1", "--tau",
+                         "0.3,0.25", "--workers", 1, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "error [input] in" in capfd.readouterr().err
+        assert not (out / "run_000").exists()
+        rows = (out / "run_001" / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(rows) == 6                    # header, t = 0 and 4 steps
+        assert "status: COMPLETED" in (out / "run_001" / "summary.txt").read_text()
 
     def test_sweep_without_lists_is_an_error(self, tmp_path, capsys):
         assert _run_cli(["sweep", "--cells", 12, "--out", tmp_path / "o"]) == \

@@ -1,13 +1,10 @@
-"""Equivalence of the jitted lane and the numpy/scipy fallback lane."""
+"""The 1D kernels against dense and loop-by-loop reference computations."""
 
 import numpy as np
 import pytest
 
 import crossdiff as cd
 from crossdiff import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
 
 
 def _random_tridiag(rng, n):
@@ -26,20 +23,15 @@ class TestThomas:
         lower, diag, upper, rhs = _random_tridiag(rng, n)
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
         expected = np.linalg.solve(dense, rhs)
-        np.testing.assert_allclose(kernels._thomas_banded(lower, diag, upper, rhs),
+        np.testing.assert_allclose(kernels.thomas(lower, diag, upper, rhs),
                                    expected, rtol=1e-10)
-        if kernels.HAVE_NUMBA:
-            np.testing.assert_allclose(kernels._thomas_loop(lower, diag, upper, rhs),
-                                       expected, rtol=1e-10)
 
-    @needs_numba
-    def test_lanes_agree(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 9, 333):
-            lower, diag, upper, rhs = _random_tridiag(rng, n)
-            np.testing.assert_allclose(
-                kernels._thomas_loop(lower, diag, upper, rhs),
-                kernels._thomas_banded(lower, diag, upper, rhs), rtol=1e-12)
+    def test_singular_system_raises(self):
+        lower = np.array([0.0, 0.0, 0.0])
+        upper = np.array([0.0, 0.0, 0.0])
+        diag = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels.thomas(lower, diag, upper, np.ones(3))
 
 
 class TestPhiCells:
@@ -49,11 +41,8 @@ class TestPhiCells:
         f = rng.uniform(0, 4, size=64)
         g = rng.uniform(0, 4, size=64)
         expected = cd.eval_phi(poly, (f, g))
-        np.testing.assert_allclose(kernels._phi_cells_vec(poly.coeffs, f, g),
+        np.testing.assert_allclose(kernels.phi_cells(poly.coeffs, f, g),
                                    expected, rtol=1e-13)
-        if kernels.HAVE_NUMBA:
-            np.testing.assert_allclose(kernels._phi_cells_loop(poly.coeffs, f, g),
-                                       expected, rtol=1e-13)
 
     def test_handles_zeros(self, params2111):
         poly = cd.build_coefficients(params2111, 4)
@@ -70,30 +59,94 @@ def _random_state(rng, n, allow_negative=False):
     return (rng.uniform(lo, 3.0, size=n), rng.uniform(lo, 3.0, size=n))
 
 
+COEFS = (2.0, 1.0, 1.0, 1.0)
+
+
+def _cut(z, rho, reg):
+    if not reg:
+        return max(z, 0.0)
+    if z <= 0.0 or z >= rho:
+        return 0.0
+    return z if z <= rho - 1.0 else (rho - 1.0) * (rho - z)
+
+
+def _reference_faces(f, g, dx, eps, rho, reg, upwind):
+    """Face by face: (gradf, gradg, lam * mf, lam * mg, flux_f, flux_g) on
+    faces 0..n, boundary faces zero."""
+    a, b, c, d = COEFS
+    n = f.size
+    out = np.zeros((6, n + 1))
+    for j in range(1, n):
+        gf = (f[j] - f[j - 1]) / dx
+        gg = (g[j] - g[j - 1]) / dx
+        dpf, dpg = a * gf + b * gg, c * gf + d * gg
+        lam = 1.0
+        if reg:
+            s = 0.5 * sum(max(v, 0.0) for v in (f[j - 1], f[j], g[j - 1], g[j]))
+            lam = 2.0 / (1.0 + np.exp(eps * s))
+        if upwind:
+            mf = _cut(f[j] if dpf > 0.0 else f[j - 1], rho, reg)
+            mg = _cut(g[j] if dpg > 0.0 else g[j - 1], rho, reg)
+        else:
+            mf = 0.5 * (_cut(f[j - 1], rho, reg) + _cut(f[j], rho, reg))
+            mg = 0.5 * (_cut(g[j - 1], rho, reg) + _cut(g[j], rho, reg))
+        e = eps if reg else 0.0
+        out[:, j] = (gf, gg, lam * mf, lam * mg,
+                     lam * mf * dpf + e * gf, lam * mg * dpg + e * gg)
+    return out
+
+
+def _reference_residual(f, g, F, G, tau, dx, eps, rho, reg, upwind):
+    flux_f, flux_g = _reference_faces(f, g, dx, eps, rho, reg, upwind)[4:]
+    return (f - tau / dx * np.diff(flux_f) - F,
+            g - tau / dx * np.diff(flux_g) - G)
+
+
+def _reference_picard(F, G, tau, dx, eps, rho, reg, upwind, tol, max_iters, omega):
+    """Frozen-coefficient iteration with face terms evaluated afresh for
+    every sweep and dense solves of the assembled per-component systems."""
+    a, b, c, d = COEFS
+    n = F.size
+    e = eps if reg else 0.0
+    f, g = F.copy(), G.copy()
+
+    def residual(f, g):
+        rf, rg = _reference_residual(f, g, F, G, tau, dx, eps, rho, reg, upwind)
+        return max(np.abs(rf).max(), np.abs(rg).max())
+
+    def solve(prev, k, self_coef, cross):
+        A = np.eye(n)
+        for j in range(1, n):
+            w = tau / dx**2 * (e + k[j] * self_coef)
+            A[j - 1, j - 1] += w
+            A[j, j] += w
+            A[j - 1, j] -= w
+            A[j, j - 1] -= w
+        return np.linalg.solve(A, prev + tau / dx * np.diff(k * cross))
+
+    res, iters = residual(f, g), 0
+    while res > tol and iters < max_iters:
+        iters += 1
+        gf, gg, kf, kg = _reference_faces(f, g, dx, eps, rho, reg, upwind)[:4]
+        f_new = solve(F, kf, a, b * gg)
+        g_new = solve(G, kg, d, c * gf)
+        f, g = f + omega * (f_new - f), g + omega * (g_new - g)
+        res = residual(f, g)
+    return f, g, iters, res, res <= tol
+
+
 class TestFluxAndResidualLanes:
-    @needs_numba
     @pytest.mark.parametrize("reg", [False, True])
     @pytest.mark.parametrize("upwind", [True, False])
-    def test_fluxes_agree(self, reg, upwind):
+    def test_residual_matches_face_loop(self, reg, upwind):
         rng = np.random.default_rng(42)
         f, g = _random_state(rng, 50, allow_negative=True)
-        args = (f, g, 2.0, 1.0, 1.0, 1.0, 0.02, 0.05, 6.0, reg, upwind)
-        loop = kernels._fluxes_1d_loop(*args)
-        vec = kernels._fluxes_1d_vec(*args)
-        for a, b in zip(loop, vec):
-            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
-
-    @needs_numba
-    @pytest.mark.parametrize("reg", [False, True])
-    def test_residuals_agree(self, reg):
-        rng = np.random.default_rng(43)
-        f, g = _random_state(rng, 40)
-        F, G = _random_state(rng, 40)
-        args = (f, g, F, G, 2.0, 1.0, 1.0, 1.0, 1e-3, 0.025, 0.1, 8.0, reg, True)
-        rf_l, rg_l = kernels._residual_1d_loop(*args)
-        rf_v, rg_v = kernels._residual_1d_vec(*args)
-        np.testing.assert_allclose(rf_l, rf_v, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(rg_l, rg_v, rtol=1e-13, atol=1e-14)
+        F, G = _random_state(rng, 50)
+        args = (1e-3, 0.02, 0.05, 2.5, reg, upwind)
+        rf, rg = kernels.residual_1d(f, g, F, G, *COEFS, *args)
+        ref_f, ref_g = _reference_residual(f, g, F, G, *args)
+        np.testing.assert_allclose(rf, ref_f, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(rg, ref_g, rtol=1e-13, atol=1e-13)
 
     def test_residual_matches_generic_assembly(self, params2111):
         # the 1D kernel and the dimension-agnostic path implement one scheme
@@ -114,21 +167,21 @@ class TestFluxAndResidualLanes:
 
 
 class TestPicardLanes:
-    @needs_numba
+    @pytest.mark.parametrize("omega", [1.0, 0.5])
     @pytest.mark.parametrize("reg", [False, True])
-    def test_lanes_converge_to_same_state(self, reg):
-        rng = np.random.default_rng(45)
-        n = 48
+    @pytest.mark.parametrize("upwind", [True, False])
+    def test_matches_dense_reference_iteration(self, upwind, reg, omega):
+        n = 24
         x = (np.arange(n) + 0.5) / n
-        F = 1.0 + 0.4 * np.cos(np.pi * x)
-        G = np.full(n, 1.0)
-        args = (F, G, 2.0, 1.0, 1.0, 1.0, 1e-3, 1.0 / n, 1e-3, 100.0, reg, True,
-                1e-12, 80)
-        f_l, g_l, it_l, res_l, ok_l = kernels._picard_1d_loop(*args)
-        f_v, g_v, it_v, res_v, ok_v = kernels._picard_1d_vec(*args)
-        assert ok_l and ok_v
-        np.testing.assert_allclose(f_l, f_v, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(g_l, g_v, rtol=0, atol=1e-11)
+        F = np.maximum(1.2 * np.cos(np.pi * x) + 0.2, 0.0)   # zero patch in f
+        G = 1.0 - 0.4 * np.cos(2.0 * np.pi * x)
+        args = (1e-3, 1.0 / n, 1e-2, 2.5, reg, upwind, 1e-11, 200, omega)
+        f, g, iters, res, ok = kernels.picard_1d(F, G, *COEFS, *args)
+        f_ref, g_ref, iters_ref, res_ref, ok_ref = _reference_picard(F, G, *args)
+        assert ok and ok_ref
+        assert iters == iters_ref
+        np.testing.assert_allclose(f, f_ref, rtol=1e-12)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12)
 
     def test_reports_nonconvergence(self):
         n = 16
@@ -141,17 +194,3 @@ class TestPicardLanes:
         assert not ok
         assert iters == 2
         assert res > 1e-14
-
-
-class TestLaneSelection:
-    def test_active_lane_consistent(self):
-        assert kernels.ACTIVE_LANE in ("numba", "numpy")
-        assert (kernels.ACTIVE_LANE == "numba") == kernels.USE_NUMBA
-        if kernels.USE_NUMBA:
-            assert kernels.picard_1d is kernels.NUMBA_LANE["picard_1d"]
-        else:
-            assert kernels.picard_1d is kernels.NUMPY_LANE["picard_1d"]
-
-    @needs_numba
-    def test_both_lanes_exported(self):
-        assert set(kernels.NUMPY_LANE) == set(kernels.NUMBA_LANE)
