@@ -4,7 +4,9 @@
 Times the tridiagonal solve, the homogeneous-polynomial cell evaluation,
 the implicit-step residual and one Picard solve of an implicit step to a
 max-norm residual of 1e-9 (plain and regularized), and prints microseconds
-per call (best of the repeats).  Run:
+per call (best of the repeats).  A last row times one 2D Newton step on a
+fixed 64x64 grid with a zero patch in f and prints milliseconds, sparse LU
+factorizations and Newton iterations.  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
@@ -15,12 +17,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse.linalg
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from crossdiff import kernels  # noqa: E402
 from crossdiff.entropy import build_coefficients  # noqa: E402
+from crossdiff.grid import Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
+from crossdiff.scheme import SolverOptions, step  # noqa: E402
 
 
 def _time_us(func, repeats):
@@ -68,9 +73,40 @@ def bench(cells: int, repeats: int) -> None:
         print(f"{name:<24} {cells:>7} {_time_us(func, repeats):>12.1f}")
 
 
+def bench_newton_2d(repeats: int) -> None:
+    """One Newton step, tau 1e-3 to tol 1e-10, on a fixed 64x64 grid where
+    f is a compactly supported cap (zero near the corners)."""
+    grid = Grid2D(64, 1.0)
+    x, y = grid.centers()
+    f = 1.5 * np.maximum(0.0, 1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.35**2)
+    g = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    state = State(grid, f, g)
+    params = Params(2.0, 1.0, 1.0, 1.0)
+    opts = SolverOptions(method="newton", tol=1e-10)
+    factorizations = 0
+    splu = scipy.sparse.linalg.splu
+
+    def counted_splu(*args, **kwargs):
+        nonlocal factorizations
+        factorizations += 1
+        return splu(*args, **kwargs)
+
+    scipy.sparse.linalg.splu = counted_splu
+    try:
+        _, report = step(state, 1e-3, params, opts)
+    finally:
+        scipy.sparse.linalg.splu = splu
+    ms = 1e-3 * _time_us(lambda: step(state, 1e-3, params, opts), repeats)
+    print(f"\n{'step':<24} {'cells':>7} {'ms/call':>12} {'factorizations':>15} "
+          f"{'iterations':>11}")
+    print(f"{'newton 2d':<24} {grid.num_points:>7} {ms:>12.1f} {factorizations:>15} "
+          f"{report.iterations:>11}")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--cells", type=int, default=4096)
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args()
     bench(args.cells, args.repeats)
+    bench_newton_2d(args.repeats)

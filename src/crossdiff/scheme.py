@@ -11,9 +11,10 @@ the capped/damped mobility plus an eps-identity diffusion block.
 
 The nonlinear solve is Picard (frozen face mobilities and frozen coupling
 gradients; tridiagonal solves per component in 1D, sparse direct in 2D) or
-Newton (analytic Jacobian including mobility derivatives, Armijo
-backtracking, sparse direct).  Convergence is declared on the max-norm of
-the true nonlinear residual.
+Newton (analytic Jacobian including mobility derivatives, one sparse LU
+factorization reused while it keeps contracting the residual, refreshed
+with Armijo backtracking when it does not).  Convergence is declared on the
+max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence and, by default,
 verifies the structural inequalities after every step, raising
@@ -30,16 +31,20 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import diagnostics, fvops, kernels
+from .diagnostics import DISSIPATION_REL_SLACK, ENTROPY_REL_SLACK, LINF_REL_SLACK
 from .grid import State
 from .params import Params
 
-# slack factors for the per-step structure checks
+# slack factors for the per-step structure checks (the relative slacks of
+# the entropy, sup-norm and dissipation checks come from diagnostics)
 MASS_SLACK_FACTOR = 10.0        # * tol * |Omega|
 NONNEG_TOL = 1e-12
-ENTROPY_REL_SLACK = 1e-9
-LINF_REL_SLACK = 1e-8
-DISSIPATION_REL_SLACK = 1e-8
 CAP_TOL = 1e-10
+
+# a Newton update made with the step's kept LU factorization is accepted
+# only if it cuts the residual max-norm to at most this fraction of its
+# current value; otherwise the Jacobian is refactored at the current iterate
+CHORD_CONTRACTION = 0.25
 
 
 class SchemeError(Exception):
@@ -50,17 +55,24 @@ class InvalidInput(SchemeError):
     pass
 
 
+def _at_step(step_index: int | None) -> str:
+    return f" at step {step_index}" if step_index is not None else ""
+
+
 class NonConvergence(SchemeError):
+    # the message is rendered on demand, because ``run`` fills in
+    # ``step_index`` after the step raised
     def __init__(self, iterations: int, residual: float, step_index: int | None = None):
+        super().__init__(iterations, residual, step_index)
         self.iterations = iterations
         self.residual = residual
         self.step_index = step_index
         self.partial = None
-        at = f" at step {step_index}" if step_index is not None else ""
-        super().__init__(
-            f"nonlinear solve did not converge{at}: residual {residual:.3e} "
-            f"after {iterations} iterations (time step too large or state too degenerate)"
-        )
+
+    def __str__(self) -> str:
+        return (f"nonlinear solve did not converge{_at_step(self.step_index)}: "
+                f"residual {self.residual:.3e} after {self.iterations} iterations "
+                f"(time step too large or state too degenerate)")
 
 
 class RhoTooSmall(InvalidInput):
@@ -75,11 +87,15 @@ class InvariantViolation(SchemeError):
     """A structural inequality failed beyond its slack; names the inequality."""
 
     def __init__(self, inequality: str, step_index: int | None, detail: str):
+        super().__init__(inequality, step_index, detail)
         self.inequality = inequality
         self.step_index = step_index
+        self.detail = detail
         self.partial = None
-        at = f" at step {step_index}" if step_index is not None else ""
-        super().__init__(f"violated inequality [{inequality}]{at}: {detail}")
+
+    def __str__(self) -> str:
+        return (f"violated inequality [{self.inequality}]"
+                f"{_at_step(self.step_index)}: {self.detail}")
 
 
 @dataclass(frozen=True)
@@ -350,16 +366,84 @@ def _cut_derivative(z, rho, reg):
     return out
 
 
-def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
-    """Semi-smooth Newton with the analytic Jacobian (mobility and damping
-    derivatives included; the upwind selection and positive-part kinks are
-    frozen at the current iterate) and Armijo backtracking."""
+def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
+    """Analytic Jacobian of the implicit residual at ``(fv, gv)`` as a CSC
+    matrix over the stacked unknowns (f block, then g block); mobility and
+    damping derivatives included, the upwind selection and the
+    positive-part/cap kinks frozen at the iterate."""
     a, b, c, d = params.as_tuple()
-    grid = prev.grid
     P = grid.num_points
     dx = grid.dx
-    upwind = opts.mobility_face == "upwind"
     eps_eff = eps if reg else 0.0
+    diag = np.arange(2 * P)
+    rows, cols, vals = [diag], [diag], [np.ones(2 * P)]
+    for axis in range(grid.ndim):
+        t = fvops.face_terms(fv, gv, grid, params, eps, rho, reg, upwind, axis)
+        L, R = t["L"], t["R"]
+        lam, mf, mg = t["lam"], t["mf"], t["mg"]
+        dpf, dpg = t["dpf"], t["dpg"]
+        if upwind:
+            up_f, up_g = t["up_f"], t["up_g"]
+            dmf = _cut_derivative(fv[up_f], rho, reg)
+            dmg = _cut_derivative(gv[up_g], rho, reg)
+            dmf_L, dmf_R = dmf * (up_f == L), dmf * (up_f == R)
+            dmg_L, dmg_R = dmg * (up_g == L), dmg * (up_g == R)
+        else:
+            dmf_L = 0.5 * _cut_derivative(fv[L], rho, reg)
+            dmf_R = 0.5 * _cut_derivative(fv[R], rho, reg)
+            dmg_L = 0.5 * _cut_derivative(gv[L], rho, reg)
+            dmg_R = 0.5 * _cut_derivative(gv[R], rho, reg)
+        if reg:
+            s = 0.5 * (np.maximum(fv[L], 0.0) + np.maximum(fv[R], 0.0)
+                       + np.maximum(gv[L], 0.0) + np.maximum(gv[R], 0.0))
+            expo = np.exp(eps * s)
+            dlam_ds = -2.0 * eps * expo / (1.0 + expo) ** 2
+            dl_fL = dlam_ds * 0.5 * (fv[L] > 0.0)
+            dl_fR = dlam_ds * 0.5 * (fv[R] > 0.0)
+            dl_gL = dlam_ds * 0.5 * (gv[L] > 0.0)
+            dl_gR = dlam_ds * 0.5 * (gv[R] > 0.0)
+        else:
+            dl_fL = dl_fR = dl_gL = dl_gR = np.zeros_like(lam)
+        # d flux_f / d {f_L, f_R, g_L, g_R}
+        dff_fL = -eps_eff / dx + lam * dmf_L * dpf - lam * mf * a / dx + dl_fL * mf * dpf
+        dff_fR = eps_eff / dx + lam * dmf_R * dpf + lam * mf * a / dx + dl_fR * mf * dpf
+        dff_gL = -lam * mf * b / dx + dl_gL * mf * dpf
+        dff_gR = lam * mf * b / dx + dl_gR * mf * dpf
+        # d flux_g / d {f_L, f_R, g_L, g_R}
+        dfg_fL = -lam * mg * c / dx + dl_fL * mg * dpg
+        dfg_fR = lam * mg * c / dx + dl_fR * mg * dpg
+        dfg_gL = -eps_eff / dx + lam * dmg_L * dpg - lam * mg * d / dx + dl_gL * mg * dpg
+        dfg_gR = eps_eff / dx + lam * dmg_R * dpg + lam * mg * d / dx + dl_gR * mg * dpg
+        s_tau = tau / dx
+        # rows: residual index (f block 0..P-1, g block P..2P-1)
+        for row_base, terms in (
+            (0, ((dff_fL, 0, L), (dff_fR, 0, R), (dff_gL, P, L), (dff_gR, P, R))),
+            (P, ((dfg_fL, 0, L), (dfg_fR, 0, R), (dfg_gL, P, L), (dfg_gR, P, R))),
+        ):
+            for dflux, col_base, col_idx in terms:
+                # residual at L sees +flux/dx, at R sees -flux/dx
+                rows.extend((row_base + L, row_base + R))
+                cols.extend((col_base + col_idx, col_base + col_idx))
+                vals.extend((-s_tau * dflux, s_tau * dflux))
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(2 * P, 2 * P)).tocsc()
+
+
+def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
+    """Semi-smooth chord Newton with Armijo backtracking.
+
+    The Jacobian is factored once and the factorization kept for the rest
+    of the step.  Each iteration first tries the full update with the kept
+    factorization and accepts it if it contracts the true residual by
+    ``CHORD_CONTRACTION``; otherwise the Jacobian is refactored at the
+    current iterate and the fresh Newton direction is backtracked on the
+    true residual.  Only a failed search on a fresh Jacobian or an
+    exhausted ``max_iters`` raises :class:`NonConvergence`.
+    """
+    grid = prev.grid
+    P = grid.num_points
+    upwind = opts.mobility_face == "upwind"
     prev_f = prev.f.ravel()
     prev_g = prev.g.ravel()
     fv = prev_f.copy()
@@ -372,61 +456,20 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
 
     phi, rf, rg = norm(fv, gv)
     iters = 0
+    lu = None
     while phi > opts.tol and iters < opts.max_iters:
         iters += 1
-        rows, cols, vals = [], [], []
-        for axis in range(grid.ndim):
-            t = fvops.face_terms(fv, gv, grid, params, eps, rho, reg, upwind, axis)
-            L, R = t["L"], t["R"]
-            lam, mf, mg = t["lam"], t["mf"], t["mg"]
-            dpf, dpg = t["dpf"], t["dpg"]
-            if upwind:
-                dmf_L = _cut_derivative(fv[t["up_f"]], rho, reg) * (t["up_f"] == L)
-                dmf_R = _cut_derivative(fv[t["up_f"]], rho, reg) * (t["up_f"] == R)
-                dmg_L = _cut_derivative(gv[t["up_g"]], rho, reg) * (t["up_g"] == L)
-                dmg_R = _cut_derivative(gv[t["up_g"]], rho, reg) * (t["up_g"] == R)
-            else:
-                dmf_L = 0.5 * _cut_derivative(fv[L], rho, reg)
-                dmf_R = 0.5 * _cut_derivative(fv[R], rho, reg)
-                dmg_L = 0.5 * _cut_derivative(gv[L], rho, reg)
-                dmg_R = 0.5 * _cut_derivative(gv[R], rho, reg)
-            if reg:
-                s = 0.5 * (np.maximum(fv[L], 0.0) + np.maximum(fv[R], 0.0)
-                           + np.maximum(gv[L], 0.0) + np.maximum(gv[R], 0.0))
-                expo = np.exp(eps * s)
-                dlam_ds = -2.0 * eps * expo / (1.0 + expo) ** 2
-                dl_fL = dlam_ds * 0.5 * (fv[L] > 0.0)
-                dl_fR = dlam_ds * 0.5 * (fv[R] > 0.0)
-                dl_gL = dlam_ds * 0.5 * (gv[L] > 0.0)
-                dl_gR = dlam_ds * 0.5 * (gv[R] > 0.0)
-            else:
-                dl_fL = dl_fR = dl_gL = dl_gR = np.zeros_like(lam)
-            # d flux_f / d {f_L, f_R, g_L, g_R}
-            dff_fL = -eps_eff / dx + lam * dmf_L * dpf - lam * mf * a / dx + dl_fL * mf * dpf
-            dff_fR = eps_eff / dx + lam * dmf_R * dpf + lam * mf * a / dx + dl_fR * mf * dpf
-            dff_gL = -lam * mf * b / dx + dl_gL * mf * dpf
-            dff_gR = lam * mf * b / dx + dl_gR * mf * dpf
-            # d flux_g / d {f_L, f_R, g_L, g_R}
-            dfg_fL = -lam * mg * c / dx + dl_fL * mg * dpg
-            dfg_fR = lam * mg * c / dx + dl_fR * mg * dpg
-            dfg_gL = -eps_eff / dx + lam * dmg_L * dpg - lam * mg * d / dx + dl_gL * mg * dpg
-            dfg_gR = eps_eff / dx + lam * dmg_R * dpg + lam * mg * d / dx + dl_gR * mg * dpg
-            s_tau = tau / dx
-            # rows: residual index (f block 0..P-1, g block P..2P-1)
-            for row_base, terms in (
-                (0, ((dff_fL, 0, L), (dff_fR, 0, R), (dff_gL, P, L), (dff_gR, P, R))),
-                (P, ((dfg_fL, 0, L), (dfg_fR, 0, R), (dfg_gL, P, L), (dfg_gR, P, R))),
-            ):
-                for dflux, col_base, col_idx in terms:
-                    # residual at L sees +flux/dx, at R sees -flux/dx
-                    rows.extend((row_base + L, row_base + R))
-                    cols.extend((col_base + col_idx, col_base + col_idx))
-                    vals.extend((-s_tau * dflux, s_tau * dflux))
-        J = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(2 * P, 2 * P)).tocsr()
-        J = scipy.sparse.identity(2 * P, format="csr") + J
-        delta = scipy.sparse.linalg.spsolve(J, -np.concatenate([rf, rg]))
+        if lu is not None:
+            delta = lu.solve(-np.concatenate([rf, rg]))
+            f_try, g_try = fv + delta[:P], gv + delta[P:]
+            phi_try, rf_try, rg_try = norm(f_try, g_try)
+            if phi_try <= CHORD_CONTRACTION * phi:
+                fv, gv, phi, rf, rg = f_try, g_try, phi_try, rf_try, rg_try
+                continue
+            lu = None   # release the stale factors before building new ones
+        lu = scipy.sparse.linalg.splu(
+            _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind))
+        delta = lu.solve(-np.concatenate([rf, rg]))
         df, dg = delta[:P], delta[P:]
         t_step = 1.0
         accepted = False

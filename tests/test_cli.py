@@ -204,6 +204,15 @@ class TestRunCommand:
         rows = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert len(rows) == 2
 
+    def test_failure_message_names_step(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 16, "--method", "newton",
+                         "--max-iters", 1, "--tol", "1e-14", "--out", out])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert "did not converge at step 1:" in capsys.readouterr().err
+        summary = (out / "summary.txt").read_text()
+        assert "FAILED: nonlinear solve did not converge at step 1:" in summary
+
     def test_rejects_t_final_not_a_multiple_of_tau(self, tmp_path, capsys):
         # ceil(t_final / tau) steps would silently end at t = 1.2
         code = _run_cli(["run", "--cells", 8, "--tau", "0.3", "--t-final", "1",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import crossdiff as cd
+from crossdiff import scheme
 
 
 TOL = 1e-12
@@ -115,6 +117,56 @@ class TestNewton:
                                        _opts(method="newton"))
         assert np.abs(new_p.f - new_n.f).max() <= 10 * TOL
         assert np.abs(new_p.g - new_n.g).max() <= 10 * TOL
+
+
+def _degenerate_2d_state(n=16):
+    # f is a compactly supported cap: exactly zero on a patch at the corners
+    grid = cd.Grid2D(n, 1.0)
+    x, y = grid.centers()
+    f = 1.5 * np.maximum(0.0, 1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.35**2)
+    g = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    assert np.any(f == 0.0)
+    return cd.State(grid, f, g)
+
+
+@pytest.fixture
+def count_factorizations(monkeypatch):
+    """Count sparse LU factorizations made by the solver (``spsolve``
+    factors on every call, so it counts too)."""
+    calls = []
+    for name in ("splu", "spsolve"):
+        def counted(*args, _solver=getattr(scipy.sparse.linalg, name), **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(scipy.sparse.linalg, name, counted)
+    return calls
+
+
+class TestChordNewton:
+    TAU = 1e-2
+
+    def test_reuses_factorization_and_matches_fresh_jacobian(
+            self, params2111, count_factorizations, monkeypatch):
+        st = _degenerate_2d_state()
+        chord, rep_c = cd.step(st, self.TAU, params2111, _opts(method="newton"))
+        assert rep_c.residual <= TOL
+        # fewer factorizations than updates, and both branches ran: updates
+        # with the kept factors accepted, and at least one rejected and
+        # followed by a refactorization
+        assert 1 < len(count_factorizations) < rep_c.iterations
+        count_factorizations.clear()
+        monkeypatch.setattr(scheme, "CHORD_CONTRACTION", 0.0)
+        fresh, rep_f = cd.step(st, self.TAU, params2111, _opts(method="newton"))
+        assert len(count_factorizations) == rep_f.iterations
+        assert np.abs(chord.f - fresh.f).max() <= 10 * TOL
+        assert np.abs(chord.g - fresh.g).max() <= 10 * TOL
+
+    def test_single_iteration_raises(self, params2111):
+        st = _degenerate_2d_state()
+        with pytest.raises(cd.NonConvergence) as err:
+            cd.step(st, self.TAU, params2111, _opts(method="newton", max_iters=1))
+        assert err.value.iterations == 1
+        assert err.value.residual > TOL
 
 
 class TestStepRegularized:
@@ -416,6 +468,26 @@ class TestErrors:
         err = cd.InvariantViolation("entropy monotonicity E_3", 7, "rose")
         assert "entropy monotonicity E_3" in str(err)
         assert "step 7" in str(err)
+
+    def test_messages_follow_step_index(self):
+        # run fills in the step after the step raised; the message follows
+        nonconv = cd.NonConvergence(3, 1.5e-3)
+        assert " at step" not in str(nonconv)
+        nonconv.step_index = 12
+        assert "did not converge at step 12" in str(nonconv)
+        assert "1.500e-03 after 3 iterations" in str(nonconv)
+        violation = cd.InvariantViolation("sup-norm bound", None, "too large")
+        assert " at step" not in str(violation)
+        violation.step_index = 4
+        assert str(violation) == "violated inequality [sup-norm bound] at step 4: too large"
+
+    def test_run_reports_failing_step(self, params2111, cosine_state):
+        st = cosine_state(cells=16, amp=0.4)
+        with pytest.raises(cd.NonConvergence) as err:
+            cd.run(st, 1e-3, 3e-3, params2111,
+                   cd.SolverOptions(method="newton", max_iters=1, tol=1e-14))
+        assert err.value.step_index == 1
+        assert "did not converge at step 1:" in str(err.value)
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
