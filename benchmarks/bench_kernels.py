@@ -6,7 +6,8 @@ the implicit-step residual and one Picard solve of an implicit step to a
 max-norm residual of 1e-9 (plain and regularized), and prints microseconds
 per call (best of the repeats).  A last row times one 2D Newton step on a
 fixed 64x64 grid with a zero patch in f and prints milliseconds, sparse LU
-factorizations and Newton iterations.  Run:
+factorizations, Newton iterations and the L+U nonzeros of the step's first
+factorization (the fill left by the SuperLU column order).  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
@@ -83,24 +84,24 @@ def bench_newton_2d(repeats: int) -> None:
     state = State(grid, f, g)
     params = Params(2.0, 1.0, 1.0, 1.0)
     opts = SolverOptions(method="newton", tol=1e-10)
-    factorizations = 0
+    factors = []
     splu = scipy.sparse.linalg.splu
 
     def counted_splu(*args, **kwargs):
-        nonlocal factorizations
-        factorizations += 1
-        return splu(*args, **kwargs)
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
 
     scipy.sparse.linalg.splu = counted_splu
     try:
         _, report = step(state, 1e-3, params, opts)
     finally:
         scipy.sparse.linalg.splu = splu
+    fill = factors[0].L.nnz + factors[0].U.nnz
     ms = 1e-3 * _time_us(lambda: step(state, 1e-3, params, opts), repeats)
     print(f"\n{'step':<24} {'cells':>7} {'ms/call':>12} {'factorizations':>15} "
-          f"{'iterations':>11}")
-    print(f"{'newton 2d':<24} {grid.num_points:>7} {ms:>12.1f} {factorizations:>15} "
-          f"{report.iterations:>11}")
+          f"{'iterations':>11} {'L+U nnz':>10}")
+    print(f"{'newton 2d':<24} {grid.num_points:>7} {ms:>12.1f} {len(factors):>15} "
+          f"{report.iterations:>11} {fill:>10}")
 
 
 if __name__ == "__main__":

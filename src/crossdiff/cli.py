@@ -376,6 +376,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     file_values = parse_config_file(args.config) if args.config else {}
     cli_values = {k: v for k, v in vars(args).items()
                   if k in _FIELD_TYPES and v is not None}
@@ -442,8 +444,8 @@ def cmd_limits(args) -> int:
     if opts.regularization is not None:
         raise ConfigError("limits drives regularization itself; "
                           "pass --eps-list/--rho-list instead of --eps/--rho")
-    eps_list = [float(v) for v in args.eps_list.split(",")]
-    rho_list = [float(v) for v in args.rho_list.split(",")]
+    eps_list = _float_list("--eps-list", args.eps_list)
+    rho_list = _float_list("--rho-list", args.rho_list)
     exact, _ = step(initial, config.tau, params, opts)
     e_before = diagnostics.entropy_trace(initial, params, config.n_max)
     header = (["eps", "rho", "max_diff"]
@@ -466,6 +468,16 @@ def cmd_limits(args) -> int:
     (out_dir / "limits.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/limits.csv")
     return EXIT_OK
+
+
+def _float_list(flag: str, text: str) -> list[float]:
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"{flag}: {entry.strip()!r} is not a number") from None
+    return values
 
 
 # ---------------------------------------------------------------------------

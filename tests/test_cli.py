@@ -317,6 +317,18 @@ class TestLimitsCommand:
                          "--out", tmp_path / "o"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value, bad", [
+        ("--eps-list", "1e-2,abc", "'abc'"),
+        ("--rho-list", "1e3,", "''"),
+    ])
+    def test_rejects_malformed_list(self, tmp_path, capsys, flag, value, bad):
+        out = tmp_path / "o"
+        code = _run_cli(["limits", "--cells", 16, flag, value, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and f"{bad} is not a number" in err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_cartesian_product_runs(self, tmp_path):
@@ -342,6 +354,14 @@ class TestSweepCommand:
         rows = (out / "run_001" / "diagnostics.csv").read_text().strip().splitlines()
         assert len(rows) == 6                    # header, t = 0 and 4 steps
         assert "status: COMPLETED" in (out / "run_001" / "summary.txt").read_text()
+
+    def test_rejects_zero_workers_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = _run_cli(["sweep", "--cells", 8, "--tau", "1e-3,2e-3",
+                         "--workers", 0, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not (out / "sweep_manifest.csv").exists()
 
     def test_sweep_without_lists_is_an_error(self, tmp_path, capsys):
         assert _run_cli(["sweep", "--cells", 12, "--out", tmp_path / "o"]) == \

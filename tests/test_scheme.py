@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 import crossdiff as cd
@@ -167,6 +170,94 @@ class TestChordNewton:
             cd.step(st, self.TAU, params2111, _opts(method="newton", max_iters=1))
         assert err.value.iterations == 1
         assert err.value.residual > TOL
+
+
+class TestSuperLUOrdering:
+    def test_newton_factorizations_reduce_fill(self, params2111, monkeypatch):
+        factored = []
+        splu = scipy.sparse.linalg.splu
+
+        def capture(A, *args, **kwargs):
+            lu = splu(A, *args, **kwargs)
+            factored.append((A, lu))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
+        cd.step(_degenerate_2d_state(32), TestChordNewton.TAU, params2111,
+                _opts(method="newton"))
+        assert factored
+        for A, lu in factored:
+            colamd = splu(A, permc_spec="COLAMD")
+            assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def _monotone_state(grid):
+    # strictly positive and increasing along every axis, so with positive
+    # (a, b, c, d) both pressure gradients are positive on every face: the
+    # upwind choice and the positive-part cut are away from their kinks
+    if grid.ndim == 1:
+        x = grid.centers()
+        f, g = 1.0 + x + 0.2 * x**2, 0.5 + 0.7 * x
+    else:
+        x, y = grid.centers()
+        f, g = 1.0 + x + 0.5 * y + 0.2 * x * y, 0.5 + 0.4 * x + 0.8 * y
+    return cd.State(grid, f, g)
+
+
+class TestJacobian:
+    TAU = 1e-2
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(8, 1.0), cd.Grid2D(5, 1.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
+    @pytest.mark.parametrize("regularization", [None, (1e-1, 10.0)],
+                             ids=["plain", "regularized"])
+    def test_matches_central_differences(self, params2111, grid, face, regularization):
+        state = _monotone_state(grid)
+        opts = _opts(mobility_face=face, regularization=regularization)
+        eps, rho = regularization or (0.0, math.inf)
+        P = grid.num_points
+        z = np.concatenate([state.f.ravel(), state.g.ravel()])
+
+        def residual(zz):
+            st = cd.State(grid, zz[:P].reshape(grid.shape), zz[P:].reshape(grid.shape))
+            rf, rg = scheme.step_residual(st, state, self.TAU, params2111, opts)
+            return np.concatenate([rf.ravel(), rg.ravel()])
+
+        h = 1e-6
+        fd = np.empty((2 * P, 2 * P))
+        for j in range(2 * P):
+            e = np.zeros(2 * P)
+            e[j] = h
+            fd[:, j] = (residual(z + e) - residual(z - e)) / (2 * h)
+        J = scheme._jacobian(z[:P], z[P:], grid, params2111, self.TAU, eps, rho,
+                             regularization is not None, face == "upwind")
+        assert np.abs(J.toarray() - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    def test_cached_pattern_matches_reference_build(self, params2111):
+        rng = np.random.default_rng(5)
+        scheme._jacobian_pattern.cache_clear()
+        for grid in (cd.Grid2D(16, 1.0), cd.Grid2D(24, 1.0), cd.Grid2D(16, 1.0),
+                     cd.Grid1D(40, 1.0)):
+            P = grid.num_points
+            # zeros in f leave explicit zeros in the pattern
+            fv = np.maximum(rng.uniform(-0.5, 2.0, P), 0.0)
+            gv = rng.uniform(0.1, 2.0, P)
+            args = (fv, gv, grid, params2111, self.TAU, 0.0, math.inf, False, True)
+            J = scheme._jacobian(*args)
+            rows, cols = scheme._jacobian_coords(grid)
+            ref = scipy.sparse.coo_matrix((scheme._jacobian_values(*args), (rows, cols)),
+                                          shape=J.shape)
+            ref_csc = ref.tocsc()
+            assert J.format == "csc" and J.has_canonical_format
+            assert np.array_equal(J.indptr, ref_csc.indptr)
+            assert np.array_equal(J.indices, ref_csc.indices)
+            # the dense build sums duplicates in emission order, as the
+            # pattern does; tocsc's sort may add them in another order
+            dense = scipy.sparse.csc_matrix(ref.toarray())
+            assert (J - dense).count_nonzero() == 0
+        info = scheme._jacobian_pattern.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
 
 
 class TestStepRegularized:
