@@ -23,7 +23,6 @@ verifies the structural inequalities after every step, raising
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,10 +46,11 @@ CAP_TOL = 1e-10
 # current value; otherwise the Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
-# SuperLU column order for every sparse factorization: minimum degree on the
-# structure of A + A^T, which the face-coupled Jacobians share, gives about
-# half the L+U fill of the default COLAMD order on 2D grids; the pivot
-# threshold stays at SuperLU's default (partial pivoting)
+# SuperLU column order for the Newton splu and the 2D Picard spsolve calls:
+# minimum degree on the structure of A + A^T.  Both matrices are face-coupled
+# with a structurally symmetric pattern; on 2D grids of 32x32 cells and more
+# this order leaves about 0.5-0.6 of the L+U fill of the default COLAMD
+# order.  The pivot threshold stays at SuperLU's default (partial pivoting)
 SUPERLU_ORDERING = "MMD_AT_PLUS_A"
 
 
@@ -375,56 +375,15 @@ def _cut_derivative(z, rho, reg):
 
 def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
     """Analytic Jacobian of the implicit residual at ``(fv, gv)`` as a CSC
-    matrix over the stacked unknowns (f block, then g block); the values of
-    :func:`_jacobian_values` are summed into the grid's cached pattern."""
-    indptr, indices, slot = _jacobian_pattern(grid)
-    vals = _jacobian_values(fv, gv, grid, params, tau, eps, rho, reg, upwind)
-    data = np.bincount(slot, weights=vals, minlength=indices.size)
-    P2 = 2 * grid.num_points
-    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(P2, P2))
-
-
-def _jacobian_coords(grid):
-    """Row and column index of every Jacobian entry, in the order
-    :func:`_jacobian_values` emits them (duplicates not yet summed)."""
-    P = grid.num_points
-    diag = np.arange(2 * P)
-    rows, cols = [diag], [diag]
-    for axis in range(grid.ndim):
-        L, R = grid.interior_faces(axis)
-        for row_base in (0, P):
-            for col_base, col_idx in ((0, L), (0, R), (P, L), (P, R)):
-                rows.extend((row_base + L, row_base + R))
-                cols.extend((col_base + col_idx, col_base + col_idx))
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-@functools.lru_cache(maxsize=8)
-def _jacobian_pattern(grid):
-    """CSC ``indptr``/``indices`` of the Jacobian on ``grid`` and the CSC
-    slot of every emitted entry.  Structure only (a pure function of the
-    grid's dimension and cell count), built on first use; the arrays are
-    read-only because every caller shares them."""
-    rows, cols = _jacobian_coords(grid)
-    n = 2 * grid.num_points
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
-    indices = (keys % n).astype(np.int32)
-    indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
-    for arr in (indptr, indices, slot):
-        arr.flags.writeable = False
-    return indptr, indices, slot
-
-
-def _jacobian_values(fv, gv, grid, params, tau, eps, rho, reg, upwind):
-    """Jacobian entries at ``(fv, gv)`` in the order of
-    :func:`_jacobian_coords`; mobility and damping derivatives included,
-    the upwind selection and the positive-part/cap kinks frozen at the
-    iterate."""
+    matrix over the stacked unknowns (f block, then g block); mobility and
+    damping derivatives included, the upwind selection and the
+    positive-part/cap kinks frozen at the iterate."""
     a, b, c, d = params.as_tuple()
     P = grid.num_points
     dx = grid.dx
     eps_eff = eps if reg else 0.0
-    vals = [np.ones(2 * P)]
+    diag = np.arange(2 * P)
+    rows, cols, vals = [diag], [diag], [np.ones(2 * P)]
     for axis in range(grid.ndim):
         t = fvops.face_terms(fv, gv, grid, params, eps, rho, reg, upwind, axis)
         L, R = t["L"], t["R"]
@@ -463,10 +422,19 @@ def _jacobian_values(fv, gv, grid, params, tau, eps, rho, reg, upwind):
         dfg_gL = -eps_eff / dx + lam * dmg_L * dpg - lam * mg * d / dx + dl_gL * mg * dpg
         dfg_gR = eps_eff / dx + lam * dmg_R * dpg + lam * mg * d / dx + dl_gR * mg * dpg
         s_tau = tau / dx
-        # rows L then R: the residual at L sees +flux/dx, at R -flux/dx
-        for dflux in (dff_fL, dff_fR, dff_gL, dff_gR, dfg_fL, dfg_fR, dfg_gL, dfg_gR):
-            vals.extend((-s_tau * dflux, s_tau * dflux))
-    return np.concatenate(vals)
+        # rows: residual index (f block 0..P-1, g block P..2P-1)
+        for row_base, terms in (
+            (0, ((dff_fL, 0, L), (dff_fR, 0, R), (dff_gL, P, L), (dff_gR, P, R))),
+            (P, ((dfg_fL, 0, L), (dfg_fR, 0, R), (dfg_gL, P, L), (dfg_gR, P, R))),
+        ):
+            for dflux, col_base, col_idx in terms:
+                # residual at L sees +flux/dx, at R sees -flux/dx
+                rows.extend((row_base + L, row_base + R))
+                cols.extend((col_base + col_idx, col_base + col_idx))
+                vals.extend((-s_tau * dflux, s_tau * dflux))
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(2 * P, 2 * P)).tocsc()
 
 
 def _newton_sparse(prev, tau, params, opts, eps, rho, reg):

@@ -190,6 +190,28 @@ class TestSuperLUOrdering:
             colamd = splu(A, permc_spec="COLAMD")
             assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
+    def test_picard_solves_reduce_fill(self, monkeypatch):
+        solved = []
+        spsolve = scipy.sparse.linalg.spsolve
+
+        def capture(A, b, *args, **kwargs):
+            solved.append((A.tocsc(), kwargs.get("permc_spec", "COLAMD")))
+            return spsolve(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", capture)
+        grid = cd.Grid2D(32, 1.0)
+        x, y = grid.centers()
+        st = cd.State(grid, 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y),
+                      1.0 + 0.2 * np.cos(np.pi * x))
+        cd.step(st, 1e-3, cd.Params(2.0, 1.0, 1.0, 1.0), _opts(method="picard"))
+        assert solved
+        # the Picard matrices share one pattern, so the first two (f and g
+        # of the first sweep) stand for all of them
+        for A, order in solved[:2]:
+            lu = scipy.sparse.linalg.splu(A, permc_spec=order)
+            colamd = scipy.sparse.linalg.splu(A, permc_spec="COLAMD")
+            assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
 
 def _monotone_state(grid):
     # strictly positive and increasing along every axis, so with positive
@@ -233,31 +255,6 @@ class TestJacobian:
         J = scheme._jacobian(z[:P], z[P:], grid, params2111, self.TAU, eps, rho,
                              regularization is not None, face == "upwind")
         assert np.abs(J.toarray() - fd).max() <= 1e-7 * np.abs(fd).max()
-
-    def test_cached_pattern_matches_reference_build(self, params2111):
-        rng = np.random.default_rng(5)
-        scheme._jacobian_pattern.cache_clear()
-        for grid in (cd.Grid2D(16, 1.0), cd.Grid2D(24, 1.0), cd.Grid2D(16, 1.0),
-                     cd.Grid1D(40, 1.0)):
-            P = grid.num_points
-            # zeros in f leave explicit zeros in the pattern
-            fv = np.maximum(rng.uniform(-0.5, 2.0, P), 0.0)
-            gv = rng.uniform(0.1, 2.0, P)
-            args = (fv, gv, grid, params2111, self.TAU, 0.0, math.inf, False, True)
-            J = scheme._jacobian(*args)
-            rows, cols = scheme._jacobian_coords(grid)
-            ref = scipy.sparse.coo_matrix((scheme._jacobian_values(*args), (rows, cols)),
-                                          shape=J.shape)
-            ref_csc = ref.tocsc()
-            assert J.format == "csc" and J.has_canonical_format
-            assert np.array_equal(J.indptr, ref_csc.indptr)
-            assert np.array_equal(J.indices, ref_csc.indices)
-            # the dense build sums duplicates in emission order, as the
-            # pattern does; tocsc's sort may add them in another order
-            dense = scipy.sparse.csc_matrix(ref.toarray())
-            assert (J - dense).count_nonzero() == 0
-        info = scheme._jacobian_pattern.cache_info()
-        assert (info.misses, info.hits) == (3, 1)
 
 
 class TestStepRegularized:
