@@ -2,7 +2,8 @@
 """Time the 1D kernels on desk-scale problems.
 
 Times the tridiagonal solve, the homogeneous-polynomial cell evaluation,
-the implicit-step residual and one Picard solve of an implicit step to a
+the implicit-step residual (``fvops.implicit_residual``, the face operator
+shared by every dimension and solver) and one Picard solve of an implicit step to a
 max-norm residual of 1e-9 (plain and regularized), and prints microseconds
 per call (best of the repeats).  A last row times one 2D Newton step on a
 fixed 64x64 grid with a zero patch in f and prints milliseconds, sparse LU
@@ -22,7 +23,7 @@ import scipy.sparse.linalg
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from crossdiff import kernels  # noqa: E402
+from crossdiff import fvops, kernels  # noqa: E402
 from crossdiff.entropy import build_coefficients  # noqa: E402
 from crossdiff.grid import Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
@@ -46,6 +47,7 @@ def bench(cells: int, repeats: int) -> None:
     x = (np.arange(cells) + 0.5) / cells
     F = 1.0 + 0.5 * np.cos(np.pi * x)
     G = np.ones(cells)
+    u = np.stack((F, G))
     lower = -rng.uniform(0.1, 1.0, cells)
     upper = -rng.uniform(0.1, 1.0, cells)
     lower[0] = upper[-1] = 0.0
@@ -56,8 +58,8 @@ def bench(cells: int, repeats: int) -> None:
     rows = [
         ("thomas", lambda: kernels.thomas(lower, diag, upper, rhs)),
         ("phi_cells (n=6)", lambda: kernels.phi_cells(coeffs, F, G)),
-        ("residual_1d", lambda: kernels.residual_1d(
-            F, G, F, G, a, b, c, d, tau, dx, 0.0, np.inf, False, True)),
+        ("implicit_residual", lambda: fvops.implicit_residual(
+            u, u, (a, b, c, d), tau, dx, 0.0, np.inf, False, True)),
     ]
     for label, reg, eps, rho in (("picard_1d", False, 0.0, np.inf),
                                  ("picard_1d regularized", True, 1e-3, 1e3)):

@@ -85,16 +85,11 @@ def dissipation(state: State, params: Params) -> float:
 def steady_residual(state: State, params: Params) -> float:
     """Max-norm over faces of the two component fluxes; zero exactly at
     constant states, used as a stopping diagnostic for long runs."""
-    grid = state.grid
-    fv = state.f.ravel()
-    gv = state.g.ravel()
-    worst = 0.0
-    for axis in range(grid.ndim):
-        t = fvops.face_terms(fv, gv, grid, params, 0.0, math.inf, False, True, axis)
-        if t["flux_f"].size:
-            worst = max(worst, float(np.abs(t["flux_f"]).max()),
-                        float(np.abs(t["flux_g"]).max()))
-    return worst
+    u = np.stack((state.f, state.g))
+    fluxes = (fvops.face_terms(u, params.as_tuple(), state.grid.dx, 0.0,
+                               math.inf, False, True, axis)[4]
+              for axis in range(state.grid.ndim))
+    return max(float(np.abs(flux).max()) for flux in fluxes)
 
 
 def lp_norm(grid, values, p: int) -> float:

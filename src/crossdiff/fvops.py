@@ -1,75 +1,66 @@
-"""Dimension-agnostic finite-volume face operations on flat cell indices.
+"""Finite-volume face operator of the implicit step, in any dimension.
 
-Shared by the scheme (generic sparse assembly) and the diagnostics (flux
-magnitudes); the 1D hot path lives in :mod:`crossdiff.kernels` instead.
+The operator works on the stacked state ``u = (f, g)`` of shape
+``(2, *grid.shape)``: row 0 belongs to f, row 1 to g, so every face
+quantity is computed for both components by one array operation.  Along
+grid axis ``k`` (array axis ``k + 1``) the faces are indexed 0..n for n
+cells; the face arrays carry that axis last, and the boundary faces 0 and n
+carry zero flux (zero-flux closure).  The face value of a mobility is the
+positive part of the upwind cell value (upwind with respect to the sign of
+the driving pressure gradient) or the mean of the positive parts when
+arithmetic averaging is requested.  The regularized variant replaces the
+positive part by the capped cutoff profile, multiplies the mobility by the
+sigmoid damping factor and adds ``eps`` times the component gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import _alpha_cut_vec
-from .params import Params
+from .entropy import alpha_rho
 
 
-def face_terms(fv, gv, grid, params: Params, eps, rho, reg, upwind, axis):
-    """Per-face quantities along one axis: gradients, pressure gradients,
-    damping, face mobilities, fluxes, and the upwind choice."""
-    a, b, c, d = params.as_tuple()
-    L, R = grid.interior_faces(axis)
-    dx = grid.dx
-    gradf = (fv[R] - fv[L]) / dx
-    gradg = (gv[R] - gv[L]) / dx
-    dpf = a * gradf + b * gradg
-    dpg = c * gradf + d * gradg
+def face_terms(u, coef, dx, eps, rho, reg, upwind, axis):
+    """(grad, dp, lam, mob, flux) of the stacked state ``u`` on the faces
+    0..n along grid ``axis``: component gradients, pressure gradients,
+    damping (the scalar 1.0 without regularization), face mobilities and
+    fluxes.  ``coef`` holds the pressure coefficients (a, b, c, d): the
+    pressure of f is a f + b g, that of g is c f + d g."""
+    u = u.swapaxes(axis + 1, -1)
+    lo, hi = u[..., :-1], u[..., 1:]
+    n = u.shape[-1]
+    grad = np.zeros(u.shape[:-1] + (n + 1,))
+    grad[..., 1:n] = (hi - lo) / dx
+    col = np.asarray(coef, dtype=float).reshape((2, 2) + (1,) * (u.ndim - 1))
+    dp = col[:, 0] * grad[0] + col[:, 1] * grad[1]
     if reg:
-        s = 0.5 * (np.maximum(fv[L], 0.0) + np.maximum(fv[R], 0.0)
-                   + np.maximum(gv[L], 0.0) + np.maximum(gv[R], 0.0))
-        lam = 2.0 / (1.0 + np.exp(eps * s))
-        cut = lambda z: _alpha_cut_vec(z, rho)
+        pos = np.maximum(u, 0.0)
+        s = 0.5 * (pos[0, ..., :-1] + pos[0, ..., 1:] + pos[1, ..., :-1] + pos[1, ..., 1:])
+        lam = np.ones(grad.shape[1:])
+        lam[..., 1:n] = 2.0 / (1.0 + np.exp(eps * s))
+        cut = lambda z: alpha_rho(z, rho)
     else:
-        lam = np.ones_like(gradf)
+        lam = 1.0
         cut = lambda z: np.maximum(z, 0.0)
+    mob = np.zeros(grad.shape)
     if upwind:
-        up_f = np.where(dpf > 0.0, R, L)
-        up_g = np.where(dpg > 0.0, R, L)
-        mf = cut(fv[up_f])
-        mg = cut(gv[up_g])
+        mob[..., 1:n] = cut(np.where(dp[..., 1:n] > 0.0, hi, lo))
     else:
-        up_f = up_g = None
-        mf = 0.5 * (cut(fv[L]) + cut(fv[R]))
-        mg = 0.5 * (cut(gv[L]) + cut(gv[R]))
-    flux_f = lam * mf * dpf
-    flux_g = lam * mg * dpg
+        mob[..., 1:n] = 0.5 * (cut(lo) + cut(hi))
+    flux = lam * mob * dp
     if reg:
-        flux_f = flux_f + eps * gradf
-        flux_g = flux_g + eps * gradg
-    return {
-        "L": L, "R": R, "gradf": gradf, "gradg": gradg,
-        "dpf": dpf, "dpg": dpg, "lam": lam, "mf": mf, "mg": mg,
-        "up_f": up_f, "up_g": up_g, "flux_f": flux_f, "flux_g": flux_g,
-    }
+        flux += eps * grad
+    return grad, dp, lam, mob, flux
 
 
-def accumulate_div(P, L, R, flux, dx, out=None):
-    """Add the divergence of one axis' interior-face flux to a flat field."""
-    div = np.zeros(P) if out is None else out
-    np.add.at(div, L, flux / dx)
-    np.add.at(div, R, -flux / dx)
-    return div
-
-
-def divergences(fv, gv, grid, params, eps, rho, reg, upwind):
-    P = grid.num_points
-    div_f = np.zeros(P)
-    div_g = np.zeros(P)
-    for axis in range(grid.ndim):
-        t = face_terms(fv, gv, grid, params, eps, rho, reg, upwind, axis)
-        accumulate_div(P, t["L"], t["R"], t["flux_f"], grid.dx, div_f)
-        accumulate_div(P, t["L"], t["R"], t["flux_g"], grid.dx, div_g)
-    return div_f, div_g
-
-
-def implicit_residual(fv, gv, prev_f, prev_g, grid, params, tau, eps, rho, reg, upwind):
-    div_f, div_g = divergences(fv, gv, grid, params, eps, rho, reg, upwind)
-    return fv - tau * div_f - prev_f, gv - tau * div_g - prev_g
+def implicit_residual(u, prev, coef, tau, dx, eps, rho, reg, upwind):
+    """Residual ``u - tau/dx * sum_axis diff(flux) - prev`` of the implicit
+    step at the stacked state ``u``, and the face terms of every axis (the
+    :func:`face_terms` tuples, in axis order)."""
+    terms = [face_terms(u, coef, dx, eps, rho, reg, upwind, axis)
+             for axis in range(u.ndim - 1)]
+    tau_dx = tau / dx
+    r = u
+    for axis, (*_, flux) in enumerate(terms):
+        r = r - tau_dx * (flux[..., 1:] - flux[..., :-1]).swapaxes(axis + 1, -1)
+    return r - prev, terms

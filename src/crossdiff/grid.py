@@ -70,13 +70,6 @@ class Grid1D:
         values = self._check_field(values)
         return float(self.dx * values.sum())
 
-    def interior_faces(self, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (left, right) cell indices of the interior faces along an axis."""
-        if axis != 0:
-            raise ValueError("1D grid has a single axis")
-        left = np.arange(self.num_cells - 1)
-        return left, left + 1
-
     def _check_field(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape != self.shape:
@@ -144,16 +137,6 @@ class Grid2D:
     def integrate(self, values: np.ndarray) -> float:
         values = self._check_field(values)
         return float(self.cell_volume * values.sum())
-
-    def interior_faces(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        n = self.num_cells
-        if axis == 0:
-            left = (np.arange(n - 1)[:, None] * n + np.arange(n)[None, :]).ravel()
-            return left, left + n
-        if axis == 1:
-            left = (np.arange(n)[:, None] * n + np.arange(n - 1)[None, :]).ravel()
-            return left, left + 1
-        raise ValueError("axis must be 0 or 1")
 
     def _check_field(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)

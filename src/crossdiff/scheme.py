@@ -9,12 +9,14 @@ arithmetic) face mobility times the face gradient of that component's
 pressure (a f + b g for f, c f + d g for g).  The regularized variant uses
 the capped/damped mobility plus an eps-identity diffusion block.
 
-The nonlinear solve is Picard (frozen face mobilities and frozen coupling
-gradients; tridiagonal solves per component in 1D, sparse direct in 2D) or
-Newton (analytic Jacobian including mobility derivatives, one sparse LU
-factorization reused while it keeps contracting the residual, refreshed
-with Armijo backtracking when it does not).  Convergence is declared on the
-max-norm of the true nonlinear residual.
+The face fluxes and the residual come from :mod:`crossdiff.fvops`, one
+operator for every dimension.  On 1D grids the nonlinear solve is Picard
+(frozen face mobilities and frozen coupling gradients, one tridiagonal
+solve per component) or Newton; on 2D grids it is always Newton (analytic
+Jacobian including mobility derivatives, one sparse LU factorization reused
+while it keeps contracting the residual, refreshed with Armijo backtracking
+when it does not).  Convergence is declared on the max-norm of the true
+nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence and, by default,
 verifies the structural inequalities after every step, raising
@@ -46,11 +48,11 @@ CAP_TOL = 1e-10
 # current value; otherwise the Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
-# SuperLU column order for the Newton splu and the 2D Picard spsolve calls:
-# minimum degree on the structure of A + A^T.  Both matrices are face-coupled
-# with a structurally symmetric pattern; on 2D grids of 32x32 cells and more
-# this order leaves about 0.5-0.6 of the L+U fill of the default COLAMD
-# order.  The pivot threshold stays at SuperLU's default (partial pivoting)
+# SuperLU column order for the Newton splu: minimum degree on the structure
+# of A + A^T.  The Jacobian is face-coupled with a structurally symmetric
+# pattern; on 2D grids of 32x32 cells and more this order leaves about
+# 0.5-0.6 of the L+U fill of the default COLAMD order.  The pivot threshold
+# stays at SuperLU's default (partial pivoting)
 SUPERLU_ORDERING = "MMD_AT_PLUS_A"
 
 
@@ -107,7 +109,7 @@ class InvariantViolation(SchemeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    method: str = "picard"              # picard | newton
+    method: str = "picard"              # picard | newton; 2D grids run newton
     max_iters: int = 200
     tol: float = 1e-10                  # max-norm residual, field units
     mobility_face: str = "upwind"       # upwind | arithmetic
@@ -269,8 +271,6 @@ def _solve_implicit(prev, tau, params, opts, eps, rho, reg):
             if ok:
                 return State(prev.grid, f, g), int(iters), float(res)
         raise NonConvergence(int(iters), float(res))
-    if opts.method == "picard":
-        return _picard_sparse(prev, tau, params, opts, eps, rho, reg)
     return _newton_sparse(prev, tau, params, opts, eps, rho, reg)
 
 
@@ -282,86 +282,11 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     if opts.regularization is not None and not reg:
         eps, rho = opts.regularization
         reg = True
-    a, b, c, d = params.as_tuple()
-    if state.grid.ndim == 1:
-        rf, rg = kernels.residual_1d(
-            state.f, state.g, prev.f, prev.g, a, b, c, d, tau, state.grid.dx,
-            eps, rho, reg, opts.mobility_face == "upwind",
-        )
-        return rf, rg
-    fv, gv = state.f.ravel(), state.g.ravel()
-    rf, rg = fvops.implicit_residual(
-        fv, gv, prev.f.ravel(), prev.g.ravel(), state.grid, params, tau,
-        eps, rho, reg, opts.mobility_face == "upwind")
-    return rf.reshape(state.grid.shape), rg.reshape(state.grid.shape)
-
-
-def _picard_sparse(prev, tau, params, opts, eps, rho, reg):
-    """Frozen-coefficient iteration with a sparse direct solve per component;
-    dimension-agnostic (used for 2D; 1D goes through the tridiagonal kernel)."""
-    iters = 0
-    res = math.inf
-    for omega in PICARD_RELAXATIONS:
-        fv, gv, iters, res, ok = _picard_sparse_once(prev, tau, params, opts,
-                                                     eps, rho, reg, omega)
-        if ok:
-            shape = prev.grid.shape
-            return State(prev.grid, fv.reshape(shape), gv.reshape(shape)), iters, res
-    raise NonConvergence(iters, res)
-
-
-def _picard_sparse_once(prev, tau, params, opts, eps, rho, reg, omega):
-    a, b, c, d = params.as_tuple()
-    grid = prev.grid
-    P = grid.num_points
-    dx = grid.dx
-    upwind = opts.mobility_face == "upwind"
-    eps_eff = eps if reg else 0.0
-    prev_f = prev.f.ravel()
-    prev_g = prev.g.ravel()
-    fv = prev_f.copy()
-    gv = prev_g.copy()
-    rf, rg = fvops.implicit_residual(fv, gv, prev_f, prev_g, grid, params, tau, eps, rho, reg, upwind)
-    res = max(np.abs(rf).max(), np.abs(rg).max())
-    iters = 0
-    eye = scipy.sparse.identity(P, format="csr")
-    while res > opts.tol and iters < opts.max_iters:
-        iters += 1
-        rows_f, cols_f, vals_f = [], [], []
-        rows_g, cols_g, vals_g = [], [], []
-        rhs_f = prev_f.copy()
-        rhs_g = prev_g.copy()
-        for axis in range(grid.ndim):
-            t = fvops.face_terms(fv, gv, grid, params, eps, rho, reg, upwind, axis)
-            L, R = t["L"], t["R"]
-            wf = tau * (eps_eff + t["lam"] * t["mf"] * a) / (dx * dx)
-            wg = tau * (eps_eff + t["lam"] * t["mg"] * d) / (dx * dx)
-            for rows, cols, vals, w in ((rows_f, cols_f, vals_f, wf),
-                                        (rows_g, cols_g, vals_g, wg)):
-                rows.extend((L, L, R, R))
-                cols.extend((L, R, R, L))
-                vals.extend((w, -w, w, -w))
-            bt = tau * t["lam"] * t["mf"] * b * t["gradg"]
-            ct = tau * t["lam"] * t["mg"] * c * t["gradf"]
-            fvops.accumulate_div(P, L, R, bt, dx, rhs_f)
-            fvops.accumulate_div(P, L, R, ct, dx, rhs_g)
-        A_f = scipy.sparse.coo_matrix(
-            (np.concatenate(vals_f), (np.concatenate(rows_f), np.concatenate(cols_f))),
-            shape=(P, P)).tocsr()
-        A_g = scipy.sparse.coo_matrix(
-            (np.concatenate(vals_g), (np.concatenate(rows_g), np.concatenate(cols_g))),
-            shape=(P, P)).tocsr()
-        f_new = scipy.sparse.linalg.spsolve(eye + A_f, rhs_f, permc_spec=SUPERLU_ORDERING)
-        g_new = scipy.sparse.linalg.spsolve(eye + A_g, rhs_g, permc_spec=SUPERLU_ORDERING)
-        if omega == 1.0:
-            fv, gv = f_new, g_new
-        else:
-            fv = fv + omega * (f_new - fv)
-            gv = gv + omega * (g_new - gv)
-        rf, rg = fvops.implicit_residual(fv, gv, prev_f, prev_g, grid, params,
-                                         tau, eps, rho, reg, upwind)
-        res = max(np.abs(rf).max(), np.abs(rg).max())
-    return fv, gv, iters, float(res), res <= opts.tol
+    r = fvops.implicit_residual(
+        np.stack((state.f, state.g)), np.stack((prev.f, prev.g)),
+        params.as_tuple(), tau, state.grid.dx, eps, rho, reg,
+        opts.mobility_face == "upwind")[0]
+    return r[0], r[1]
 
 
 def _cut_derivative(z, rho, reg):
@@ -382,15 +307,22 @@ def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
     P = grid.num_points
     dx = grid.dx
     eps_eff = eps if reg else 0.0
+    u = np.stack((fv, gv)).reshape((2,) + grid.shape)
+    cells = np.arange(P).reshape(grid.shape)
     diag = np.arange(2 * P)
     rows, cols, vals = [diag], [diag], [np.ones(2 * P)]
     for axis in range(grid.ndim):
-        t = fvops.face_terms(fv, gv, grid, params, eps, rho, reg, upwind, axis)
-        L, R = t["L"], t["R"]
-        lam, mf, mg = t["lam"], t["mf"], t["mg"]
-        dpf, dpg = t["dpf"], t["dpg"]
+        _, dp, lam, mob, _ = fvops.face_terms(u, (a, b, c, d), dx, eps, rho,
+                                              reg, upwind, axis)
+        # flat cell indices left and right of the interior faces, in the
+        # order of the face arrays (this axis last)
+        moved = cells.swapaxes(axis, -1)
+        L, R = moved[..., :-1].ravel(), moved[..., 1:].ravel()
+        dpf, dpg = dp[..., 1:-1].reshape(2, -1)
+        mf, mg = mob[..., 1:-1].reshape(2, -1)
         if upwind:
-            up_f, up_g = t["up_f"], t["up_g"]
+            up_f = np.where(dpf > 0.0, R, L)
+            up_g = np.where(dpg > 0.0, R, L)
             dmf = _cut_derivative(fv[up_f], rho, reg)
             dmg = _cut_derivative(gv[up_g], rho, reg)
             dmf_L, dmf_R = dmf * (up_f == L), dmf * (up_f == R)
@@ -401,6 +333,7 @@ def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
             dmg_L = 0.5 * _cut_derivative(gv[L], rho, reg)
             dmg_R = 0.5 * _cut_derivative(gv[R], rho, reg)
         if reg:
+            lam = lam[..., 1:-1].ravel()
             s = 0.5 * (np.maximum(fv[L], 0.0) + np.maximum(fv[R], 0.0)
                        + np.maximum(gv[L], 0.0) + np.maximum(gv[R], 0.0))
             expo = np.exp(eps * s)
@@ -410,7 +343,7 @@ def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
             dl_gL = dlam_ds * 0.5 * (gv[L] > 0.0)
             dl_gR = dlam_ds * 0.5 * (gv[R] > 0.0)
         else:
-            dl_fL = dl_fR = dl_gL = dl_gR = np.zeros_like(lam)
+            dl_fL = dl_fR = dl_gL = dl_gR = 0.0
         # d flux_f / d {f_L, f_R, g_L, g_R}
         dff_fL = -eps_eff / dx + lam * dmf_L * dpf - lam * mf * a / dx + dl_fL * mf * dpf
         dff_fR = eps_eff / dx + lam * dmf_R * dpf + lam * mf * a / dx + dl_fR * mf * dpf
@@ -438,64 +371,63 @@ def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
 
 
 def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
-    """Semi-smooth chord Newton with Armijo backtracking.
+    """Semi-smooth chord Newton with Armijo backtracking on the stacked
+    state ``(f, g)``.
 
     The Jacobian is factored once and the factorization kept for the rest
     of the step.  Each iteration first tries the full update with the kept
     factorization and accepts it if it contracts the true residual by
     ``CHORD_CONTRACTION``; otherwise the Jacobian is refactored at the
     current iterate and the fresh Newton direction is backtracked on the
-    true residual.  Only a failed search on a fresh Jacobian or an
-    exhausted ``max_iters`` raises :class:`NonConvergence`.
+    true residual.  With upwind faces the iteration also goes on, within
+    ``max_iters``, while an iterate has a component below ``-NONNEG_TOL``:
+    the exact solution of the upwind step is nonnegative, so such an
+    iterate is not yet the solution even if its residual is below ``tol``.
+    Only a failed search on a fresh Jacobian or an exhausted ``max_iters``
+    raises :class:`NonConvergence`.
     """
     grid = prev.grid
-    P = grid.num_points
     upwind = opts.mobility_face == "upwind"
-    prev_f = prev.f.ravel()
-    prev_g = prev.g.ravel()
-    fv = prev_f.copy()
-    gv = prev_g.copy()
+    coef = params.as_tuple()
+    prev_u = np.stack((prev.f, prev.g))
 
-    def norm(fvv, gvv):
-        rf, rg = fvops.implicit_residual(fvv, gvv, prev_f, prev_g, grid, params,
-                                         tau, eps, rho, reg, upwind)
-        return max(np.abs(rf).max(), np.abs(rg).max()), rf, rg
+    def norm(v):
+        r = fvops.implicit_residual(v, prev_u, coef, tau, grid.dx, eps, rho,
+                                    reg, upwind)[0]
+        return np.abs(r).max(), r
 
-    phi, rf, rg = norm(fv, gv)
+    u = prev_u
+    phi, r = norm(u)
     iters = 0
     lu = None
-    while phi > opts.tol and iters < opts.max_iters:
+    while ((phi > opts.tol or (upwind and u.min() < -NONNEG_TOL))
+           and iters < opts.max_iters):
         iters += 1
         if lu is not None:
-            delta = lu.solve(-np.concatenate([rf, rg]))
-            f_try, g_try = fv + delta[:P], gv + delta[P:]
-            phi_try, rf_try, rg_try = norm(f_try, g_try)
+            u_try = u + lu.solve(-r.ravel()).reshape(u.shape)
+            phi_try, r_try = norm(u_try)
             if phi_try <= CHORD_CONTRACTION * phi:
-                fv, gv, phi, rf, rg = f_try, g_try, phi_try, rf_try, rg_try
+                u, phi, r = u_try, phi_try, r_try
                 continue
             lu = None   # release the stale factors before building new ones
         lu = scipy.sparse.linalg.splu(
-            _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind),
+            _jacobian(u[0].ravel(), u[1].ravel(), grid, params, tau, eps, rho,
+                      reg, upwind),
             permc_spec=SUPERLU_ORDERING)
-        delta = lu.solve(-np.concatenate([rf, rg]))
-        df, dg = delta[:P], delta[P:]
+        du = lu.solve(-r.ravel()).reshape(u.shape)
         t_step = 1.0
-        accepted = False
         for _ in range(30):
-            phi_try, rf_try, rg_try = norm(fv + t_step * df, gv + t_step * dg)
+            u_try = u + t_step * du
+            phi_try, r_try = norm(u_try)
             if phi_try < (1.0 - 1e-4 * t_step) * phi:
-                fv = fv + t_step * df
-                gv = gv + t_step * dg
-                phi, rf, rg = phi_try, rf_try, rg_try
-                accepted = True
+                u, phi, r = u_try, phi_try, r_try
                 break
             t_step *= 0.5
-        if not accepted:
+        else:
             raise NonConvergence(iters, float(phi))
     if phi > opts.tol:
         raise NonConvergence(iters, float(phi))
-    shape = grid.shape
-    return State(grid, fv.reshape(shape), gv.reshape(shape)), iters, float(phi)
+    return State(grid, u[0], u[1]), iters, float(phi)
 
 
 def _finalize_step(new, prev, params, opts, iters, res, rho):

@@ -123,13 +123,6 @@ class TestGrid2D:
         div = grid.divergence((fy, fx))
         assert grid.integrate(div) == pytest.approx(0.0, abs=1e-12)
 
-    def test_interior_faces_strides(self):
-        grid = cd.Grid2D(3, 1.0)
-        L, R = grid.interior_faces(0)
-        np.testing.assert_array_equal(R - L, np.full(6, 3))
-        L, R = grid.interior_faces(1)
-        np.testing.assert_array_equal(R - L, np.ones(6, dtype=int))
-
     def test_integrate_constant(self):
         grid = cd.Grid2D(5, 3.0)
         assert grid.integrate(np.ones((5, 5))) == pytest.approx(9.0, rel=1e-14)
