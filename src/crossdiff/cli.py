@@ -92,7 +92,7 @@ class RunConfig:
     dimension: int = 1
     tau: float = 1e-3
     t_final: float = 1.0
-    method: str = "picard"
+    method: str = "newton"     # kept for existing configs; the only solver
     tol: float = 1e-10
     max_iters: int = 200
     mobility_face: str = "upwind"
@@ -198,7 +198,6 @@ class RunConfig:
         reg = (self.eps, self.rho) if self.eps is not None else None
         try:
             return SolverOptions(
-                method=self.method,
                 max_iters=self.max_iters,
                 tol=self.tol,
                 mobility_face=self.mobility_face,
@@ -234,6 +233,9 @@ def _convert(key: str, raw: str):
         if key in _INT_KEYS:
             return int(raw)
         if key in _STR_KEYS:
+            if key == "method" and raw != "newton":
+                removed = " (the Picard solver was removed)" if raw == "picard" else ""
+                raise ValueError(f"{raw!r}{removed}; newton is the only solver")
             return raw
         return float(raw)
     except ValueError as err:
@@ -271,7 +273,9 @@ def build_config(file_values: dict[str, str], cli_values: dict[str, str]) -> Run
 # ---------------------------------------------------------------------------
 
 def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
-                  trajectory, status: str) -> None:
+                  trajectory, status: str) -> diagnostics.RunVerdicts:
+    """Write ``diagnostics.csv``, the state snapshots and ``summary.txt``;
+    returns the inequality verdicts that the summary reports."""
     out_dir.mkdir(parents=True, exist_ok=True)
     n_max = config.n_max
     header = (["time", "mass_f", "mass_g"]
@@ -309,6 +313,7 @@ def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
                     "the failing step is not part of the trajectory")
     text.extend(verdicts.lines())
     (out_dir / "summary.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    return verdicts
 
 
 def _write_state(path: Path, state: State) -> None:
@@ -356,8 +361,7 @@ def execute_run(config: RunConfig) -> int:
                               f"FAILED: {err}")
             raise
         break
-    write_outputs(out_dir, config, params, tau, trajectory, "COMPLETED")
-    verdicts = diagnostics.summarize_run(trajectory, params, tau)
+    verdicts = write_outputs(out_dir, config, params, tau, trajectory, "COMPLETED")
     print(f"completed {len(trajectory) - 1} steps -> {out_dir}/diagnostics.csv "
           f"(verdict: {'PASS' if verdicts.all_ok else 'FAIL'})")
     return EXIT_OK

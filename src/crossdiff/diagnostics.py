@@ -68,17 +68,12 @@ def dissipation(state: State, params: Params) -> float:
     a = params.a
     th = theta_constants(params)
     grid = state.grid
-    p = a * state.f + th.theta1 * state.g
+    u = np.stack((a * state.f + th.theta1 * state.g, state.g))
     total = 0.0
-    if grid.ndim == 1:
-        gp = grid.face_gradient(p)
-        gg = grid.face_gradient(state.g)
-        total = float(np.sum(gp * gp + th.theta2 * gg * gg))
-    else:
-        for axis in range(grid.ndim):
-            gp = grid.face_gradient(p, axis)
-            gg = grid.face_gradient(state.g, axis)
-            total += float(np.sum(gp * gp + th.theta2 * gg * gg))
+    for axis in range(grid.ndim):
+        gp, gg = fvops.face_terms(u, params.as_tuple(), grid.dx, 0.0, math.inf,
+                                  False, True, axis)[0]
+        total += float(np.sum(gp * gp + th.theta2 * gg * gg))
     return grid.cell_volume * total / a
 
 

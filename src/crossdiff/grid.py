@@ -49,22 +49,6 @@ class Grid1D:
     def centers(self) -> np.ndarray:
         return (np.arange(self.num_cells) + 0.5) * self.dx
 
-    def face_gradient(self, values: np.ndarray) -> np.ndarray:
-        """Face-indexed difference quotient; boundary faces are zero."""
-        values = self._check_field(values)
-        grad = np.zeros(self.num_cells + 1)
-        grad[1:-1] = np.diff(values) / self.dx
-        return grad
-
-    def divergence(self, flux: np.ndarray) -> np.ndarray:
-        """Cell-indexed divergence of a face flux with zero boundary entries."""
-        flux = np.asarray(flux, dtype=float)
-        if flux.shape != (self.num_cells + 1,):
-            raise ValueError(f"flux must have {self.num_cells + 1} entries")
-        if flux[0] != 0.0 or flux[-1] != 0.0:
-            raise ValueError("boundary fluxes must vanish (zero-flux closure)")
-        return np.diff(flux) / self.dx
-
     def integrate(self, values: np.ndarray) -> float:
         """Midpoint quadrature, exact for cellwise-constant integrands."""
         values = self._check_field(values)
@@ -115,24 +99,6 @@ class Grid2D:
         c = (np.arange(self.num_cells) + 0.5) * self.dx
         x, y = np.meshgrid(c, c, indexing="xy")
         return x, y
-
-    def face_gradient(self, values: np.ndarray, axis: int) -> np.ndarray:
-        values = self._check_field(values)
-        n = self.num_cells
-        if axis == 0:
-            grad = np.zeros((n + 1, n))
-            grad[1:-1, :] = np.diff(values, axis=0) / self.dx
-        elif axis == 1:
-            grad = np.zeros((n, n + 1))
-            grad[:, 1:-1] = np.diff(values, axis=1) / self.dx
-        else:
-            raise ValueError("axis must be 0 or 1")
-        return grad
-
-    def divergence(self, fluxes) -> np.ndarray:
-        flux0, flux1 = fluxes
-        return (np.diff(np.asarray(flux0, float), axis=0)
-                + np.diff(np.asarray(flux1, float), axis=1)) / self.dx
 
     def integrate(self, values: np.ndarray) -> float:
         values = self._check_field(values)

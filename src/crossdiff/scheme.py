@@ -10,13 +10,11 @@ pressure (a f + b g for f, c f + d g for g).  The regularized variant uses
 the capped/damped mobility plus an eps-identity diffusion block.
 
 The face fluxes and the residual come from :mod:`crossdiff.fvops`, one
-operator for every dimension.  On 1D grids the nonlinear solve is Picard
-(frozen face mobilities and frozen coupling gradients, one tridiagonal
-solve per component) or Newton; on 2D grids it is always Newton (analytic
-Jacobian including mobility derivatives, one sparse LU factorization reused
-while it keeps contracting the residual, refreshed with Armijo backtracking
-when it does not).  Convergence is declared on the max-norm of the true
-nonlinear residual.
+operator for every dimension.  The nonlinear solve is a chord Newton
+iteration in every dimension (analytic Jacobian including mobility
+derivatives, one sparse LU factorization reused while it keeps contracting
+the residual, refreshed with Armijo backtracking when it does not).
+Convergence is declared on the max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence and, by default,
 verifies the structural inequalities after every step, raising
@@ -32,7 +30,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import diagnostics, fvops, kernels
+from . import diagnostics, fvops
 from .diagnostics import DISSIPATION_REL_SLACK, ENTROPY_REL_SLACK, LINF_REL_SLACK
 from .grid import State
 from .params import Params
@@ -109,7 +107,6 @@ class InvariantViolation(SchemeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    method: str = "picard"              # picard | newton; 2D grids run newton
     max_iters: int = 200
     tol: float = 1e-10                  # max-norm residual, field units
     mobility_face: str = "upwind"       # upwind | arithmetic
@@ -119,8 +116,6 @@ class SolverOptions:
     check_invariants: bool = True
 
     def __post_init__(self):
-        if self.method not in ("picard", "newton"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.mobility_face not in ("upwind", "arithmetic"):
             raise ValueError(f"unknown face average {self.mobility_face!r}")
         if not self.tol > 0.0:
@@ -155,7 +150,7 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions) -> tuple[
         eps, rho = opts.regularization
         return step_regularized(prev, tau, params, eps, rho, opts)
     _validate_step_inputs(prev, tau)
-    new, iters, res = _solve_implicit(prev, tau, params, opts, 0.0, math.inf, False)
+    new, iters, res = _newton_sparse(prev, tau, params, opts, 0.0, math.inf, False)
     return _finalize_step(new, prev, params, opts, iters, res, rho=None)
 
 
@@ -175,7 +170,7 @@ def step_regularized(prev: State, tau: float, params: Params, eps: float,
     sup = max(prev.f.max(), prev.g.max())
     if rho < sup:
         raise RhoTooSmall(rho, sup)
-    new, iters, res = _solve_implicit(prev, tau, params, opts, eps, rho, True)
+    new, iters, res = _newton_sparse(prev, tau, params, opts, eps, rho, True)
     return _finalize_step(new, prev, params, opts, iters, res, rho=rho)
 
 
@@ -251,29 +246,6 @@ def _validate_step_inputs(prev: State, tau: float) -> None:
         raise InvalidInput("previous state contains non-finite values")
 
 
-# the plain frozen-coefficient iteration can limit-cycle on strongly coupled
-# or very rough data; retrying with constant under-relaxation breaks the
-# cycle at the cost of a slower (still linear) rate
-PICARD_RELAXATIONS = (1.0, 0.5, 0.25)
-
-
-def _solve_implicit(prev, tau, params, opts, eps, rho, reg):
-    if opts.method == "picard" and prev.grid.ndim == 1:
-        a, b, c, d = params.as_tuple()
-        upwind = opts.mobility_face == "upwind"
-        iters = 0
-        res = math.inf
-        for omega in PICARD_RELAXATIONS:
-            f, g, iters, res, ok = kernels.picard_1d(
-                prev.f, prev.g, a, b, c, d, tau, prev.grid.dx,
-                eps, rho, reg, upwind, opts.tol, opts.max_iters, omega,
-            )
-            if ok:
-                return State(prev.grid, f, g), int(iters), float(res)
-        raise NonConvergence(int(iters), float(res))
-    return _newton_sparse(prev, tau, params, opts, eps, rho, reg)
-
-
 def step_residual(state: State, prev: State, tau: float, params: Params,
                   opts: SolverOptions, eps: float = 0.0, rho: float = math.inf,
                   reg: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -298,22 +270,22 @@ def _cut_derivative(z, rho, reg):
     return out
 
 
-def _jacobian(fv, gv, grid, params, tau, eps, rho, reg, upwind):
-    """Analytic Jacobian of the implicit residual at ``(fv, gv)`` as a CSC
-    matrix over the stacked unknowns (f block, then g block); mobility and
+def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
+    """Analytic Jacobian of the implicit residual at the stacked state ``u``
+    as a CSC matrix over the stacked unknowns (f block, then g block);
+    ``terms`` are the per-axis face terms of ``u`` that
+    :func:`fvops.implicit_residual` returns with its residual.  Mobility and
     damping derivatives included, the upwind selection and the
     positive-part/cap kinks frozen at the iterate."""
     a, b, c, d = params.as_tuple()
     P = grid.num_points
     dx = grid.dx
     eps_eff = eps if reg else 0.0
-    u = np.stack((fv, gv)).reshape((2,) + grid.shape)
+    fv, gv = u[0].ravel(), u[1].ravel()
     cells = np.arange(P).reshape(grid.shape)
     diag = np.arange(2 * P)
     rows, cols, vals = [diag], [diag], [np.ones(2 * P)]
-    for axis in range(grid.ndim):
-        _, dp, lam, mob, _ = fvops.face_terms(u, (a, b, c, d), dx, eps, rho,
-                                              reg, upwind, axis)
+    for axis, (_, dp, lam, mob, _) in enumerate(terms):
         # flat cell indices left and right of the interior faces, in the
         # order of the face arrays (this axis last)
         moved = cells.swapaxes(axis, -1)
@@ -392,12 +364,12 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
     prev_u = np.stack((prev.f, prev.g))
 
     def norm(v):
-        r = fvops.implicit_residual(v, prev_u, coef, tau, grid.dx, eps, rho,
-                                    reg, upwind)[0]
-        return np.abs(r).max(), r
+        r, terms = fvops.implicit_residual(v, prev_u, coef, tau, grid.dx, eps,
+                                           rho, reg, upwind)
+        return np.abs(r).max(), r, terms
 
     u = prev_u
-    phi, r = norm(u)
+    phi, r, terms = norm(u)
     iters = 0
     lu = None
     while ((phi > opts.tol or (upwind and u.min() < -NONNEG_TOL))
@@ -405,22 +377,21 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
         iters += 1
         if lu is not None:
             u_try = u + lu.solve(-r.ravel()).reshape(u.shape)
-            phi_try, r_try = norm(u_try)
+            phi_try, r_try, terms_try = norm(u_try)
             if phi_try <= CHORD_CONTRACTION * phi:
-                u, phi, r = u_try, phi_try, r_try
+                u, phi, r, terms = u_try, phi_try, r_try, terms_try
                 continue
             lu = None   # release the stale factors before building new ones
         lu = scipy.sparse.linalg.splu(
-            _jacobian(u[0].ravel(), u[1].ravel(), grid, params, tau, eps, rho,
-                      reg, upwind),
+            _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
             permc_spec=SUPERLU_ORDERING)
         du = lu.solve(-r.ravel()).reshape(u.shape)
         t_step = 1.0
         for _ in range(30):
             u_try = u + t_step * du
-            phi_try, r_try = norm(u_try)
+            phi_try, r_try, terms_try = norm(u_try)
             if phi_try < (1.0 - 1e-4 * t_step) * phi:
-                u, phi, r = u_try, phi_try, r_try
+                u, phi, r, terms = u_try, phi_try, r_try, terms_try
                 break
             t_step *= 0.5
         else:

@@ -213,6 +213,15 @@ class TestRunCommand:
         summary = (out / "summary.txt").read_text()
         assert "FAILED: nonlinear solve did not converge at step 1:" in summary
 
+    def test_method_key_accepts_only_newton(self, tmp_path, capsys):
+        # the key stays for existing configs; Newton is the only solver
+        args = ["run", "--cells", 8, "--tau", "1e-3", "--t-final", "1e-3"]
+        code = _run_cli(args + ["--method", "picard", "--out", tmp_path / "p"])
+        assert code == cli.EXIT_CONFIG
+        assert "Picard solver was removed" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+        assert _run_cli(args + ["--method", "newton", "--out", tmp_path / "n"]) == cli.EXIT_OK
+
     def test_rejects_t_final_not_a_multiple_of_tau(self, tmp_path, capsys):
         # ceil(t_final / tau) steps would silently end at t = 1.2
         code = _run_cli(["run", "--cells", 8, "--tau", "0.3", "--t-final", "1",
@@ -294,7 +303,7 @@ class TestVerifyCommand:
     def test_runs_without_any_pde_solve(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("verify must not solve the PDE")
-        monkeypatch.setattr(scheme, "_solve_implicit", boom)
+        monkeypatch.setattr(scheme, "_newton_sparse", boom)
         monkeypatch.setattr(scheme, "run", boom)
         assert _run_cli(["verify", "--n-max", 4, "--samples", 50]) == 0
 

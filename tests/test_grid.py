@@ -17,69 +17,9 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             cd.Grid1D(4, 0.0)
 
-    def test_constant_field_has_zero_gradient(self):
-        grid = cd.Grid1D(8, 2.0)
-        np.testing.assert_array_equal(grid.face_gradient(np.full(8, 3.7)),
-                                      np.zeros(9))
-
-    def test_linear_field_gradient(self):
-        grid = cd.Grid1D(4, 1.0)
-        v = np.arange(4) * grid.dx
-        grad = grid.face_gradient(v)
-        np.testing.assert_allclose(grad[1:-1], np.ones(3), rtol=1e-15)
-        assert grad[0] == 0.0 and grad[-1] == 0.0
-
-    def test_gradient_antisymmetry(self):
-        grid = cd.Grid1D(16, 3.0)
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(16)
-        np.testing.assert_array_equal(grid.face_gradient(-v), -grid.face_gradient(v))
-
-    def test_divergence_of_zero_flux(self):
-        grid = cd.Grid1D(6, 1.0)
-        np.testing.assert_array_equal(grid.divergence(np.zeros(7)), np.zeros(6))
-
-    def test_divergence_telescopes_to_zero_mass(self):
-        grid = cd.Grid1D(32, 2.0)
-        rng = np.random.default_rng(1)
-        flux = rng.standard_normal(33)
-        flux[0] = flux[-1] = 0.0
-        assert grid.integrate(grid.divergence(flux)) == pytest.approx(0.0, abs=1e-13)
-
-    def test_unit_flux_at_single_face(self):
-        grid = cd.Grid1D(5, 1.0)
-        k = 2
-        flux = np.zeros(6)
-        flux[k] = 1.0
-        div = grid.divergence(flux)
-        expected = np.zeros(5)
-        expected[k - 1] = 1.0 / grid.dx
-        expected[k] = -1.0 / grid.dx
-        np.testing.assert_array_equal(div, expected)
-
-    def test_divergence_rejects_bad_flux(self):
-        grid = cd.Grid1D(5, 1.0)
-        with pytest.raises(ValueError):
-            grid.divergence(np.zeros(5))
-        bad = np.zeros(6)
-        bad[0] = 1.0
-        with pytest.raises(ValueError, match="boundary"):
-            grid.divergence(bad)
-
     def test_integrate_constant(self):
         grid = cd.Grid1D(10, 2.0)
         assert grid.integrate(np.ones(10)) == pytest.approx(2.0, rel=1e-15)
-
-    def test_integration_by_parts_is_exact(self):
-        # sum_faces flux * grad(phi) * dx == -sum_cells div(flux) * phi * dx
-        grid = cd.Grid1D(40, 1.5)
-        rng = np.random.default_rng(2)
-        phi = rng.standard_normal(40)
-        flux = rng.standard_normal(41)
-        flux[0] = flux[-1] = 0.0
-        lhs = float(np.sum(flux * grid.face_gradient(phi)) * grid.dx)
-        rhs = -float(np.sum(grid.divergence(flux) * phi) * grid.dx)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_midpoint_quadrature_second_order(self):
         exact = 2.0 / np.pi  # integral of sin(pi x) on [0, 1]
@@ -101,27 +41,6 @@ class TestGrid2D:
         assert x.shape == (4, 4)
         np.testing.assert_allclose(x[0], [0.25, 0.75, 1.25, 1.75])
         np.testing.assert_allclose(y[:, 0], [0.25, 0.75, 1.25, 1.75])
-
-    def test_face_gradient_exact_for_linear(self):
-        grid = cd.Grid2D(6, 1.0)
-        x, y = grid.centers()
-        v = 2.0 * x + 3.0 * y
-        gx = grid.face_gradient(v, axis=1)
-        gy = grid.face_gradient(v, axis=0)
-        np.testing.assert_allclose(gx[:, 1:-1], 2.0, rtol=1e-12)
-        np.testing.assert_allclose(gy[1:-1, :], 3.0, rtol=1e-12)
-        assert np.all(gx[:, [0, -1]] == 0.0)
-        assert np.all(gy[[0, -1], :] == 0.0)
-
-    def test_divergence_telescopes(self):
-        grid = cd.Grid2D(8, 1.0)
-        rng = np.random.default_rng(3)
-        fy = rng.standard_normal((9, 8))
-        fx = rng.standard_normal((8, 9))
-        fy[[0, -1], :] = 0.0
-        fx[:, [0, -1]] = 0.0
-        div = grid.divergence((fy, fx))
-        assert grid.integrate(div) == pytest.approx(0.0, abs=1e-12)
 
     def test_integrate_constant(self):
         grid = cd.Grid2D(5, 3.0)

@@ -6,7 +6,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import crossdiff as cd
-from crossdiff import scheme
+from crossdiff import fvops, scheme
+from test_kernels import _reference_picard
 
 
 TOL = 1e-12
@@ -18,11 +19,10 @@ def _opts(**kw):
 
 
 class TestStepBasics:
-    @pytest.mark.parametrize("method", ["picard", "newton"])
-    def test_constant_state_is_fixed_point(self, params2111, method):
+    def test_constant_state_is_fixed_point(self, params2111):
         grid = cd.Grid1D(16, 1.0)
         st = cd.State.constant(grid, 0.7, 2.3)
-        new, rep = cd.step(st, 5.0, params2111, _opts(method=method))
+        new, rep = cd.step(st, 5.0, params2111, _opts())
         assert rep.iterations == 0
         np.testing.assert_array_equal(new.f, st.f)
         np.testing.assert_array_equal(new.g, st.g)
@@ -92,13 +92,26 @@ class TestStepBasics:
         assert abs(rep.masses[0] - st.masses()[0]) <= 1e-10
 
 
+def _picard(st, tau, params, tol=TOL, max_iters=200, omega=1.0,
+            eps=0.0, rho=math.inf, reg=False):
+    """Solution of the implicit step by the dense reference Picard iteration."""
+    f, g, _, _, ok = _reference_picard(st.f, st.g, tau, st.grid.dx, eps, rho, reg,
+                                       True, tol, max_iters, omega,
+                                       coef=params.as_tuple())
+    assert ok
+    return f, g
+
+
 class TestNewton:
+    """Newton against the frozen-coefficient (Picard) fixed point of the
+    same step, computed by the dense reference iteration of the tests."""
+
     def test_matches_picard_1d(self, params2111, cosine_state):
         st = cosine_state(cells=48, amp=0.3)
-        new_p, _ = cd.step(st, 1e-3, params2111, _opts(method="picard"))
-        new_n, rep_n = cd.step(st, 1e-3, params2111, _opts(method="newton"))
-        assert np.abs(new_p.f - new_n.f).max() <= 10 * TOL
-        assert np.abs(new_p.g - new_n.g).max() <= 10 * TOL
+        f_p, g_p = _picard(st, 1e-3, params2111)
+        new_n, rep_n = cd.step(st, 1e-3, params2111, _opts())
+        assert np.abs(f_p - new_n.f).max() <= 10 * TOL
+        assert np.abs(g_p - new_n.g).max() <= 10 * TOL
         assert rep_n.iterations <= 6  # quadratic convergence away from degeneracy
 
     def test_matches_picard_random_small_problems(self, params2111):
@@ -107,19 +120,17 @@ class TestNewton:
             n = int(rng.integers(8, 24))
             grid = cd.Grid1D(n, 1.0)
             st = cd.State(grid, rng.uniform(0.2, 2.0, n), rng.uniform(0.2, 2.0, n))
-            new_p, _ = cd.step(st, 5e-4, params2111, _opts(method="picard"))
-            new_n, _ = cd.step(st, 5e-4, params2111, _opts(method="newton"))
-            assert np.abs(new_p.f - new_n.f).max() <= 10 * TOL
-            assert np.abs(new_p.g - new_n.g).max() <= 10 * TOL
+            f_p, g_p = _picard(st, 5e-4, params2111)
+            new_n, _ = cd.step(st, 5e-4, params2111, _opts())
+            assert np.abs(f_p - new_n.f).max() <= 10 * TOL
+            assert np.abs(g_p - new_n.g).max() <= 10 * TOL
 
     def test_matches_picard_regularized(self, params2111, cosine_state):
         st = cosine_state(cells=24, amp=0.3)
-        new_p, _ = cd.step_regularized(st, 1e-3, params2111, 1e-2, 50.0,
-                                       _opts(method="picard"))
-        new_n, _ = cd.step_regularized(st, 1e-3, params2111, 1e-2, 50.0,
-                                       _opts(method="newton"))
-        assert np.abs(new_p.f - new_n.f).max() <= 10 * TOL
-        assert np.abs(new_p.g - new_n.g).max() <= 10 * TOL
+        f_p, g_p = _picard(st, 1e-3, params2111, eps=1e-2, rho=50.0, reg=True)
+        new_n, _ = cd.step_regularized(st, 1e-3, params2111, 1e-2, 50.0, _opts())
+        assert np.abs(f_p - new_n.f).max() <= 10 * TOL
+        assert np.abs(g_p - new_n.g).max() <= 10 * TOL
 
 
 def _degenerate_2d_state(n=16):
@@ -152,7 +163,7 @@ class TestChordNewton:
     def test_reuses_factorization_and_matches_fresh_jacobian(
             self, params2111, count_factorizations, monkeypatch):
         st = _degenerate_2d_state()
-        chord, rep_c = cd.step(st, self.TAU, params2111, _opts(method="newton"))
+        chord, rep_c = cd.step(st, self.TAU, params2111, _opts())
         assert rep_c.residual <= TOL
         # fewer factorizations than updates, and both branches ran: updates
         # with the kept factors accepted, and at least one rejected and
@@ -160,7 +171,7 @@ class TestChordNewton:
         assert 1 < len(count_factorizations) < rep_c.iterations
         count_factorizations.clear()
         monkeypatch.setattr(scheme, "CHORD_CONTRACTION", 0.0)
-        fresh, rep_f = cd.step(st, self.TAU, params2111, _opts(method="newton"))
+        fresh, rep_f = cd.step(st, self.TAU, params2111, _opts())
         assert len(count_factorizations) == rep_f.iterations
         assert np.abs(chord.f - fresh.f).max() <= 10 * TOL
         assert np.abs(chord.g - fresh.g).max() <= 10 * TOL
@@ -168,7 +179,7 @@ class TestChordNewton:
     def test_single_iteration_raises(self, params2111):
         st = _degenerate_2d_state()
         with pytest.raises(cd.NonConvergence) as err:
-            cd.step(st, self.TAU, params2111, _opts(method="newton", max_iters=1))
+            cd.step(st, self.TAU, params2111, _opts(max_iters=1))
         assert err.value.iterations == 1
         assert err.value.residual > TOL
 
@@ -190,7 +201,7 @@ class TestChordNewton:
         tau = float(10 ** rng.uniform(-4.5, -1.5))
         st = cd.State(grid, np.maximum(f, 0.0), g)
         assert n == 15 and tau == pytest.approx(0.02236, rel=1e-3)
-        opts = _opts(method="newton", tol=1e-11)
+        opts = _opts(tol=1e-11)
         new, rep = cd.step(st, tau, cd.Params(a, b, c, d), opts)
         assert rep.residual <= opts.tol
         assert new.min_value() >= -scheme.NONNEG_TOL
@@ -210,7 +221,7 @@ class TestSuperLUOrdering:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
         cd.step(_degenerate_2d_state(32), TestChordNewton.TAU, params2111,
-                _opts(method="newton"))
+                _opts())
         assert factored
         for A, lu in factored:
             colamd = splu(A, permc_spec="COLAMD")
@@ -256,8 +267,11 @@ class TestJacobian:
             e = np.zeros(2 * P)
             e[j] = h
             fd[:, j] = (residual(z + e) - residual(z - e)) / (2 * h)
-        J = scheme._jacobian(z[:P], z[P:], grid, params2111, self.TAU, eps, rho,
-                             regularization is not None, face == "upwind")
+        reg, upwind = regularization is not None, face == "upwind"
+        u = np.stack((state.f, state.g))
+        terms = fvops.implicit_residual(u, u, params2111.as_tuple(), self.TAU,
+                                        grid.dx, eps, rho, reg, upwind)[1]
+        J = scheme._jacobian(u, terms, grid, params2111, self.TAU, eps, rho, reg, upwind)
         assert np.abs(J.toarray() - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
@@ -365,38 +379,36 @@ class TestClamping:
         assert new.min_value() >= 0.0
 
 
-class TestPicardRelaxationRetry:
-    def test_limit_cycle_is_broken_by_under_relaxation(self):
-        # strongly coupled degenerate patches make the plain frozen-coefficient
-        # iteration limit-cycle; the under-relaxed retry converges
-        from crossdiff import kernels
-        p = cd.Params(1.55, 0.96, 2.31, 1.81)
+class TestLimitCycleData:
+    """Strongly coupled degenerate patches on which the plain
+    frozen-coefficient (Picard) iteration limit-cycles (residual 0.85 after
+    400 sweeps of the reference iteration); under-relaxed by 1/2 it
+    converges in 159 sweeps."""
+
+    P = cd.Params(1.55, 0.96, 2.31, 1.81)
+    TAU = 2e-3
+
+    def _state(self):
         rng = np.random.default_rng(0)
         n = 24
-        f = np.where(rng.uniform(0, 1, n) > 0.4, 1.5, 0.0)
-        g = np.where(rng.uniform(0, 1, n) > 0.4, 1.2, 0.0)
-        grid = cd.Grid1D(n, 1.0)
-        st = cd.State(grid, f, g)
-        args = (f, g, p.a, p.b, p.c, p.d, 2e-3, grid.dx, 0.0, np.inf, False,
-                True, 1e-11, 400)
-        *_, res_plain, ok_plain = kernels.picard_1d(*args, 1.0)
-        assert not ok_plain and res_plain > 0.1  # genuine cycle, not slowness
-        new, rep = cd.step(st, 2e-3, p, _opts(tol=1e-11, max_iters=400))
-        rf, rg = cd.step_residual(new, st, 2e-3, p, _opts(tol=1e-11))
+        return cd.State(cd.Grid1D(n, 1.0),
+                        np.where(rng.uniform(0, 1, n) > 0.4, 1.5, 0.0),
+                        np.where(rng.uniform(0, 1, n) > 0.4, 1.2, 0.0))
+
+    def test_newton_residual_and_nonnegativity(self):
+        st = self._state()
+        opts = _opts(tol=1e-11)
+        new, rep = cd.step(st, self.TAU, self.P, opts)
+        rf, rg = cd.step_residual(new, st, self.TAU, self.P, opts)
         assert max(np.abs(rf).max(), np.abs(rg).max()) <= 1e-11
         assert new.min_value() >= -1e-12
 
-    def test_relaxed_solution_matches_newton(self):
-        p = cd.Params(1.55, 0.96, 2.31, 1.81)
-        rng = np.random.default_rng(0)
-        n = 24
-        grid = cd.Grid1D(n, 1.0)
-        st = cd.State(grid, np.where(rng.uniform(0, 1, n) > 0.4, 1.5, 0.0),
-                      np.where(rng.uniform(0, 1, n) > 0.4, 1.2, 0.0))
-        new_p, _ = cd.step(st, 2e-3, p, _opts(tol=1e-11, max_iters=400))
-        new_n, _ = cd.step(st, 2e-3, p, _opts(method="newton", tol=1e-11))
-        assert np.abs(new_p.f - new_n.f).max() <= 1e-9
-        assert np.abs(new_p.g - new_n.g).max() <= 1e-9
+    def test_matches_relaxed_picard_reference(self):
+        st = self._state()
+        f_p, g_p = _picard(st, self.TAU, self.P, tol=1e-11, max_iters=400, omega=0.5)
+        new_n, _ = cd.step(st, self.TAU, self.P, _opts(tol=1e-11))
+        assert np.abs(f_p - new_n.f).max() <= 1e-9
+        assert np.abs(g_p - new_n.g).max() <= 1e-9
 
 
 class TestArithmeticFaceNegativity:
@@ -452,6 +464,21 @@ class TestDegenerateFront:
         assert abs(st.masses()[1] - m0[1]) <= 1e-9
         assert int(np.count_nonzero(st.f > 1e-12)) > support0
 
+    @pytest.mark.parametrize("cells, tol", [(256, 1e-7), (4096, 1e-9)])
+    def test_zero_front_cap_is_solved_nonnegative(self, params2111, cells, tol):
+        # f = max(1.5 (1 - 4x^2), 0) is zero on half the domain; with
+        # frozen-coefficient (Picard) iteration the 256-cell step ended at
+        # min f = -2.2e-12 and the 4096-cell step stalled at residual 1.16
+        grid = cd.Grid1D(cells, 1.0)
+        x = grid.centers()
+        st = cd.State(grid, np.maximum(1.5 * (1.0 - 4.0 * x**2), 0.0),
+                      1.0 + 0.3 * np.cos(np.pi * x))
+        new, rep = cd.step(st, 1e-3, params2111, cd.SolverOptions(tol=tol))
+        assert rep.residual <= tol
+        assert new.min_value() >= -scheme.NONNEG_TOL
+        for m_new, m_old in zip(rep.masses, st.masses()):
+            assert abs(m_new - m_old) <= 10 * tol * grid.measure
+
     def test_cutoff_band_is_handled(self, params2111):
         # state values inside (rho-1, rho), where the truncation profile
         # decreases, still give a convergent capped step
@@ -460,19 +487,17 @@ class TestDegenerateFront:
         rho = 3.0
         st = cd.State(grid, 2.2 + 0.6 * np.cos(np.pi * x), np.ones(32))
         assert st.max_value() > rho - 1.0  # the declining branch is active
-        for method in ("picard", "newton"):
-            new, rep = cd.step_regularized(st, 1e-3, params2111, 1e-2, rho,
-                                           _opts(method=method))
-            assert rep.residual <= TOL
-            assert new.max_value() <= rho + 1e-10
-            assert new.min_value() >= -1e-12
+        new, rep = cd.step_regularized(st, 1e-3, params2111, 1e-2, rho, _opts())
+        assert rep.residual <= TOL
+        assert new.max_value() <= rho + 1e-10
+        assert new.min_value() >= -1e-12
 
 
 class TestTwoDimensional:
     @pytest.mark.parametrize("axis", [1, 0], ids=["x", "y"])
     def test_y_independent_data_matches_1d(self, params2111, axis):
         # data varying along one axis only (x: array axis 1, y: axis 0) steps
-        # like the 1D Picard kernel along that axis
+        # like the 1D step along that axis
         n = 16
         grid1 = cd.Grid1D(n, 1.0)
         grid2 = cd.Grid2D(n, 1.0)
@@ -488,20 +513,6 @@ class TestTwoDimensional:
             g_line = new2.g[line] if axis == 1 else new2.g[:, line]
             np.testing.assert_allclose(f_line, new1.f, rtol=0, atol=5e-11)
             np.testing.assert_allclose(g_line, new1.g, rtol=0, atol=5e-11)
-
-    def test_picard_method_runs_newton(self, params2111, monkeypatch):
-        # 2D grids have one solver: method="picard" gives the Newton step
-        # bit for bit and makes no spsolve call
-        def no_spsolve(*args, **kwargs):
-            raise AssertionError("spsolve called")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", no_spsolve)
-        st = _degenerate_2d_state(10)
-        new_p, rep_p = cd.step(st, 1e-3, params2111, _opts(method="picard"))
-        new_n, rep_n = cd.step(st, 1e-3, params2111, _opts(method="newton"))
-        np.testing.assert_array_equal(new_p.f, new_n.f)
-        np.testing.assert_array_equal(new_p.g, new_n.g)
-        assert (rep_p.iterations, rep_p.residual) == (rep_n.iterations, rep_n.residual)
 
     def test_2d_mass_conservation_and_decay(self, params2111):
         grid = cd.Grid2D(12, 1.0)
@@ -589,13 +600,11 @@ class TestErrors:
         st = cosine_state(cells=16, amp=0.4)
         with pytest.raises(cd.NonConvergence) as err:
             cd.run(st, 1e-3, 3e-3, params2111,
-                   cd.SolverOptions(method="newton", max_iters=1, tol=1e-14))
+                   cd.SolverOptions(max_iters=1, tol=1e-14))
         assert err.value.step_index == 1
         assert "did not converge at step 1:" in str(err.value)
 
     def test_solver_options_validation(self):
-        with pytest.raises(ValueError):
-            cd.SolverOptions(method="bisection")
         with pytest.raises(ValueError):
             cd.SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
