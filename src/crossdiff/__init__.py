@@ -19,10 +19,8 @@ from .entropy import (
     hessian_phi,
     eval_phi1,
     mobility,
-    mobility_truncated,
     mobility_regularized,
     alpha_rho,
-    lambda_damping,
     symmetrizer,
     phi_bounds,
     sn_matrix,
@@ -31,12 +29,14 @@ from .entropy import (
     hessian_det_lower_bound,
 )
 from .grid import Grid1D, Grid2D, State
-from .scheme import (
+from .errors import (
     InvalidInput,
     InvariantViolation,
     NonConvergence,
     RhoTooSmall,
     SchemeError,
+)
+from .scheme import (
     SolverOptions,
     StepReport,
     run,
@@ -45,13 +45,13 @@ from .scheme import (
     step_residual,
 )
 from .diagnostics import (
+    RunMonitor,
     RunVerdicts,
     dissipation,
     entropy_trace,
     linf_bound_constant,
     linf_sum,
     steady_residual,
-    summarize_run,
 )
 
 __version__ = "0.1.0"

@@ -28,18 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, verify
+from .errors import InvalidInput, InvariantViolation, NonConvergence, SchemeError
 from .grid import Grid1D, Grid2D, State
 from .params import Params, muskat_params
-from .scheme import (
-    InvalidInput,
-    InvariantViolation,
-    NonConvergence,
-    SchemeError,
-    SolverOptions,
-    run,
-    step,
-    step_regularized,
-)
+from .scheme import SolverOptions, run, step, step_regularized
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -272,48 +264,46 @@ def build_config(file_values: dict[str, str], cli_values: dict[str, str]) -> Run
 # outputs
 # ---------------------------------------------------------------------------
 
+def _csv_header(n_max: int) -> str:
+    return ",".join(["time", "mass_f", "mass_g"]
+                    + [f"E{n}" for n in range(1, n_max + 1)]
+                    + ["dissipation_cum", "linf_sum", "iterations", "residual"]) + "\n"
+
+
+def _csv_row(entry, n_max: int) -> str:
+    t, _, rep = entry
+    return ",".join([_fmt(t), _fmt(rep.masses[0]), _fmt(rep.masses[1])]
+                    + [_fmt(e) for e in rep.entropies[:n_max]]
+                    + [_fmt(rep.dissipation_cum), _fmt(rep.linf), str(rep.iterations),
+                       _fmt(rep.residual)]) + "\n"
+
+
+def _snapshot_due(index: int, every: int) -> bool:
+    return index % every == 0 if every > 0 else index == 0
+
+
 def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
-                  trajectory, status: str) -> diagnostics.RunVerdicts:
-    """Write ``diagnostics.csv``, the state snapshots and ``summary.txt``;
-    returns the inequality verdicts that the summary reports."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_max = config.n_max
-    header = (["time", "mass_f", "mass_g"]
-              + [f"E{n}" for n in range(1, n_max + 1)]
-              + ["dissipation_cum", "linf_sum", "iterations", "residual"])
-    lines = [",".join(header)]
-    cum = 0.0
-    for idx, (t, _, rep) in enumerate(trajectory):
-        if idx > 0:
-            cum += tau * rep.dissipation
-        row = ([_fmt(t), _fmt(rep.masses[0]), _fmt(rep.masses[1])]
-               + [_fmt(e) for e in rep.entropies[:n_max]]
-               + [_fmt(cum), _fmt(rep.linf), str(rep.iterations), _fmt(rep.residual)])
-        lines.append(",".join(row))
-    (out_dir / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    snap_indices = {0, len(trajectory) - 1}
-    if config.snapshot_every > 0:
-        snap_indices.update(range(0, len(trajectory), config.snapshot_every))
-    for idx in sorted(snap_indices):
-        _write_state(out_dir / f"state_{idx:06d}.csv", trajectory[idx][1])
-
-    final_state = trajectory[-1][1]
-    verdicts = diagnostics.summarize_run(trajectory, params, tau)
+                  steps: int, entry, status: str) -> diagnostics.RunVerdicts:
+    """Write the snapshot of the last entry of a run (unless it was due
+    already) and ``summary.txt``; returns the inequality verdicts that the
+    summary reports, those on the last entry's report."""
+    _, final_state, report = entry
+    if not _snapshot_due(steps, config.snapshot_every):
+        _write_state(out_dir / f"state_{steps:06d}.csv", final_state)
     text = [
         f"status: {status}",
         f"params: a={_fmt(params.a)} b={_fmt(params.b)} c={_fmt(params.c)} d={_fmt(params.d)}",
         f"grid: dimension={config.dimension} cells={config.cells} length={_fmt(config.length)}",
         f"tau: {_fmt(tau)}",
-        f"steps: {len(trajectory) - 1}",
+        f"steps: {steps}",
         f"final steady-state flux residual: {_fmt(diagnostics.steady_residual(final_state, params))}",
     ]
     if status != "COMPLETED":
         text.append("note: verdicts below cover the retained steps only; "
                     "the failing step is not part of the trajectory")
-    text.extend(verdicts.lines())
+    text.extend(report.verdicts.lines())
     (out_dir / "summary.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-    return verdicts
+    return report.verdicts
 
 
 def _write_state(path: Path, state: State) -> None:
@@ -339,6 +329,9 @@ def _write_state(path: Path, state: State) -> None:
 # ---------------------------------------------------------------------------
 
 def execute_run(config: RunConfig) -> int:
+    """Run one simulation, streaming each ``diagnostics.csv`` row and due
+    snapshot as its step finishes; a failed run keeps what was written and
+    adds the last state's snapshot and a ``FAILED`` summary."""
     params = config.build_params()
     grid = config.build_grid()
     initial = config.build_initial(grid)
@@ -347,22 +340,33 @@ def execute_run(config: RunConfig) -> int:
     tau = config.tau
     retries = config.tau_retries
     while True:
+        entries = run(initial, tau, config.t_final, params, opts)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        snapshots = []
         try:
-            trajectory = run(initial, tau, config.t_final, params, opts)
-        except (NonConvergence, InvariantViolation) as err:
+            # line buffered: each row reaches the file when its step is done
+            with (out_dir / "diagnostics.csv").open("w", encoding="utf-8",
+                                                    buffering=1) as csv:
+                csv.write(_csv_header(config.n_max))
+                for steps, entry in enumerate(entries):
+                    csv.write(_csv_row(entry, config.n_max))
+                    if _snapshot_due(steps, config.snapshot_every):
+                        snapshots.append(out_dir / f"state_{steps:06d}.csv")
+                        _write_state(snapshots[-1], entry[1])
+        except SchemeError as err:
             if isinstance(err, NonConvergence) and retries > 0:
                 retries -= 1
                 tau *= 0.5
                 print(f"retrying with halved time step tau={tau:g} ({err})",
                       file=sys.stderr)
+                for path in snapshots:      # the restart rewrites the rest
+                    path.unlink()
                 continue
-            if err.partial:
-                write_outputs(out_dir, config, params, tau, err.partial,
-                              f"FAILED: {err}")
+            write_outputs(out_dir, config, params, tau, steps, entry, f"FAILED: {err}")
             raise
         break
-    verdicts = write_outputs(out_dir, config, params, tau, trajectory, "COMPLETED")
-    print(f"completed {len(trajectory) - 1} steps -> {out_dir}/diagnostics.csv "
+    verdicts = write_outputs(out_dir, config, params, tau, steps, entry, "COMPLETED")
+    print(f"completed {steps} steps -> {out_dir}/diagnostics.csv "
           f"(verdict: {'PASS' if verdicts.all_ok else 'FAIL'})")
     return EXIT_OK
 
@@ -372,21 +376,22 @@ def cmd_run(args) -> int:
     return execute_run(config)
 
 
+def _config_values(args) -> dict[str, str]:
+    """Entries of the ``--config`` file, overridden by the flags given."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in _FIELD_TYPES and v is not None)
+    return values
+
+
 def _config_from_args(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {k: v for k, v in vars(args).items()
-                  if k in _FIELD_TYPES and v is not None}
-    return build_config(file_values, cli_values)
+    return build_config(_config_values(args), {})
 
 
 def cmd_sweep(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {k: v for k, v in vars(args).items()
-                  if k in _FIELD_TYPES and v is not None}
-    merged = dict(file_values)
-    merged.update({k: str(v) for k, v in cli_values.items()})
+    merged = _config_values(args)
     base = {k: v for k, v in merged.items() if "," not in v}
     swept = {k: [p.strip() for p in v.split(",")] for k, v in merged.items()
              if "," in v}

@@ -1,9 +1,10 @@
 """Per-state and per-run structural diagnostics.
 
-Everything here is read-only: entropy traces, the discrete dissipation
-functional, sup-norm quantities, steady-state flux residuals, and the
-assembly of end-of-run verdicts for the three monitored inequalities
-(entropy monotonicity, cumulative dissipation, sup-norm bound).
+Entropy traces, the discrete dissipation functional, sup-norm quantities
+and steady-state flux residuals are read-only functions of a state.  The
+run monitor is the one definition of the inequalities a run is checked
+against (mass conservation, entropy monotonicity, cumulative dissipation,
+sup-norm bound): it measures, enforces and reports each of them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import fvops, kernels
 from .entropy import build_coefficients, eval_phi1
+from .errors import InvariantViolation
 from .grid import State
 from .params import Params, theta_constants
 
@@ -24,6 +26,9 @@ from .params import Params, theta_constants
 #: evaluating entropies; anything below this is a genuine sign violation
 NEGATIVE_CLIP = 1e-9
 
+#: slacks of the monitored inequalities: mass drift per step in units of
+#: tol * |Omega|, the others relative (see RunMonitor)
+MASS_SLACK_FACTOR = 10.0
 ENTROPY_REL_SLACK = 1e-9
 LINF_REL_SLACK = 1e-8
 DISSIPATION_REL_SLACK = 1e-8
@@ -35,7 +40,8 @@ def _poly(params: Params, n: int):
 
 
 def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
-    """Entropy values [E_1, ..., E_n_max] of a nonnegative state."""
+    """Entropy values [E_1, ..., E_n_max] of a nonnegative state; inf from
+    the first degree whose coefficients overflow double precision."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     m = state.min_value()
@@ -47,7 +53,12 @@ def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
     out = np.empty(n_max)
     out[0] = vol * eval_phi1(params, (f, g)).sum() if f.size else 0.0
     for n in range(2, n_max + 1):
-        out[n - 1] = vol * kernels.phi_cells(_poly(params, n).coeffs, f, g).sum()
+        try:
+            coeffs = _poly(params, n).coeffs
+        except ValueError:      # the coefficients overflow
+            out[n - 1:] = np.inf
+            break
+        out[n - 1] = vol * kernels.phi_cells(coeffs, f, g).sum()
     return out
 
 
@@ -113,69 +124,99 @@ def ln_chain_values(prev: State, new: State, params: Params, n: int):
     return lhs, rhs
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunVerdicts:
-    """Measured slacks (relative, worst over the run) for the monitored
-    inequalities, plus the pass/fail verdict at the standard thresholds."""
+    """Measured slacks (relative, worst over the run so far) of the reported
+    inequalities; each passes at or below its tolerance, and a NaN slack
+    (a non-finite measurement) fails."""
 
     entropy_slack: dict[int, float]
     dissipation_slack: float
     linf_slack: float
 
-    @property
-    def entropy_ok(self) -> bool:
-        return all(s <= ENTROPY_REL_SLACK for s in self.entropy_slack.values())
-
-    @property
-    def dissipation_ok(self) -> bool:
-        return self.dissipation_slack <= DISSIPATION_REL_SLACK
-
-    @property
-    def linf_ok(self) -> bool:
-        return self.linf_slack <= LINF_REL_SLACK
+    def checks(self) -> list[tuple[str, float, float]]:
+        """(inequality, measured slack, tolerance) in summary order."""
+        return ([(f"entropy monotonicity E_{n}", s, ENTROPY_REL_SLACK)
+                 for n, s in sorted(self.entropy_slack.items())]
+                + [("dissipation inequality", self.dissipation_slack, DISSIPATION_REL_SLACK),
+                   ("sup-norm bound", self.linf_slack, LINF_REL_SLACK)])
 
     @property
     def all_ok(self) -> bool:
-        return self.entropy_ok and self.dissipation_ok and self.linf_ok
+        return all(slack <= tol for _, slack, tol in self.checks())
 
     def lines(self) -> list[str]:
-        out = []
-        for n in sorted(self.entropy_slack):
-            s = self.entropy_slack[n]
-            out.append(
-                f"entropy monotonicity E_{n}: measured slack {s:.3e} "
-                f"(tolerance {ENTROPY_REL_SLACK:.0e}) -> "
-                f"{'PASS' if s <= ENTROPY_REL_SLACK else 'FAIL'}")
-        out.append(
-            f"dissipation inequality: measured slack {self.dissipation_slack:.3e} "
-            f"(tolerance {DISSIPATION_REL_SLACK:.0e}) -> "
-            f"{'PASS' if self.dissipation_ok else 'FAIL'}")
-        out.append(
-            f"sup-norm bound: measured slack {self.linf_slack:.3e} "
-            f"(tolerance {LINF_REL_SLACK:.0e}) -> "
-            f"{'PASS' if self.linf_ok else 'FAIL'}")
-        out.append(f"overall: {'PASS' if self.all_ok else 'FAIL'}")
-        return out
+        return [f"{name}: measured slack {slack:.3e} (tolerance {tol:.0e}) -> "
+                f"{'PASS' if slack <= tol else 'FAIL'}"
+                for name, slack, tol in self.checks()] + [
+            f"overall: {'PASS' if self.all_ok else 'FAIL'}"]
 
 
-def summarize_run(trajectory, params: Params, tau: float) -> RunVerdicts:
-    """Worst-case relative slacks over a trajectory of (time, state, report)."""
-    reports = [rep for (_, _, rep) in trajectory]
-    n_max = reports[0].entropies.shape[0]
-    e0 = reports[0].entropies
-    entropy_slack = {}
-    for n in range(1, n_max + 1):
-        scale = max(e0[n - 1], 1e-300)
-        worst = 0.0
-        for prev, cur in zip(reports, reports[1:]):
-            worst = max(worst, (cur.entropies[n - 1] - prev.entropies[n - 1]) / scale)
-        entropy_slack[n] = worst
-    e1_scale = max(e0[0], 1e-300)
-    cum = 0.0
-    diss_worst = 0.0
-    for cur in reports[1:]:
-        cum += tau * cur.dissipation
-        diss_worst = max(diss_worst, (cur.entropies[0] + cum - e0[0]) / e1_scale)
-    cap = linf_bound_constant(params) * reports[0].linf
-    linf_worst = max((rep.linf - cap) / cap for rep in reports)
-    return RunVerdicts(entropy_slack, diss_worst, linf_worst)
+class RunMonitor:
+    """The inequalities of one run: measured per step, enforced, and kept.
+
+    Built from the report of the initial state, it takes the report of each
+    accepted step in order.  Per step it measures the mass drift of each
+    component (|change| minus the mass removed by clamping, at most
+    ``MASS_SLACK_FACTOR * tol * |Omega|``) and the relative slacks
+
+    * (E_n - E_n,prev) / max(E_n,prev, 1e-300) for each degree n;
+    * (E_1 + cumulative dissipation - E_1(0)) / max(E_1(0), 1e-300);
+    * (||f+g||_inf - cap) / cap, cap = linf_bound_constant * ||f0+g0||_inf.
+
+    Each report gets the cumulative dissipation and the worst slacks so far
+    (``dissipation_cum``, ``verdicts``).  With ``opts.check_invariants`` the
+    first breach, a non-finite slack included, raises
+    :class:`InvariantViolation`; regularized runs enforce the mass drift only.
+    """
+
+    def __init__(self, report0, params: Params, tau: float, measure: float, opts):
+        self.tau = tau
+        self.mass_tol = MASS_SLACK_FACTOR * opts.tol * measure
+        self.enforce = opts.check_invariants
+        self.regularized = opts.regularization is not None
+        self.e1_initial = report0.entropies[0]
+        self.cap = linf_bound_constant(params) * report0.linf
+        self.prev = report0
+        self.dissipation_cum = 0.0
+        self.entropy_worst = np.zeros(report0.entropies.shape)
+        self.dissipation_worst = 0.0
+        self.linf_worst = self._linf_slack(report0)
+        report0.verdicts = self.verdicts()
+
+    def _linf_slack(self, report) -> float:
+        return (report.linf - self.cap) / max(self.cap, 1e-300)
+
+    def verdicts(self) -> RunVerdicts:
+        return RunVerdicts(dict(enumerate(self.entropy_worst.tolist(), start=1)),
+                           self.dissipation_worst, self.linf_worst)
+
+    def observe(self, report) -> None:
+        prev, self.prev = self.prev, report
+        self.dissipation_cum += self.tau * report.dissipation
+        # np.maximum keeps a NaN, so a non-finite measurement stays failed
+        self.entropy_worst = np.maximum(
+            self.entropy_worst,
+            (report.entropies - prev.entropies) / np.maximum(prev.entropies, 1e-300))
+        self.dissipation_worst = np.maximum(
+            self.dissipation_worst,
+            (report.entropies[0] + self.dissipation_cum - self.e1_initial)
+            / max(self.e1_initial, 1e-300))
+        self.linf_worst = np.maximum(self.linf_worst, self._linf_slack(report))
+        report.dissipation_cum = self.dissipation_cum
+        report.verdicts = self.verdicts()
+        if not self.enforce:
+            return
+        for name, new, old, clamped in zip("fg", report.masses, prev.masses,
+                                           report.clamped_mass):
+            if not abs(new - old) - clamped <= self.mass_tol:
+                raise InvariantViolation(
+                    "mass conservation", None,
+                    f"component {name} drifted by {new - old:.3e} in one step "
+                    f"(tolerance {self.mass_tol:.3e})")
+        # every check passed at the earlier steps, so the running worst
+        # fails only where this step breached
+        for name, slack, tol in [] if self.regularized else report.verdicts.checks():
+            if not slack <= tol:
+                raise InvariantViolation(
+                    name, None, f"measured slack {slack:.3e} exceeds the tolerance {tol:.0e}")

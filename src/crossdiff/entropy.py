@@ -23,10 +23,8 @@ __all__ = [
     "hessian_phi",
     "eval_phi1",
     "mobility",
-    "mobility_truncated",
     "mobility_regularized",
     "alpha_rho",
-    "lambda_damping",
     "symmetrizer",
     "theta_constants",
     "phi_bounds",
@@ -196,24 +194,6 @@ def alpha_rho(z, rho: float):
     return float(out) if out.ndim == 0 else out
 
 
-def lambda_damping(x1, x2, eps: float):
-    """Sigmoid damping 2 / (1 + exp(eps * (x1 + x2))); tends to 1 as eps -> 0."""
-    out = 2.0 / (1.0 + np.exp(eps * (np.asarray(x1, float) + np.asarray(x2, float))))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def mobility_truncated(params: Params, X, rho: float):
-    """Mobility with each state entry passed through the truncation profile."""
-    x1, x2 = _split_point(X)
-    a, b, c, d = params.as_tuple()
-    a1 = alpha_rho(x1, rho)
-    a2 = alpha_rho(x2, rho)
-    return np.stack([
-        np.stack([a * np.asarray(a1, float), b * np.asarray(a1, float)]),
-        np.stack([c * np.asarray(a2, float), d * np.asarray(a2, float)]),
-    ])
-
-
 def mobility_regularized(params: Params, X, eps: float, rho: float):
     """eps * I + damping(positive parts) * truncated mobility.
 
@@ -225,8 +205,14 @@ def mobility_regularized(params: Params, X, eps: float, rho: float):
     if not rho > 1.0:
         raise ValueError(f"truncation level must exceed 1, got {rho}")
     x1, x2 = _split_point(X)
-    lam = lambda_damping(np.maximum(x1, 0.0), np.maximum(x2, 0.0), eps)
-    m = lam * mobility_truncated(params, X, rho)
+    a, b, c, d = params.as_tuple()
+    # each state entry through the truncation profile, the whole matrix
+    # damped by the sigmoid 2 / (1 + exp(eps * (x1+ + x2+))) of the
+    # positive parts, which tends to 1 as eps -> 0
+    a1 = np.asarray(alpha_rho(x1, rho), float)
+    a2 = np.asarray(alpha_rho(x2, rho), float)
+    lam = 2.0 / (1.0 + np.exp(eps * (np.maximum(x1, 0.0) + np.maximum(x2, 0.0))))
+    m = lam * np.stack([np.stack([a * a1, b * a1]), np.stack([c * a2, d * a2])])
     eye = np.zeros_like(m)
     eye[0, 0] = eps
     eye[1, 1] = eps

@@ -16,9 +16,9 @@ derivatives, one sparse LU factorization reused while it keeps contracting
 the residual, refreshed with Armijo backtracking when it does not).
 Convergence is declared on the max-norm of the true nonlinear residual.
 
-``run`` marches the piecewise-constant-in-time sequence and, by default,
-verifies the structural inequalities after every step, raising
-:class:`InvariantViolation` (naming the inequality) on the first breach.
+``run`` marches the piecewise-constant-in-time sequence one step at a time;
+by default :class:`diagnostics.RunMonitor` raises :class:`InvariantViolation`
+(naming the inequality) on the first breach.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import diagnostics, fvops
-from .diagnostics import DISSIPATION_REL_SLACK, ENTROPY_REL_SLACK, LINF_REL_SLACK
+from .errors import InvalidInput, InvariantViolation, NonConvergence, RhoTooSmall, SchemeError
 from .grid import State
 from .params import Params
 
-# slack factors for the per-step structure checks (the relative slacks of
-# the entropy, sup-norm and dissipation checks come from diagnostics)
-MASS_SLACK_FACTOR = 10.0        # * tol * |Omega|
+# slacks of the checks inside a step; the run's inequalities are monitored
+# by diagnostics.RunMonitor
 NONNEG_TOL = 1e-12
 CAP_TOL = 1e-10
 
@@ -52,57 +51,6 @@ CHORD_CONTRACTION = 0.25
 # 0.5-0.6 of the L+U fill of the default COLAMD order.  The pivot threshold
 # stays at SuperLU's default (partial pivoting)
 SUPERLU_ORDERING = "MMD_AT_PLUS_A"
-
-
-class SchemeError(Exception):
-    pass
-
-
-class InvalidInput(SchemeError):
-    pass
-
-
-def _at_step(step_index: int | None) -> str:
-    return f" at step {step_index}" if step_index is not None else ""
-
-
-class NonConvergence(SchemeError):
-    # the message is rendered on demand, because ``run`` fills in
-    # ``step_index`` after the step raised
-    def __init__(self, iterations: int, residual: float, step_index: int | None = None):
-        super().__init__(iterations, residual, step_index)
-        self.iterations = iterations
-        self.residual = residual
-        self.step_index = step_index
-        self.partial = None
-
-    def __str__(self) -> str:
-        return (f"nonlinear solve did not converge{_at_step(self.step_index)}: "
-                f"residual {self.residual:.3e} after {self.iterations} iterations "
-                f"(time step too large or state too degenerate)")
-
-
-class RhoTooSmall(InvalidInput):
-    def __init__(self, rho: float, sup: float):
-        super().__init__(
-            f"truncation level rho={rho} is below the state bound {sup}; "
-            f"choose rho >= max(1, ||prev||_inf)"
-        )
-
-
-class InvariantViolation(SchemeError):
-    """A structural inequality failed beyond its slack; names the inequality."""
-
-    def __init__(self, inequality: str, step_index: int | None, detail: str):
-        super().__init__(inequality, step_index, detail)
-        self.inequality = inequality
-        self.step_index = step_index
-        self.detail = detail
-        self.partial = None
-
-    def __str__(self) -> str:
-        return (f"violated inequality [{self.inequality}]"
-                f"{_at_step(self.step_index)}: {self.detail}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +89,9 @@ class StepReport:
     dissipation: float
     linf: float
     clamped_mass: tuple[float, float] = (0.0, 0.0)
+    # set by the run monitor on the reports of a run
+    dissipation_cum: float = 0.0
+    verdicts: diagnostics.RunVerdicts | None = None
 
 
 def step(prev: State, tau: float, params: Params, opts: SolverOptions) -> tuple[State, StepReport]:
@@ -175,18 +126,18 @@ def step_regularized(prev: State, tau: float, params: Params, eps: float,
 
 
 def run(initial: State, tau: float, t_final: float, params: Params,
-        opts: SolverOptions, observers=()) -> list[tuple[float, State, StepReport]]:
-    """March to t_final with uniform steps; returns [(time, state, report)]
-    including the initial entry.  ``t_final`` must be a whole multiple of
-    ``tau`` (to 1e-9 relative), so the run ends exactly at ``t_final``.
+        opts: SolverOptions):
+    """March to t_final with uniform steps; returns an iterator over
+    (time, state, report) that starts with the initial entry and keeps only
+    the current state.
 
-    With ``opts.check_invariants`` (default) every accepted step is tested
-    against mass conservation, nonnegativity, entropy monotonicity, the
-    sup-norm bound, and the cumulative dissipation inequality; the first
-    breach raises :class:`InvariantViolation` carrying the partial
-    trajectory in ``.partial``.  For regularized runs only mass and
-    nonnegativity are enforced (the cap is checked inside the step) since
-    the regularization trades exact entropy decay for coercivity.
+    Invalid arguments raise :class:`InvalidInput` when ``run`` is called:
+    ``t_final`` must be a whole multiple of ``tau`` (to 1e-9 relative), and
+    E_1..E_n_max must be finite at the initial state.  Every report goes
+    through one :class:`diagnostics.RunMonitor`, which enforces the run's
+    inequalities when ``opts.check_invariants`` is set.  An error of a step
+    carries its ``step_index``; the entries yielded before it are the valid
+    part of the run.
     """
     if not t_final > 0.0:
         raise InvalidInput(f"t_final must be positive, got {t_final}")
@@ -196,40 +147,28 @@ def run(initial: State, tau: float, t_final: float, params: Params,
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
                            f"the time step tau={tau}")
-    regularized = opts.regularization is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _report_for(initial, params, opts, iterations=0, residual=0.0)
+    overflow = np.flatnonzero(~np.isfinite(report.entropies))
+    if overflow.size:
+        n = int(overflow[0]) + 1
+        raise InvalidInput(
+            f"n_max={opts.n_max} is too large: E_{n} of the initial state is "
+            f"not finite in double precision; choose n_max < {n}")
+    monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
+    return _march(initial, report, tau, n_steps, params, opts, monitor)
 
-    report0 = _report_for(initial, params, opts, iterations=0, residual=0.0)
-    trajectory: list[tuple[float, State, StepReport]] = [(0.0, initial, report0)]
-    e1_initial = report0.entropies[0]
-    linf_initial = report0.linf
-    linf_cap = diagnostics.linf_bound_constant(params) * linf_initial
-    dissipation_cum = 0.0
 
-    state = initial
+def _march(state, report, tau, n_steps, params, opts, monitor):
+    yield 0.0, state, report
     for l in range(1, n_steps + 1):
         try:
-            state_new, report = step(state, tau, params, opts)
+            state, report = step(state, tau, params, opts)
+            monitor.observe(report)
         except SchemeError as err:
             err.step_index = getattr(err, "step_index", None) or l
-            err.partial = trajectory
             raise
-        dissipation_cum += tau * report.dissipation
-        if opts.check_invariants:
-            try:
-                _check_step_invariants(
-                    trajectory[-1][2], report, initial.grid.measure, opts,
-                    regularized, e1_initial, linf_cap, dissipation_cum,
-                )
-            except InvariantViolation as err:
-                err.step_index = l
-                err.partial = trajectory
-                raise
-        t = l * tau
-        trajectory.append((t, state_new, report))
-        for obs in observers:
-            obs(l, t, state_new, report)
-        state = state_new
-    return trajectory
+        yield l * tau, state, report
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +375,3 @@ def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.
         linf=diagnostics.linf_sum(state),
         clamped_mass=clamped_mass,
     )
-
-
-def _check_step_invariants(prev_report, report, measure, opts, regularized,
-                           e1_initial, linf_cap, dissipation_cum):
-    mass_tol = MASS_SLACK_FACTOR * opts.tol * measure
-    for name, m_new, m_old, clamped in (
-            ("f", report.masses[0], prev_report.masses[0], report.clamped_mass[0]),
-            ("g", report.masses[1], prev_report.masses[1], report.clamped_mass[1])):
-        drift = abs(m_new - m_old) - clamped
-        if drift > mass_tol:
-            raise InvariantViolation(
-                "mass conservation", None,
-                f"component {name} drifted by {m_new - m_old:.3e} in one step "
-                f"(tolerance {mass_tol:.3e})")
-    if regularized:
-        return
-    for n in range(1, opts.n_max + 1):
-        e_new = report.entropies[n - 1]
-        e_old = prev_report.entropies[n - 1]
-        if e_new > e_old * (1.0 + ENTROPY_REL_SLACK) + 1e-300:
-            raise InvariantViolation(
-                f"entropy monotonicity E_{n}", None,
-                f"E_{n} rose from {e_old:.15e} to {e_new:.15e}")
-    if report.linf > linf_cap * (1.0 + LINF_REL_SLACK):
-        raise InvariantViolation(
-            "sup-norm bound", None,
-            f"||f+g||_inf = {report.linf:.15e} exceeds {linf_cap:.15e}")
-    e1 = report.entropies[0]
-    if e1 + dissipation_cum > e1_initial * (1.0 + DISSIPATION_REL_SLACK) + 1e-300:
-        raise InvariantViolation(
-            "dissipation inequality", None,
-            f"E_1 + cumulative dissipation = {e1 + dissipation_cum:.15e} "
-            f"exceeds initial E_1 = {e1_initial:.15e}")

@@ -33,7 +33,7 @@ def _criterion5_setup():
 def thousand_step_run():
     params, initial, opts = _criterion5_setup()
     start = time.perf_counter()
-    trajectory = cd.run(initial, 1e-3, 1.0, params, opts)
+    trajectory = list(cd.run(initial, 1e-3, 1.0, params, opts))
     elapsed = time.perf_counter() - start
     return params, trajectory, elapsed
 
@@ -134,7 +134,7 @@ def test_criterion_08_dissipation_inequality(thousand_step_run):
 def test_criterion_09_long_time_limit():
     params, initial, opts = _criterion5_setup()
     start = time.perf_counter()
-    trajectory = cd.run(initial, 1e-3, 10.0, params, opts)
+    trajectory = list(cd.run(initial, 1e-3, 10.0, params, opts))
     elapsed = time.perf_counter() - start
     final = trajectory[-1][1]
     residual = cd.steady_residual(final, params)

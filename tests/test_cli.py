@@ -238,6 +238,43 @@ class TestRunCommand:
                          "--out", out])
         assert code == 0
 
+    def test_failing_retry_leaves_no_snapshot_of_abandoned_attempt(self, tmp_path, capsys):
+        # tau = 2e-2 fails at step 1, 1e-2 at step 6, 5e-3 at step 8 (after
+        # the snapshot of step 6) and the last retry, 2.5e-3, at step 5
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 64, "--tau", "2e-2", "--t-final", "0.4",
+                         "--tol", "1e-13", "--ic-amp", "1.0", "--max-iters", 10,
+                         "--tau-retries", 3, "--snapshot-every", 3, "--out", out])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err.count("retrying with halved time step") == 3
+        snaps = sorted(p.name for p in out.glob("state_*.csv"))
+        assert snaps == ["state_000000.csv", "state_000003.csv", "state_000004.csv"]
+        rows = (out / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(rows) == 6
+        assert float(rows[-1].split(",")[0]) == pytest.approx(4 * 2.5e-3)
+        assert "tau: 2.5" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("extra, degree", [(["--ic-amp", "0.9", "--n-max", 700], 558),
+                                               (["--n-max", 1000], 648)])
+    def test_rejects_n_max_beyond_double_precision(self, tmp_path, capsys, extra, degree):
+        # at n_max=700 the run used to write inf E columns and PASS; at 1000
+        # the coefficient overflow ended it in a traceback
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 16, "--tau", "1e-3", "--t-final", "2e-3",
+                         *extra, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert f"E_{degree} of the initial state is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_initial_state_has_a_sup_norm_verdict(self, tmp_path):
+        # the cap of ||f+g||_inf is 0 here; the slack used to divide by it
+        out = tmp_path / "o"
+        assert _run_cli(["run", "--ic", "constant", "--ic-f0", 0, "--ic-g0", 0,
+                         "--cells", 8, "--t-final", "2e-3", "--out", out]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "sup-norm bound: measured slack 0.000e+00" in summary
+        assert "overall: PASS" in summary
+
     def test_snapshots_written_at_interval(self, tmp_path):
         out = tmp_path / "o"
         assert _run_cli(["run", "--cells", 16, "--t-final", "4e-3", "--tau",

@@ -6,6 +6,12 @@ from crossdiff import diagnostics
 
 
 class TestEntropyTrace:
+    def test_inf_from_the_degree_whose_coefficients_overflow(self, params2111):
+        # the degree-865 coefficients of (2, 1, 1, 1) overflow double precision
+        st = cd.State.constant(cd.Grid1D(4, 1.0), 0.1, 0.1)
+        E = cd.entropy_trace(st, params2111, 870)
+        assert np.all(np.isfinite(E[:864])) and np.all(np.isinf(E[864:]))
+
     def test_constant_one_one(self, params2111):
         grid = cd.Grid1D(16, 1.0)
         st = cd.State.constant(grid, 1.0, 1.0)
@@ -79,7 +85,7 @@ class TestLinfSum:
     def test_bound_holds_along_run(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.5)
         cap = cd.linf_bound_constant(params2111) * cd.linf_sum(st)
-        traj = cd.run(st, 1e-3, 0.02, params2111, cd.SolverOptions(tol=1e-12))
+        traj = list(cd.run(st, 1e-3, 0.02, params2111, cd.SolverOptions(tol=1e-12)))
         for _, _, rep in traj:
             assert rep.linf <= cap * (1 + 1e-8)
 
@@ -126,7 +132,7 @@ class TestSteadyResidual:
     def test_decreases_along_run(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.3)
         before = cd.steady_residual(st, params2111)
-        traj = cd.run(st, 1e-3, 1.0, params2111, cd.SolverOptions(tol=1e-12))
+        traj = list(cd.run(st, 1e-3, 1.0, params2111, cd.SolverOptions(tol=1e-12)))
         after = cd.steady_residual(traj[-1][1], params2111)
         assert after < 0.01 * before
 
@@ -163,7 +169,7 @@ class TestStructuralProperties:
 
     def test_norm_chain_between_consecutive_states(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
-        traj = cd.run(st, 1e-3, 0.02, params2111, cd.SolverOptions(tol=1e-12))
+        traj = list(cd.run(st, 1e-3, 0.02, params2111, cd.SolverOptions(tol=1e-12)))
         for (_, prev, _), (_, cur, _) in zip(traj, traj[1:]):
             for n in (2, 4, 8, 16):
                 lhs, rhs = diagnostics.ln_chain_values(prev, cur, params2111, n)
@@ -173,8 +179,8 @@ class TestStructuralProperties:
 class TestRunVerdicts:
     def test_pass_on_well_behaved_run(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
-        traj = cd.run(st, 1e-3, 0.05, params2111, cd.SolverOptions(tol=1e-12))
-        verdicts = cd.summarize_run(traj, params2111, 1e-3)
+        traj = list(cd.run(st, 1e-3, 0.05, params2111, cd.SolverOptions(tol=1e-12)))
+        verdicts = traj[-1][2].verdicts
         assert verdicts.all_ok
         lines = verdicts.lines()
         assert any("overall: PASS" in line for line in lines)
@@ -182,9 +188,66 @@ class TestRunVerdicts:
 
     def test_slacks_are_negative_or_tiny(self, params2111, cosine_state):
         st = cosine_state(cells=16, amp=0.2)
-        traj = cd.run(st, 1e-3, 0.01, params2111, cd.SolverOptions(tol=1e-12))
-        verdicts = cd.summarize_run(traj, params2111, 1e-3)
+        traj = list(cd.run(st, 1e-3, 0.01, params2111, cd.SolverOptions(tol=1e-12)))
+        verdicts = traj[-1][2].verdicts
         for slack in verdicts.entropy_slack.values():
             assert slack <= 1e-9
         assert verdicts.dissipation_slack <= 1e-8
         assert verdicts.linf_slack <= 1e-8
+
+
+def _report(entropies, dissipation=0.0, linf=1.0, masses=(1.0, 1.0)):
+    return cd.StepReport(iterations=1, residual=0.0, masses=masses,
+                         entropies=np.asarray(entropies, float),
+                         dissipation=dissipation, linf=linf)
+
+
+class TestRunMonitor:
+    def test_entropy_rise_is_decided_by_the_reported_slack(self, params2111):
+        opts = cd.SolverOptions(n_max=2)
+        e_prev = 2.0
+        for rise, breach in ((1.1e-9, True), (0.9e-9, False)):
+            monitor = cd.RunMonitor(_report([0.5, e_prev]), params2111, 1e-3, 1.0, opts)
+            report = _report([0.5, e_prev + rise * e_prev])
+            slack = (report.entropies[1] - e_prev) / e_prev
+            if breach:
+                with pytest.raises(cd.InvariantViolation) as err:
+                    monitor.observe(report)
+                assert err.value.inequality == "entropy monotonicity E_2"
+                assert f"measured slack {slack:.3e} exceeds" in str(err.value)
+            else:
+                monitor.observe(report)
+            assert report.verdicts.entropy_slack[2] == slack
+            line = report.verdicts.lines()[1]
+            verdict = "FAIL" if breach else "PASS"
+            assert line == (f"entropy monotonicity E_2: measured slack {slack:.3e} "
+                            f"(tolerance 1e-09) -> {verdict}")
+
+    def test_keeps_worst_slack_and_cumulative_dissipation(self, params2111):
+        monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1e-3, 1.0,
+                                cd.SolverOptions(n_max=2))
+        first = _report([0.49, 2.0 * (1 + 5e-10)], dissipation=3.0)
+        second = _report([0.4, 1.0], dissipation=4.0)
+        monitor.observe(first)
+        monitor.observe(second)
+        assert second.dissipation_cum == 1e-3 * 3.0 + 1e-3 * 4.0
+        assert second.verdicts.entropy_slack[2] == first.verdicts.entropy_slack[2] > 0.0
+        assert second.verdicts.all_ok
+
+    def test_non_finite_entropy_fails(self, params2111):
+        # inf - inf is NaN, and max(0.0, nan) is 0.0: a NaN slack must not
+        # read as a pass
+        report0 = _report([0.5, np.inf])
+        opts = cd.SolverOptions(n_max=2, check_invariants=False)
+        monitor = cd.RunMonitor(report0, params2111, 1e-3, 1.0, opts)
+        report = _report([0.5, np.inf])
+        with np.errstate(invalid="ignore"):
+            monitor.observe(report)
+            monitor.observe(_report([0.5, 1.0]))
+        assert np.isnan(report.verdicts.entropy_slack[2])
+        assert not report.verdicts.all_ok
+        assert "overall: FAIL" in report.verdicts.lines()
+        with pytest.raises(cd.InvariantViolation, match="E_2"):
+            with np.errstate(invalid="ignore"):
+                cd.RunMonitor(report0, params2111, 1e-3, 1.0,
+                              cd.SolverOptions(n_max=2)).observe(_report([0.5, np.inf]))

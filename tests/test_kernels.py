@@ -191,3 +191,21 @@ class TestBenchScript:
         assert proc.returncode == 0, proc.stderr
         starts = [line.split()[:2] for line in proc.stdout.splitlines()]
         assert ["newton", "1d"] in starts and ["newton", "2d"] in starts
+
+
+class TestOutputDigestScript:
+    def test_prints_exit_codes_and_file_digests(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "output_digest.py"),
+             "nonconverging", "square-12"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "exit 3  nonconverging"
+        assert "exit 0  square-12" in lines
+        digests = dict(reversed(line.split("  ")) for line in lines
+                       if not line.startswith("exit"))
+        assert {"nonconverging/summary.txt", "nonconverging/state_000004.csv",
+                "square-12/diagnostics.csv", "square-12/state_000010.csv"} <= set(digests)
+        assert all(len(sha) == 64 for sha in digests.values())

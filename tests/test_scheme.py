@@ -322,37 +322,37 @@ class TestStepRegularized:
 class TestRun:
     def test_single_step_when_t_final_equals_tau(self, params2111, cosine_state):
         st = cosine_state(cells=16, amp=0.1)
-        traj = cd.run(st, 1e-3, 1e-3, params2111, _opts())
+        traj = list(cd.run(st, 1e-3, 1e-3, params2111, _opts()))
         assert len(traj) == 2  # initial entry + one step
         assert traj[0][0] == 0.0
         assert traj[1][0] == pytest.approx(1e-3)
 
     def test_entropy_vector_nonincreasing(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
-        traj = cd.run(st, 1e-3, 0.05, params2111, _opts())
+        traj = list(cd.run(st, 1e-3, 0.05, params2111, _opts()))
         E = np.array([rep.entropies for _, _, rep in traj])
         e0 = E[0]
         for n in range(6):
             assert np.all(np.diff(E[:, n]) <= 1e-9 * e0[n])
 
-    def test_observers_called_per_step(self, params2111, cosine_state):
+    def test_yields_step_times_in_order(self, params2111, cosine_state):
         st = cosine_state(cells=16, amp=0.1)
-        seen = []
-        cd.run(st, 1e-3, 5e-3, params2111, _opts(),
-               observers=[lambda l, t, s, r: seen.append((l, t))])
-        assert [l for l, _ in seen] == [1, 2, 3, 4, 5]
+        times = [t for t, _, _ in cd.run(st, 1e-3, 5e-3, params2111, _opts())]
+        assert times == [l * 1e-3 for l in range(6)]
 
-    def test_nonconvergence_carries_partial_trajectory(self, params2111, cosine_state):
+    def test_nonconvergence_after_only_the_initial_entry(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.5)
+        seen = []
         with pytest.raises(cd.NonConvergence) as err:
-            cd.run(st, 5.0, 50.0, params2111, _opts(max_iters=2, tol=1e-14))
+            for entry in cd.run(st, 5.0, 50.0, params2111, _opts(max_iters=2, tol=1e-14)):
+                seen.append(entry)
         assert err.value.step_index == 1
-        assert len(err.value.partial) == 1  # just the initial entry
+        assert len(seen) == 1 and seen[0][0] == 0.0 and seen[0][1] is st
 
     def test_regularized_run_completes(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
-        traj = cd.run(st, 1e-3, 0.01, params2111,
-                      _opts(regularization=(1e-3, 1e3)))
+        traj = list(cd.run(st, 1e-3, 0.01, params2111,
+                           _opts(regularization=(1e-3, 1e3))))
         assert len(traj) == 11
         final = traj[-1][1]
         assert final.max_value() <= 1e3 + 1e-10
@@ -361,9 +361,16 @@ class TestRun:
         with pytest.raises(cd.InvalidInput):
             cd.run(cosine_state(), 1e-3, 0.0, params2111, _opts())
 
+    @pytest.mark.parametrize("n_max", [700, 1000])
+    def test_rejects_n_max_with_non_finite_entropy(self, params2111, cosine_state, n_max):
+        # E_558 of this state overflows; the degree-865 coefficients do too
+        st = cosine_state(cells=16, amp=0.9)
+        with pytest.raises(cd.InvalidInput, match="E_558 of the initial state"):
+            cd.run(st, 1e-3, 2e-3, params2111, _opts(n_max=n_max))
+
     def test_long_time_limit_is_constant_state(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.3)
-        traj = cd.run(st, 1e-3, 4.0, params2111, _opts())
+        traj = list(cd.run(st, 1e-3, 4.0, params2111, _opts()))
         final = traj[-1][1]
         mean_f = st.masses()[0] / st.grid.measure
         mean_g = st.masses()[1] / st.grid.measure
@@ -519,7 +526,7 @@ class TestTwoDimensional:
         x, y = grid.centers()
         st = cd.State(grid, 1.0 + 0.25 * np.cos(np.pi * x) * np.cos(np.pi * y),
                       np.ones(grid.shape))
-        traj = cd.run(st, 1e-3, 5e-3, params2111, _opts(tol=1e-11))
+        traj = list(cd.run(st, 1e-3, 5e-3, params2111, _opts(tol=1e-11)))
         masses = np.array([rep.masses for _, _, rep in traj])
         assert np.abs(np.diff(masses, axis=0)).max() <= 1e-10
         E = np.array([rep.entropies for _, _, rep in traj])
@@ -599,8 +606,8 @@ class TestErrors:
     def test_run_reports_failing_step(self, params2111, cosine_state):
         st = cosine_state(cells=16, amp=0.4)
         with pytest.raises(cd.NonConvergence) as err:
-            cd.run(st, 1e-3, 3e-3, params2111,
-                   cd.SolverOptions(max_iters=1, tol=1e-14))
+            list(cd.run(st, 1e-3, 3e-3, params2111,
+                        cd.SolverOptions(max_iters=1, tol=1e-14)))
         assert err.value.step_index == 1
         assert "did not converge at step 1:" in str(err.value)
 
