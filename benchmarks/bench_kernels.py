@@ -8,7 +8,9 @@ the repeats).  Two more rows time one Newton step, one on the 1D grid of
 ``--cells`` cells and one on a fixed 64x64 grid with a zero patch in f, and
 print milliseconds, sparse LU factorizations, Newton iterations and the L+U
 nonzeros of the step's first factorization (the fill left by the SuperLU
-column order).  Run:
+column order).  The last row times one 100-step 1D run on ``--cells`` cells,
+which carries the LU factors from step to step, and prints milliseconds,
+factorizations and iterations per step.  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
@@ -27,7 +29,7 @@ from crossdiff import fvops, kernels  # noqa: E402
 from crossdiff.entropy import build_coefficients  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
-from crossdiff.scheme import SolverOptions, step  # noqa: E402
+from crossdiff.scheme import SolverOptions, run, step  # noqa: E402
 
 
 def _time_us(func, repeats):
@@ -96,6 +98,18 @@ def bench_newton(cells: int, repeats: int) -> None:
         ms = 1e-3 * _time_us(lambda: step(state, 1e-3, params, opts), repeats)
         print(f"{label:<24} {state.grid.num_points:>7} {ms:>12.1f} {len(factors):>15} "
               f"{report.iterations:>11} {fill:>10}")
+
+    # the 1D case marched 100 steps, timed once
+    _, state, opts = cases[0]
+    steps = 100
+    t0 = time.perf_counter()
+    reports = [rep for _, _, rep in run(state, 1e-3, steps * 1e-3, params, opts)][1:]
+    ms = 1e3 * (time.perf_counter() - t0) / steps
+    print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'factorizations/step':>20} "
+          f"{'iterations/step':>16}")
+    print(f"{'newton run':<24} {cells:>7} {ms:>12.2f} "
+          f"{sum(r.factorizations for r in reports) / steps:>20.2f} "
+          f"{sum(r.iterations for r in reports) / steps:>16.2f}")
 
 
 if __name__ == "__main__":

@@ -35,12 +35,14 @@ CONFIGS = {
     "step-snapshots": "--ic step --cells 32 --tau 1e-3 --t-final 2.2e-2 --tol 1e-10 "
                       "--snapshot-every 5",
     "square-12": "--dimension 2 --cells 12 --tau 1e-3 --t-final 1e-2 --tol 1e-11",
-    # steps 1-4 take 11, 12, 9 and 7 iterations, step 5 needs 15: exit 3
+    # step 1 needs 5 updates, each on a fresh Jacobian, and is the hardest
+    # step of the run: 4 iterations fail at step 1 (residual 5e-7), exit 3
     "nonconverging": "--cells 64 --tau 2e-2 --t-final 0.4 --tol 1e-13 --ic-amp 1.0 "
-                     "--max-iters 12 --snapshot-every 3",
-    # tau = 2e-2 and 1e-2 fail at steps 4 and 5, tau = 5e-3 runs to the end
+                     "--max-iters 4",
+    # 3 iterations fail at step 1 with tau = 2e-2, 1e-2 and 5e-3; the third
+    # retry, tau = 2.5e-3, runs all 160 steps
     "tau-retries": "--cells 64 --tau 2e-2 --t-final 0.4 --tol 1e-13 --ic-amp 0.9 "
-                   "--max-iters 13 --tau-retries 4 --snapshot-every 20",
+                   "--max-iters 3 --tau-retries 4 --snapshot-every 20",
 }
 
 

@@ -31,7 +31,7 @@ from . import diagnostics, verify
 from .errors import InvalidInput, InvariantViolation, NonConvergence, SchemeError
 from .grid import Grid1D, Grid2D, State
 from .params import Params, muskat_params
-from .scheme import SolverOptions, run, step, step_regularized
+from .scheme import SolverOptions, initial_report, run, step, step_regularized
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -267,15 +267,16 @@ def build_config(file_values: dict[str, str], cli_values: dict[str, str]) -> Run
 def _csv_header(n_max: int) -> str:
     return ",".join(["time", "mass_f", "mass_g"]
                     + [f"E{n}" for n in range(1, n_max + 1)]
-                    + ["dissipation_cum", "linf_sum", "iterations", "residual"]) + "\n"
+                    + ["dissipation_cum", "linf_sum", "factorizations", "iterations",
+                       "residual"]) + "\n"
 
 
 def _csv_row(entry, n_max: int) -> str:
     t, _, rep = entry
     return ",".join([_fmt(t), _fmt(rep.masses[0]), _fmt(rep.masses[1])]
                     + [_fmt(e) for e in rep.entropies[:n_max]]
-                    + [_fmt(rep.dissipation_cum), _fmt(rep.linf), str(rep.iterations),
-                       _fmt(rep.residual)]) + "\n"
+                    + [_fmt(rep.dissipation_cum), _fmt(rep.linf), str(rep.factorizations),
+                       str(rep.iterations), _fmt(rep.residual)]) + "\n"
 
 
 def _snapshot_due(index: int, every: int) -> bool:
@@ -455,8 +456,8 @@ def cmd_limits(args) -> int:
                           "pass --eps-list/--rho-list instead of --eps/--rho")
     eps_list = _float_list("--eps-list", args.eps_list)
     rho_list = _float_list("--rho-list", args.rho_list)
+    e_before = initial_report(initial, params, opts).entropies
     exact, _ = step(initial, config.tau, params, opts)
-    e_before = diagnostics.entropy_trace(initial, params, config.n_max)
     header = (["eps", "rho", "max_diff"]
               + [f"dE{n}" for n in range(1, config.n_max + 1)])
     rows = [",".join(header)]

@@ -16,8 +16,11 @@ derivatives, one sparse LU factorization reused while it keeps contracting
 the residual, refreshed with Armijo backtracking when it does not).
 Convergence is declared on the max-norm of the true nonlinear residual.
 
-``run`` marches the piecewise-constant-in-time sequence one step at a time;
-by default :class:`diagnostics.RunMonitor` raises :class:`InvariantViolation`
+``run`` marches the piecewise-constant-in-time sequence one step at a time
+and carries the LU factors from each step into the next: the Jacobian does
+not depend on the previous state, and step l+1 starts at the solution of
+step l, near the iterate at which step l's last factors were built.  By
+default :class:`diagnostics.RunMonitor` raises :class:`InvariantViolation`
 (naming the inequality) on the first breach.
 """
 
@@ -40,9 +43,10 @@ from .params import Params
 NONNEG_TOL = 1e-12
 CAP_TOL = 1e-10
 
-# a Newton update made with the step's kept LU factorization is accepted
-# only if it cuts the residual max-norm to at most this fraction of its
-# current value; otherwise the Jacobian is refactored at the current iterate
+# a Newton update made with kept LU factors is accepted only if it cuts the
+# residual max-norm to at most this fraction of its current value (and, at
+# that rate, the remaining iterations still reach tol); otherwise the
+# Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
 # SuperLU column order for the Newton splu: minimum degree on the structure
@@ -82,36 +86,45 @@ class SolverOptions:
 
 @dataclass
 class StepReport:
-    iterations: int
+    iterations: int                     # Newton updates, chord ones included
     residual: float
     masses: tuple[float, float]
     entropies: np.ndarray = field(repr=False)
     dissipation: float
     linf: float
     clamped_mass: tuple[float, float] = (0.0, 0.0)
+    factorizations: int = 0             # sparse LU factorizations (splu calls)
     # set by the run monitor on the reports of a run
     dissipation_cum: float = 0.0
     verdicts: diagnostics.RunVerdicts | None = None
 
 
-def step(prev: State, tau: float, params: Params, opts: SolverOptions) -> tuple[State, StepReport]:
+def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
+         factors: list | None = None) -> tuple[State, StepReport]:
     """Advance one implicit step; regularized automatically when
-    ``opts.regularization`` is set."""
+    ``opts.regularization`` is set.
+
+    ``factors`` is the one-slot holder through which :func:`run` carries the
+    Newton LU factors from step to step; without it the step starts without
+    factors and depends on nothing but its arguments.
+    """
     if opts.regularization is not None:
         eps, rho = opts.regularization
-        return step_regularized(prev, tau, params, eps, rho, opts)
+        return step_regularized(prev, tau, params, eps, rho, opts, factors=factors)
     _validate_step_inputs(prev, tau)
-    new, iters, res = _newton_sparse(prev, tau, params, opts, 0.0, math.inf, False)
-    return _finalize_step(new, prev, params, opts, iters, res, rho=None)
+    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, 0.0, math.inf,
+                                           False, factors)
+    return _finalize_step(new, prev, params, opts, iters, res, n_lu, rho=None)
 
 
 def step_regularized(prev: State, tau: float, params: Params, eps: float,
-                     rho: float, opts: SolverOptions) -> tuple[State, StepReport]:
+                     rho: float, opts: SolverOptions, *,
+                     factors: list | None = None) -> tuple[State, StepReport]:
     """Advance one implicit step of the eps/rho-regularized system.
 
     The output is capped by rho (checked, with violations raised) and the
     entropy decay is only approximate: its increment is reported, not
-    enforced.
+    enforced.  ``factors`` is as in :func:`step`.
     """
     _validate_step_inputs(prev, tau)
     if not (0.0 < eps < 1.0):
@@ -121,8 +134,9 @@ def step_regularized(prev: State, tau: float, params: Params, eps: float,
     sup = max(prev.f.max(), prev.g.max())
     if rho < sup:
         raise RhoTooSmall(rho, sup)
-    new, iters, res = _newton_sparse(prev, tau, params, opts, eps, rho, True)
-    return _finalize_step(new, prev, params, opts, iters, res, rho=rho)
+    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, eps, rho, True,
+                                           factors)
+    return _finalize_step(new, prev, params, opts, iters, res, n_lu, rho=rho)
 
 
 def run(initial: State, tau: float, t_final: float, params: Params,
@@ -147,6 +161,15 @@ def run(initial: State, tau: float, t_final: float, params: Params,
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
                            f"the time step tau={tau}")
+    report = initial_report(initial, params, opts)
+    monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
+    return _march(initial, report, tau, n_steps, params, opts, monitor)
+
+
+def initial_report(initial: State, params: Params, opts: SolverOptions) -> StepReport:
+    """The report of the initial state of a run; raises
+    :class:`InvalidInput` naming the first degree whose E_n is not finite
+    in double precision."""
     with np.errstate(over="ignore", invalid="ignore"):
         report = _report_for(initial, params, opts, iterations=0, residual=0.0)
     overflow = np.flatnonzero(~np.isfinite(report.entropies))
@@ -155,15 +178,15 @@ def run(initial: State, tau: float, t_final: float, params: Params,
         raise InvalidInput(
             f"n_max={opts.n_max} is too large: E_{n} of the initial state is "
             f"not finite in double precision; choose n_max < {n}")
-    monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
-    return _march(initial, report, tau, n_steps, params, opts, monitor)
+    return report
 
 
 def _march(state, report, tau, n_steps, params, opts, monitor):
     yield 0.0, state, report
+    factors = []    # the LU factors carried from step to step
     for l in range(1, n_steps + 1):
         try:
-            state, report = step(state, tau, params, opts)
+            state, report = step(state, tau, params, opts, factors=factors)
             monitor.observe(report)
         except SchemeError as err:
             err.step_index = getattr(err, "step_index", None) or l
@@ -281,21 +304,28 @@ def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
         shape=(2 * P, 2 * P)).tocsc()
 
 
-def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
+def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors):
     """Semi-smooth chord Newton with Armijo backtracking on the stacked
-    state ``(f, g)``.
+    state ``(f, g)``; returns the state, the number of updates, the final
+    residual max-norm and the number of factorizations.
 
-    The Jacobian is factored once and the factorization kept for the rest
-    of the step.  Each iteration first tries the full update with the kept
-    factorization and accepts it if it contracts the true residual by
-    ``CHORD_CONTRACTION``; otherwise the Jacobian is refactored at the
-    current iterate and the fresh Newton direction is backtracked on the
-    true residual.  With upwind faces the iteration also goes on, within
-    ``max_iters``, while an iterate has a component below ``-NONNEG_TOL``:
-    the exact solution of the upwind step is nonnegative, so such an
-    iterate is not yet the solution even if its residual is below ``tol``.
-    Only a failed search on a fresh Jacobian or an exhausted ``max_iters``
-    raises :class:`NonConvergence`.
+    ``factors`` (or None) is a one-slot holder of LU factors of the Jacobian
+    at an earlier iterate, possibly of an earlier step with the same
+    ``tau``, parameters and face average (the Jacobian does not depend on
+    ``prev``).  They are taken out on entry, so that the holder keeps no
+    reference while a new LU is built, and the factors in use are put back
+    on success; on any error the holder stays empty.
+
+    Each iteration first tries the full update with the kept factors and
+    accepts it if it contracts the true residual by ``CHORD_CONTRACTION``
+    and, at the ratio it achieved, the iterations left still reach ``tol``;
+    otherwise the Jacobian is refactored at the current iterate and the
+    fresh Newton direction is backtracked on the true residual.  With upwind
+    faces the iteration also goes on, within ``max_iters``, while an iterate
+    has a component below ``-NONNEG_TOL``: the exact solution of the upwind
+    step is nonnegative, so such an iterate is not yet the solution even if
+    its residual is below ``tol``.  Only a failed search on a fresh Jacobian
+    or an exhausted ``max_iters`` raises :class:`NonConvergence`.
     """
     grid = prev.grid
     upwind = opts.mobility_face == "upwind"
@@ -309,21 +339,27 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
 
     u = prev_u
     phi, r, terms = norm(u)
-    iters = 0
-    lu = None
+    iters = n_lu = 0
+    lu = factors.pop() if factors else None
     while ((phi > opts.tol or (upwind and u.min() < -NONNEG_TOL))
            and iters < opts.max_iters):
         iters += 1
         if lu is not None:
             u_try = u + lu.solve(-r.ravel()).reshape(u.shape)
             phi_try, r_try, terms_try = norm(u_try)
-            if phi_try <= CHORD_CONTRACTION * phi:
+            # a linear rate that cannot reach tol within max_iters would
+            # make the step fail where a fresh Jacobian converges
+            if phi_try <= CHORD_CONTRACTION * phi and (
+                    phi_try <= opts.tol
+                    or math.log(opts.tol / phi_try)
+                    >= (opts.max_iters - iters) * math.log(phi_try / phi)):
                 u, phi, r, terms = u_try, phi_try, r_try, terms_try
                 continue
             lu = None   # release the stale factors before building new ones
         lu = scipy.sparse.linalg.splu(
             _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
             permc_spec=SUPERLU_ORDERING)
+        n_lu += 1
         du = lu.solve(-r.ravel()).reshape(u.shape)
         t_step = 1.0
         for _ in range(30):
@@ -337,10 +373,12 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg):
             raise NonConvergence(iters, float(phi))
     if phi > opts.tol:
         raise NonConvergence(iters, float(phi))
-    return State(grid, u[0], u[1]), iters, float(phi)
+    if factors is not None and lu is not None:
+        factors.append(lu)
+    return State(grid, u[0], u[1]), iters, float(phi), n_lu
 
 
-def _finalize_step(new, prev, params, opts, iters, res, rho):
+def _finalize_step(new, prev, params, opts, iters, res, n_lu, rho):
     clamped = (0.0, 0.0)
     if opts.clamp_negative:
         neg_f = np.minimum(new.f, 0.0)
@@ -360,11 +398,12 @@ def _finalize_step(new, prev, params, opts, iters, res, rho):
                 "boundedness cap", None,
                 f"max component {top:.6e} exceeds rho={rho} beyond {CAP_TOL:.0e}")
     report = _report_for(new, params, opts, iterations=iters, residual=res,
-                         clamped_mass=clamped)
+                         clamped_mass=clamped, factorizations=n_lu)
     return new, report
 
 
-def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.0)):
+def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.0),
+                factorizations=0):
     entropies = diagnostics.entropy_trace(state, params, opts.n_max)
     return StepReport(
         iterations=iterations,
@@ -374,4 +413,5 @@ def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.
         dissipation=diagnostics.dissipation(state, params),
         linf=diagnostics.linf_sum(state),
         clamped_mass=clamped_mass,
+        factorizations=factorizations,
     )

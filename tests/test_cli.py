@@ -1,7 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 
 from crossdiff import cli, scheme
+from crossdiff.errors import NonConvergence
 
 
 def _run_cli(args):
@@ -238,12 +241,24 @@ class TestRunCommand:
                          "--out", out])
         assert code == 0
 
-    def test_failing_retry_leaves_no_snapshot_of_abandoned_attempt(self, tmp_path, capsys):
-        # tau = 2e-2 fails at step 1, 1e-2 at step 6, 5e-3 at step 8 (after
-        # the snapshot of step 6) and the last retry, 2.5e-3, at step 5
+    def test_failing_retry_leaves_no_snapshot_of_abandoned_attempt(
+            self, tmp_path, capsys, monkeypatch):
+        # the Newton solve is made to fail with tau = 2e-2 at step 1, 1e-2 at
+        # step 6, 5e-3 at step 8 (after the snapshot of step 6) and, on the
+        # last retry, 2.5e-3 at step 5
+        fail_at = {2e-2: 1, 1e-2: 6, 5e-3: 8, 2.5e-3: 5}
+        solves = collections.Counter()
+        newton = scheme._newton_sparse
+
+        def failing(prev, tau, *args):
+            solves[tau] += 1
+            if solves[tau] == fail_at[tau]:
+                raise NonConvergence(1, 1.0)
+            return newton(prev, tau, *args)
+
+        monkeypatch.setattr(scheme, "_newton_sparse", failing)
         out = tmp_path / "o"
-        code = _run_cli(["run", "--cells", 64, "--tau", "2e-2", "--t-final", "0.4",
-                         "--tol", "1e-13", "--ic-amp", "1.0", "--max-iters", 10,
+        code = _run_cli(["run", "--cells", 16, "--tau", "2e-2", "--t-final", "0.4",
                          "--tau-retries", 3, "--snapshot-every", 3, "--out", out])
         assert code == cli.EXIT_NONCONVERGENCE
         assert capsys.readouterr().err.count("retrying with halved time step") == 3
@@ -253,6 +268,23 @@ class TestRunCommand:
         assert len(rows) == 6
         assert float(rows[-1].split(",")[0]) == pytest.approx(4 * 2.5e-3)
         assert "tau: 2.5" in (out / "summary.txt").read_text()
+
+    def test_tight_budget_completes_with_carried_factors(self, tmp_path):
+        # with a fresh Jacobian in every step, step 5 needed 15 updates and
+        # the run failed; the factors carried from step 4 leave it within 12
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 64, "--tau", "2e-2", "--t-final", "0.4",
+                         "--tol", "1e-13", "--ic-amp", "1.0", "--max-iters", 12,
+                         "--out", out])
+        assert code == cli.EXIT_OK
+        rows = (out / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(rows) == 22
+        header = rows[0].split(",")
+        factorizations = [int(r.split(",")[header.index("factorizations")])
+                          for r in rows[1:]]
+        iterations = [int(r.split(",")[header.index("iterations")]) for r in rows[1:]]
+        assert factorizations[0] == iterations[0] == 0
+        assert sum(factorizations) < sum(iterations)
 
     @pytest.mark.parametrize("extra, degree", [(["--ic-amp", "0.9", "--n-max", 700], 558),
                                                (["--n-max", 1000], 648)])
@@ -357,6 +389,16 @@ class TestLimitsCommand:
         assert len(rows) == 4
         diffs = [float(r.split(",")[2]) for r in rows[1:]]
         assert diffs[0] > diffs[1] > diffs[2]  # shrinks with eps
+
+    def test_rejects_n_max_beyond_double_precision(self, tmp_path, capsys):
+        # the increments used to print as nan and E_558.. to be written as
+        # non-finite dE columns
+        out = tmp_path / "o"
+        code = _run_cli(["limits", "--cells", 16, "--ic-amp", "0.9", "--n-max", 700,
+                         "--eps-list", "1e-2", "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "E_558 of the initial state is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_direct_regularization_flags(self, tmp_path, capsys):
         code = _run_cli(["limits", "--eps", "1e-2", "--rho", "100",

@@ -191,6 +191,7 @@ class TestBenchScript:
         assert proc.returncode == 0, proc.stderr
         starts = [line.split()[:2] for line in proc.stdout.splitlines()]
         assert ["newton", "1d"] in starts and ["newton", "2d"] in starts
+        assert ["newton", "run"] in starts
 
 
 class TestOutputDigestScript:
@@ -206,6 +207,6 @@ class TestOutputDigestScript:
         assert "exit 0  square-12" in lines
         digests = dict(reversed(line.split("  ")) for line in lines
                        if not line.startswith("exit"))
-        assert {"nonconverging/summary.txt", "nonconverging/state_000004.csv",
+        assert {"nonconverging/summary.txt", "nonconverging/state_000000.csv",
                 "square-12/diagnostics.csv", "square-12/state_000010.csv"} <= set(digests)
         assert all(len(sha) == 64 for sha in digests.values())

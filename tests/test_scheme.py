@@ -209,6 +209,46 @@ class TestChordNewton:
             assert abs(m_new - m_old) <= 10 * opts.tol * grid.measure
 
 
+class TestCarriedFactors:
+    """``run`` carries the Newton LU factors from step to step."""
+
+    def _final(self, st, params, opts, t_final=0.2):
+        entries = list(cd.run(st, 1e-3, t_final, params, opts))
+        return entries[-1][1], [rep for _, _, rep in entries[1:]]
+
+    def test_run_reuses_factors_and_matches_refactoring_every_step(
+            self, params2111, cosine_state, count_factorizations, monkeypatch):
+        st = cosine_state(cells=64, amp=0.5)
+        carried, reports = self._final(st, params2111, _opts())
+        assert len(reports) == 200
+        assert len(count_factorizations) <= 5
+        assert sum(rep.factorizations for rep in reports) == len(count_factorizations)
+        count_factorizations.clear()
+        monkeypatch.setattr(scheme, "CHORD_CONTRACTION", 0.0)
+        fresh, reports = self._final(st, params2111, _opts())
+        assert len(count_factorizations) == sum(rep.iterations for rep in reports)
+        assert np.abs(carried.f - fresh.f).max() <= 1e-9
+        assert np.abs(carried.g - fresh.g).max() <= 1e-9
+
+    def test_regularized_run_reuses_factors(self, params2111, cosine_state,
+                                            count_factorizations):
+        st = cosine_state(cells=32, amp=0.4)
+        _, reports = self._final(st, params2111, _opts(regularization=(1e-3, 1e3)),
+                                 t_final=0.05)
+        assert len(count_factorizations) <= 5 < sum(rep.iterations for rep in reports)
+
+    def test_step_keeps_no_state_across_a_run(self, params2111, cosine_state):
+        st = cosine_state(cells=32, amp=0.4)
+        before, rep_before = cd.step(st, 1e-3, params2111, _opts())
+        self._final(st, params2111, _opts(), t_final=0.02)
+        after, rep_after = cd.step(st, 1e-3, params2111, _opts())
+        np.testing.assert_array_equal(before.f, after.f)
+        np.testing.assert_array_equal(before.g, after.g)
+        assert (rep_before.iterations, rep_before.factorizations, rep_before.residual) == \
+            (rep_after.iterations, rep_after.factorizations, rep_after.residual)
+        assert rep_before.factorizations >= 1
+
+
 class TestSuperLUOrdering:
     def test_newton_factorizations_reduce_fill(self, params2111, monkeypatch):
         factored = []
