@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time the hot kernels and one Newton step on desk-scale problems.
 
-Times the homogeneous-polynomial cell evaluation and the implicit-step
-residual (``fvops.implicit_residual``, the face operator shared by every
-dimension) at ``--cells`` cells and prints microseconds per call (best of
+Times the per-step entropy report (``diagnostics.entropy_trace`` of
+E_1..E_6, from one power-moment product) and the implicit-step residual
+(``fvops.implicit_residual``, the face operator shared by every dimension)
+at ``--cells`` cells and prints microseconds per call (best of
 the repeats).  Two more rows time one Newton step, one on the 1D grid of
 ``--cells`` cells and one on a fixed 64x64 grid with a zero patch in f, and
 print milliseconds, sparse LU factorizations, Newton iterations and the L+U
@@ -25,8 +26,7 @@ import scipy.sparse.linalg
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from crossdiff import fvops, kernels  # noqa: E402
-from crossdiff.entropy import build_coefficients  # noqa: E402
+from crossdiff import diagnostics, fvops  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
 from crossdiff.scheme import SolverOptions, run, step  # noqa: E402
@@ -49,10 +49,11 @@ def bench(cells: int, repeats: int) -> None:
     F = 1.0 + 0.5 * np.cos(np.pi * x)
     G = np.ones(cells)
     u = np.stack((F, G))
-    coeffs = build_coefficients(Params(a, b, c, d), 6).coeffs
+    state = State(Grid1D(cells, 1.0), F, G)
 
     rows = [
-        ("phi_cells (n=6)", lambda: kernels.phi_cells(coeffs, F, G)),
+        ("entropy_trace (n=6)", lambda: diagnostics.entropy_trace(
+            state, Params(a, b, c, d), 6)),
         ("implicit_residual", lambda: fvops.implicit_residual(
             u, u, (a, b, c, d), tau, dx, 0.0, np.inf, False, True)),
     ]

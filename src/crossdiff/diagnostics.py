@@ -35,13 +35,31 @@ DISSIPATION_REL_SLACK = 1e-8
 
 
 @lru_cache(maxsize=256)
-def _poly(params: Params, n: int):
-    return build_coefficients(params, n)
+def _moment_gather(params: Params, n_max: int):
+    """(top, flat, weights, starts): top is the last degree <= n_max whose
+    coefficients are finite; flat indexes the anti-diagonals j + k = n,
+    n = 2..top, of the flattened (top+1)^2 power-moment table, weights
+    holds their coefficients and starts the first entry of each degree."""
+    coeffs = []
+    for n in range(2, n_max + 1):
+        try:
+            coeffs.append(build_coefficients(params, n).coeffs)
+        except ValueError:      # the coefficients overflow
+            break
+    top = len(coeffs) + 1
+    flat = [j * (top + 1) + n - j for n in range(2, top + 1) for j in range(n + 1)]
+    starts = np.cumsum([0] + [n + 1 for n in range(2, top)])
+    return top, np.array(flat, dtype=np.intp), np.concatenate([[]] + coeffs), starts
 
 
 def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
     """Entropy values [E_1, ..., E_n_max] of a nonnegative state; inf from
-    the first degree whose coefficients overflow double precision."""
+    the first degree whose coefficients overflow double precision.
+
+    E_2..E_n_max are weighted sums of one table of power moments
+    (:func:`crossdiff.kernels.power_moments`) read along the
+    anti-diagonals j + k = n only: the moments of higher total degree may
+    overflow, and never reach a finite E_n."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     m = state.min_value()
@@ -50,15 +68,12 @@ def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
     f = np.maximum(state.f.ravel(), 0.0)
     g = np.maximum(state.g.ravel(), 0.0)
     vol = state.grid.cell_volume
-    out = np.empty(n_max)
+    out = np.full(n_max, np.inf)
     out[0] = vol * eval_phi1(params, (f, g)).sum() if f.size else 0.0
-    for n in range(2, n_max + 1):
-        try:
-            coeffs = _poly(params, n).coeffs
-        except ValueError:      # the coefficients overflow
-            out[n - 1:] = np.inf
-            break
-        out[n - 1] = vol * kernels.phi_cells(coeffs, f, g).sum()
+    top, flat, weights, starts = _moment_gather(params, n_max)
+    if top >= 2:
+        moments = kernels.power_moments(f, g, top).ravel()
+        out[1:top] = vol * np.add.reduceat(moments[flat] * weights, starts)
     return out
 
 

@@ -167,6 +167,32 @@ class TestStructuralProperties:
                 assert lo <= en * (1 + 1e-12)
                 assert en <= hi * (1 + 1e-12)
 
+    def test_entropy_root_pinned_between_sup_norms(self, params2111):
+        # the boundedness mechanism: the n-th roots of the sandwich bounds
+        # are L_n norms on |Omega| = 1, which rise to the sup norms of
+        # (c f + d g)/d and (a f + b g)/b; values in [0.5, 1] keep every
+        # power of degree 512 above the underflow range
+        grid = cd.Grid1D(16, 1.0)
+        x = grid.centers()
+        st = cd.State(grid, 0.75 + 0.25 * np.cos(np.pi * x), 0.75 - 0.25 * np.sin(3 * x))
+        a, b, c, d = params2111.as_tuple()
+        sup_lo = np.max((c * st.f + d * st.g) / d)
+        sup_hi = np.max((a * st.f + b * st.g) / b)
+        prev_lo = prev_hi = 0.0
+        for n in (2, 8, 32, 128, 512):
+            lo, en, hi = diagnostics.entropy_sandwich(st, params2111, n)
+            assert lo <= en * (1 + 1e-12)
+            assert en <= hi * (1 + 1e-12)
+            root_lo, root_hi = lo ** (1 / n), hi ** (1 / n)
+            assert prev_lo <= root_lo <= sup_lo * (1 + 1e-12)
+            assert prev_hi <= root_hi <= sup_hi * (1 + 1e-12)
+            # the cell of the maximum alone contributes sup^n / 16
+            assert root_lo >= sup_lo * (1 / 16) ** (1 / n)
+            assert root_hi >= sup_hi * (1 / 16) ** (1 / n)
+            prev_lo, prev_hi = root_lo, root_hi
+        # so E_512^(1/512) lies in [0.9946 sup_lo, sup_hi]
+        assert sup_lo * (1 / 16) ** (1 / n) <= en ** (1 / n) <= sup_hi
+
     def test_norm_chain_between_consecutive_states(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
         traj = list(cd.run(st, 1e-3, 0.02, params2111, cd.SolverOptions(tol=1e-12)))
