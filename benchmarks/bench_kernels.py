@@ -7,8 +7,9 @@ E_1..E_6, from one power-moment product) and the implicit-step residual
 at ``--cells`` cells and prints microseconds per call (best of
 the repeats).  Two more rows time one Newton step, one on the 1D grid of
 ``--cells`` cells and one on a fixed 64x64 grid with a zero patch in f, and
-print milliseconds, sparse LU factorizations, Newton iterations and the L+U
-nonzeros of the step's first factorization (the fill left by the SuperLU
+print milliseconds, Jacobian LU factorizations, Newton iterations and the
+storage of the step's last factors: the band array entries of the 1D LAPACK
+factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
 column order).  The last row times one 100-step 1D run on ``--cells`` cells,
 which carries the LU factors from step to step, and prints milliseconds,
 factorizations and iterations per step.  Run:
@@ -22,14 +23,13 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from crossdiff import diagnostics, fvops  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
-from crossdiff.scheme import SolverOptions, run, step  # noqa: E402
+from crossdiff.scheme import SolverOptions, _BandLU, run, step  # noqa: E402
 
 
 def _time_us(func, repeats):
@@ -81,24 +81,15 @@ def bench_newton(cells: int, repeats: int) -> None:
         ("newton 2d", State(grid2, f, g), SolverOptions(tol=1e-10)),
     )
     print(f"\n{'step':<24} {'cells':>7} {'ms/call':>12} {'factorizations':>15} "
-          f"{'iterations':>11} {'L+U nnz':>10}")
-    splu = scipy.sparse.linalg.splu
+          f"{'iterations':>11} {'LU entries':>11}")
     for label, state, opts in cases:
         factors = []
-
-        def counted_splu(*args, **kwargs):
-            factors.append(splu(*args, **kwargs))
-            return factors[-1]
-
-        scipy.sparse.linalg.splu = counted_splu
-        try:
-            _, report = step(state, 1e-3, params, opts)
-        finally:
-            scipy.sparse.linalg.splu = splu
-        fill = factors[0].L.nnz + factors[0].U.nnz
+        _, report = step(state, 1e-3, params, opts, factors=factors)
+        lu = factors[0]
+        fill = lu.lu.size if isinstance(lu, _BandLU) else lu.L.nnz + lu.U.nnz
         ms = 1e-3 * _time_us(lambda: step(state, 1e-3, params, opts), repeats)
-        print(f"{label:<24} {state.grid.num_points:>7} {ms:>12.1f} {len(factors):>15} "
-              f"{report.iterations:>11} {fill:>10}")
+        print(f"{label:<24} {state.grid.num_points:>7} {ms:>12.1f} "
+              f"{report.factorizations:>15} {report.iterations:>11} {fill:>11}")
 
     # the 1D case marched 100 steps, timed once
     _, state, opts = cases[0]

@@ -97,8 +97,7 @@ def dissipation(state: State, params: Params) -> float:
     u = np.stack((a * state.f + th.theta1 * state.g, state.g))
     total = 0.0
     for axis in range(grid.ndim):
-        gp, gg = fvops.face_terms(u, params.as_tuple(), grid.dx, 0.0, math.inf,
-                                  False, True, axis)[0]
+        gp, gg = np.diff(u, axis=axis + 1) / grid.dx
         total += float(np.sum(gp * gp + th.theta2 * gg * gg))
     return grid.cell_volume * total / a
 
@@ -113,11 +112,6 @@ def steady_residual(state: State, params: Params) -> float:
     return max(float(np.abs(flux).max()) for flux in fluxes)
 
 
-def lp_norm(grid, values, p: int) -> float:
-    """Discrete L_p norm (integral form) of a cell field."""
-    return float(grid.integrate(np.abs(np.asarray(values, float)) ** p) ** (1.0 / p))
-
-
 def entropy_sandwich(state: State, params: Params, n: int):
     """(lower, E_n, upper) where lower/upper integrate the pointwise bounds
     (c f + d g)^n / d^n and (a f + b g)^n / b^n."""
@@ -128,15 +122,6 @@ def entropy_sandwich(state: State, params: Params, n: int):
     upper = state.grid.integrate((a * f + b * g) ** n / b**n)
     en = entropy_trace(state, params, n)[n - 1]
     return lower, en, upper
-
-
-def ln_chain_values(prev: State, new: State, params: Params, n: int):
-    """(lhs, rhs) of the norm chain ||c f + d g||_n <= (d/b) ||a F + b G||_n
-    linking consecutive states of a run."""
-    a, b, c, d = params.as_tuple()
-    lhs = lp_norm(new.grid, c * new.f + d * new.g, n)
-    rhs = (d / b) * lp_norm(prev.grid, a * prev.f + b * prev.g, n)
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

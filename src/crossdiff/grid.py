@@ -116,9 +116,8 @@ class State:
     """Paired cell fields (f, g) on a shared grid.
 
     The solver keeps both components nonnegative; diagnostics that require
-    nonnegativity assert it themselves via :meth:`require_nonnegative`, so a
-    state may transiently carry sign-indefinite data (e.g. manufactured
-    fields in gradient checks).
+    nonnegativity check it themselves, so a state may transiently carry
+    sign-indefinite data (e.g. manufactured fields in gradient checks).
     """
 
     grid: Grid1D | Grid2D
@@ -144,8 +143,3 @@ class State:
 
     def masses(self) -> tuple[float, float]:
         return self.grid.integrate(self.f), self.grid.integrate(self.g)
-
-    def require_nonnegative(self, tol: float = 0.0) -> None:
-        m = self.min_value()
-        if m < -tol:
-            raise ValueError(f"state has negative component {m}")

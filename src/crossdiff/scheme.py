@@ -12,16 +12,18 @@ the capped/damped mobility plus an eps-identity diffusion block.
 The face fluxes and the residual come from :mod:`crossdiff.fvops`, one
 operator for every dimension.  The nonlinear solve is a chord Newton
 iteration in every dimension (analytic Jacobian including mobility
-derivatives, one sparse LU factorization reused while it keeps contracting
-the residual, refreshed with Armijo backtracking when it does not).
+derivatives, one LU factorization reused while it keeps contracting the
+residual, refreshed with Armijo backtracking when it does not).  In 1D the
+Jacobian is factored as a band matrix by LAPACK, in 2D by SuperLU.
 Convergence is declared on the max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
 and carries the LU factors from each step into the next: the Jacobian does
-not depend on the previous state, and step l+1 starts at the solution of
-step l, near the iterate at which step l's last factors were built.  By
-default :class:`diagnostics.RunMonitor` raises :class:`InvariantViolation`
-(naming the inequality) on the first breach.
+not depend on the previous state, and step l+1 starts near the iterate at
+which step l's last factors were built, at the linear extrapolation
+``max(2 u_l - u_{l-1}, 0)`` of the last two states.  By default
+:class:`diagnostics.RunMonitor` raises :class:`InvariantViolation` (naming
+the inequality) on the first breach.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -49,7 +52,7 @@ CAP_TOL = 1e-10
 # Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
-# SuperLU column order for the Newton splu: minimum degree on the structure
+# SuperLU column order of the 2D Newton splu: minimum degree on the structure
 # of A + A^T.  The Jacobian is face-coupled with a structurally symmetric
 # pattern; on 2D grids of 32x32 cells and more this order leaves about
 # 0.5-0.6 of the L+U fill of the default COLAMD order.  The pivot threshold
@@ -93,38 +96,41 @@ class StepReport:
     dissipation: float
     linf: float
     clamped_mass: tuple[float, float] = (0.0, 0.0)
-    factorizations: int = 0             # sparse LU factorizations (splu calls)
+    factorizations: int = 0             # Jacobian LU factorizations (_factor calls)
     # set by the run monitor on the reports of a run
     dissipation_cum: float = 0.0
     verdicts: diagnostics.RunVerdicts | None = None
 
 
 def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
-         factors: list | None = None) -> tuple[State, StepReport]:
+         factors: list | None = None,
+         start: np.ndarray | None = None) -> tuple[State, StepReport]:
     """Advance one implicit step; regularized automatically when
     ``opts.regularization`` is set.
 
     ``factors`` is the one-slot holder through which :func:`run` carries the
-    Newton LU factors from step to step; without it the step starts without
-    factors and depends on nothing but its arguments.
+    Newton LU factors from step to step, and ``start`` the stacked ``(f, g)``
+    at which :func:`run` starts the Newton iteration (default ``prev``);
+    without them the step depends on nothing but ``prev`` and the options.
     """
     if opts.regularization is not None:
         eps, rho = opts.regularization
-        return step_regularized(prev, tau, params, eps, rho, opts, factors=factors)
+        return step_regularized(prev, tau, params, eps, rho, opts, factors=factors,
+                                start=start)
     _validate_step_inputs(prev, tau)
     new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, 0.0, math.inf,
-                                           False, factors)
+                                           False, factors, start)
     return _finalize_step(new, prev, params, opts, iters, res, n_lu, rho=None)
 
 
 def step_regularized(prev: State, tau: float, params: Params, eps: float,
-                     rho: float, opts: SolverOptions, *,
-                     factors: list | None = None) -> tuple[State, StepReport]:
+                     rho: float, opts: SolverOptions, *, factors: list | None = None,
+                     start: np.ndarray | None = None) -> tuple[State, StepReport]:
     """Advance one implicit step of the eps/rho-regularized system.
 
     The output is capped by rho (checked, with violations raised) and the
     entropy decay is only approximate: its increment is reported, not
-    enforced.  ``factors`` is as in :func:`step`.
+    enforced.  ``factors`` and ``start`` are as in :func:`step`.
     """
     _validate_step_inputs(prev, tau)
     if not (0.0 < eps < 1.0):
@@ -135,7 +141,7 @@ def step_regularized(prev: State, tau: float, params: Params, eps: float,
     if rho < sup:
         raise RhoTooSmall(rho, sup)
     new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, eps, rho, True,
-                                           factors)
+                                           factors, start)
     return _finalize_step(new, prev, params, opts, iters, res, n_lu, rho=rho)
 
 
@@ -184,13 +190,17 @@ def initial_report(initial: State, params: Params, opts: SolverOptions) -> StepR
 def _march(state, report, tau, n_steps, params, opts, monitor):
     yield 0.0, state, report
     factors = []    # the LU factors carried from step to step
+    older = None    # the stacked state before ``state``
     for l in range(1, n_steps + 1):
+        u = np.stack((state.f, state.g))
+        start = None if older is None else np.maximum(2.0 * u - older, 0.0)
         try:
-            state, report = step(state, tau, params, opts, factors=factors)
+            state, report = step(state, tau, params, opts, factors=factors, start=start)
             monitor.observe(report)
         except SchemeError as err:
             err.step_index = getattr(err, "step_index", None) or l
             raise
+        older = u
         yield l * tau, state, report
 
 
@@ -234,8 +244,8 @@ def _cut_derivative(z, rho, reg):
 
 def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
     """Analytic Jacobian of the implicit residual at the stacked state ``u``
-    as a CSC matrix over the stacked unknowns (f block, then g block);
-    ``terms`` are the per-axis face terms of ``u`` that
+    as a COO matrix (duplicates summed on use) over the stacked unknowns
+    (f block, then g block); ``terms`` are the per-axis face terms of ``u`` that
     :func:`fvops.implicit_residual` returns with its residual.  Mobility and
     damping derivatives included, the upwind selection and the
     positive-part/cap kinks frozen at the iterate."""
@@ -301,13 +311,50 @@ def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
                 vals.extend((-s_tau * dflux, s_tau * dflux))
     return scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * P, 2 * P)).tocsc()
+        shape=(2 * P, 2 * P))
 
 
-def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors):
+class _BandLU:
+    """LAPACK band LU factors (``dgbtrf``) of a 1D Jacobian ``J`` (COO),
+    taken over the interleaved unknowns ``(f_0, g_0, f_1, g_1, ...)``: a
+    cell couples to itself and its two neighbours only, so the band has
+    ``K`` sub- and superdiagonals.  ``solve`` takes and returns vectors over
+    the stacked unknowns, as SuperLU's factors do."""
+
+    K = 3
+
+    def __init__(self, J):
+        n, K = J.shape[0], self.K
+        row, col = (2 * (i % (n // 2)) + i // (n // 2) for i in (J.row, J.col))
+        # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n)
+        # band array, whose first K rows are dgbtrf's fill workspace
+        ab = np.bincount(col * (3 * K + 1) + 2 * K + row - col, J.data,
+                         (3 * K + 1) * n).reshape(n, 3 * K + 1).T
+        self.lu, self.piv, info = scipy.linalg.lapack.dgbtrf(ab, K, K, overwrite_ab=True)
+        if info != 0:
+            raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
+
+    def solve(self, b):
+        x, _ = scipy.linalg.lapack.dgbtrs(self.lu, self.K, self.K,
+                                          b.reshape(2, -1).T.ravel(), self.piv,
+                                          overwrite_b=True)
+        return x.reshape(-1, 2).T.ravel()
+
+
+def _factor(J, ndim):
+    """LU factors, with ``.solve(b)``, of the Newton Jacobian ``J`` (COO over
+    the stacked unknowns): band factors in 1D, SuperLU's in 2D."""
+    if ndim == 1:
+        return _BandLU(J)
+    J = J.tocsc()   # drops the COO arrays before SuperLU allocates its own
+    return scipy.sparse.linalg.splu(J, permc_spec=SUPERLU_ORDERING)
+
+
+def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
     """Semi-smooth chord Newton with Armijo backtracking on the stacked
-    state ``(f, g)``; returns the state, the number of updates, the final
-    residual max-norm and the number of factorizations.
+    state ``(f, g)`` from ``start`` (default ``prev``); returns the state,
+    the number of updates, the final residual max-norm and the number of
+    factorizations.
 
     ``factors`` (or None) is a one-slot holder of LU factors of the Jacobian
     at an earlier iterate, possibly of an earlier step with the same
@@ -337,7 +384,7 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors):
                                            rho, reg, upwind)
         return np.abs(r).max(), r, terms
 
-    u = prev_u
+    u = prev_u if start is None else start
     phi, r, terms = norm(u)
     iters = n_lu = 0
     lu = factors.pop() if factors else None
@@ -356,9 +403,8 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors):
                 u, phi, r, terms = u_try, phi_try, r_try, terms_try
                 continue
             lu = None   # release the stale factors before building new ones
-        lu = scipy.sparse.linalg.splu(
-            _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
-            permc_spec=SUPERLU_ORDERING)
+        lu = _factor(_jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
+                     grid.ndim)
         n_lu += 1
         du = lu.solve(-r.ravel()).reshape(u.shape)
         t_step = 1.0

@@ -145,15 +145,17 @@ def _degenerate_2d_state(n=16):
 
 @pytest.fixture
 def count_factorizations(monkeypatch):
-    """Count the sparse LU factorizations (``splu`` calls) made by the solver."""
+    """Count the Jacobian LU factorizations made by the solver: calls of
+    ``scheme._factor``, which builds the band factors in 1D and SuperLU's
+    in 2D."""
     calls = []
-    splu = scipy.sparse.linalg.splu
+    factor = scheme._factor
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return factor(*args)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    monkeypatch.setattr(scheme, "_factor", counted)
     return calls
 
 
@@ -237,6 +239,19 @@ class TestCarriedFactors:
                                  t_final=0.05)
         assert len(count_factorizations) <= 5 < sum(rep.iterations for rep in reports)
 
+    def test_extrapolated_start_matches_start_at_prev(self, params2111, cosine_state,
+                                                      monkeypatch):
+        st = cosine_state(cells=64, amp=0.5)
+        extrapolated, reports_x = self._final(st, params2111, _opts())
+        step = scheme.step
+        monkeypatch.setattr(scheme, "step", lambda *args, start, **kw: step(*args, **kw))
+        at_prev, reports_p = self._final(st, params2111, _opts())
+        assert np.abs(extrapolated.f - at_prev.f).max() <= 1e-9
+        assert np.abs(extrapolated.g - at_prev.g).max() <= 1e-9
+        assert [rep.iterations for rep in reports_x] != [rep.iterations for rep in reports_p]
+        assert sum(rep.factorizations for rep in reports_x) <= 5
+        assert sum(rep.factorizations for rep in reports_p) <= 5
+
     def test_step_keeps_no_state_across_a_run(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
         before, rep_before = cd.step(st, 1e-3, params2111, _opts())
@@ -247,6 +262,35 @@ class TestCarriedFactors:
         assert (rep_before.iterations, rep_before.factorizations, rep_before.residual) == \
             (rep_after.iterations, rep_after.factorizations, rep_after.residual)
         assert rep_before.factorizations >= 1
+
+
+class TestBandFactors:
+    """1D Jacobians are factored as band matrices by LAPACK."""
+
+    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
+    @pytest.mark.parametrize("regularization", [None, (1e-1, 10.0)],
+                             ids=["plain", "regularized"])
+    def test_solves_random_jacobians_like_splu(self, params2111, face, regularization):
+        rng = np.random.default_rng(7)
+        eps, rho = regularization or (0.0, math.inf)
+        reg, upwind = regularization is not None, face == "upwind"
+        for n in (2, 3, 17, 64):
+            grid = cd.Grid1D(n, 1.0)
+            # random sign changes of the pressure gradients, zero components
+            u = rng.uniform(0.0, 2.0, (2, n)) * (rng.uniform(size=(2, n)) > 0.2)
+            terms = fvops.implicit_residual(u, u, params2111.as_tuple(), 1e-3,
+                                            grid.dx, eps, rho, reg, upwind)[1]
+            J = scheme._jacobian(u, terms, grid, params2111, 1e-3, eps, rho, reg, upwind)
+            lu = scheme._factor(J, grid.ndim)
+            assert isinstance(lu, scheme._BandLU)
+            b = rng.normal(size=2 * n)
+            x_ref = scipy.sparse.linalg.splu(J.tocsc()).solve(b)
+            assert np.abs(lu.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_singular_matrix_raises(self):
+        J = scipy.sparse.coo_matrix(([1.0, 1.0, 1.0], ([0, 1, 2], [0, 1, 2])), shape=(4, 4))
+        with pytest.raises(RuntimeError, match="dgbtrf info=4"):
+            scheme._BandLU(J)
 
 
 class TestSuperLUOrdering:
