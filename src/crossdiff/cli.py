@@ -309,20 +309,14 @@ def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
 
 def _write_state(path: Path, state: State) -> None:
     grid = state.grid
-    lines = []
-    if grid.ndim == 1:
-        lines.append("index,x,f,g")
-        x = grid.centers()
-        for i in range(grid.num_points):
-            lines.append(f"{i},{_fmt(x[i])},{_fmt(state.f[i])},{_fmt(state.g[i])}")
-    else:
-        lines.append("index,x,y,f,g")
-        xs, ys = grid.centers()
-        fv, gv = state.f.ravel(), state.g.ravel()
-        xv, yv = xs.ravel(), ys.ravel()
-        for i in range(grid.num_points):
-            lines.append(f"{i},{_fmt(xv[i])},{_fmt(yv[i])},{_fmt(fv[i])},{_fmt(gv[i])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one row per cell: index, centre coordinates, f, g (each as _fmt writes it)
+    columns = np.vstack((np.reshape(grid.centers(), (grid.ndim, -1)),
+                         state.f.ravel(), state.g.ravel()))
+    row = "{}" + ",{:.16e}" * len(columns) + "\n"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(("index", *"xy"[:grid.ndim], "f", "g")) + "\n")
+        fh.writelines(row.format(i, *values)
+                      for i, values in enumerate(zip(*columns.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ Convergence is declared on the max-norm of the true nonlinear residual.
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
 and carries the LU factors from each step into the next: the Jacobian does
 not depend on the previous state, and step l+1 starts near the iterate at
-which step l's last factors were built, at the linear extrapolation
-``max(2 u_l - u_{l-1}, 0)`` of the last two states.  By default
+which step l's last factors were built, at the cubic extrapolation
+``max(4 u_l - 6 u_{l-1} + 4 u_{l-2} - u_{l-3}, 0)`` of the last four
+states (of lower order while fewer are known).  By default
 :class:`diagnostics.RunMonitor` raises :class:`InvariantViolation` (naming
 the inequality) on the first breach.
 """
@@ -190,18 +191,29 @@ def initial_report(initial: State, params: Params, opts: SolverOptions) -> StepR
 def _march(state, report, tau, n_steps, params, opts, monitor):
     yield 0.0, state, report
     factors = []    # the LU factors carried from step to step
-    older = None    # the stacked state before ``state``
+    history = []    # the last accepted states, newest first
     for l in range(1, n_steps + 1):
-        u = np.stack((state.f, state.g))
-        start = None if older is None else np.maximum(2.0 * u - older, 0.0)
+        history = [state] + history[:3]
+        start = None if len(history) == 1 else _extrapolate(history)
         try:
             state, report = step(state, tau, params, opts, factors=factors, start=start)
             monitor.observe(report)
         except SchemeError as err:
             err.step_index = getattr(err, "step_index", None) or l
             raise
-        older = u
         yield l * tau, state, report
+
+
+def _extrapolate(history):
+    """The Newton start of the next step of a run, as a stacked ``(f, g)``:
+    the polynomial through the k = 2..4 states of ``history`` (newest
+    first, one step apart), evaluated one step ahead (its k-th backward
+    difference vanishes) and clipped at zero."""
+    k = len(history)
+    start = k * np.stack((history[0].f, history[0].g))
+    for j in range(1, k):
+        start += (-1) ** j * math.comb(k, j + 1) * np.stack((history[j].f, history[j].g))
+    return np.maximum(start, 0.0, out=start)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +383,9 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
     faces the iteration also goes on, within ``max_iters``, while an iterate
     has a component below ``-NONNEG_TOL``: the exact solution of the upwind
     step is nonnegative, so such an iterate is not yet the solution even if
-    its residual is below ``tol``.  Only a failed search on a fresh Jacobian
-    or an exhausted ``max_iters`` raises :class:`NonConvergence`.
+    its residual is below ``tol``.  Only a failed search on a fresh Jacobian,
+    a singular Jacobian or an exhausted ``max_iters`` raises
+    :class:`NonConvergence` (a NaN residual too: it fails ``phi <= tol``).
     """
     grid = prev.grid
     upwind = opts.mobility_face == "upwind"
@@ -388,7 +401,7 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
     phi, r, terms = norm(u)
     iters = n_lu = 0
     lu = factors.pop() if factors else None
-    while ((phi > opts.tol or (upwind and u.min() < -NONNEG_TOL))
+    while ((not phi <= opts.tol or (upwind and u.min() < -NONNEG_TOL))
            and iters < opts.max_iters):
         iters += 1
         if lu is not None:
@@ -403,8 +416,11 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
                 u, phi, r, terms = u_try, phi_try, r_try, terms_try
                 continue
             lu = None   # release the stale factors before building new ones
-        lu = _factor(_jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
-                     grid.ndim)
+        try:
+            lu = _factor(_jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
+                         grid.ndim)
+        except RuntimeError as err:     # a singular (or NaN) Jacobian
+            raise NonConvergence(iters, float(phi)) from err
         n_lu += 1
         du = lu.solve(-r.ravel()).reshape(u.shape)
         t_step = 1.0
@@ -417,7 +433,7 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
             t_step *= 0.5
         else:
             raise NonConvergence(iters, float(phi))
-    if phi > opts.tol:
+    if not phi <= opts.tol:
         raise NonConvergence(iters, float(phi))
     if factors is not None and lu is not None:
         factors.append(lu)

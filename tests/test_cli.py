@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+import crossdiff as cd
 from crossdiff import cli, scheme
 from crossdiff.errors import NonConvergence
 
@@ -337,6 +338,32 @@ class TestRunCommand:
         first = rows[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(1 / 16)
+
+    def test_state_file_text(self, tmp_path):
+        # the exact text of a 3-cell 1D and a 2x2 2D state file: index, the
+        # centre coordinates (x fastest in 2D), f and g, 17 significant digits
+        path = tmp_path / "state.csv"
+        grid = cd.Grid1D(3, 1.0)
+        cli._write_state(path, cd.State(grid, np.array([0.0, 1 / 3, 2.5]),
+                                        np.array([1e-300, 0.1, 7.0])))
+        assert path.read_text() == (
+            "index,x,f,g\n"
+            "0,1.6666666666666666e-01,0.0000000000000000e+00,1.0000000000000000e-300\n"
+            "1,5.0000000000000000e-01,3.3333333333333331e-01,1.0000000000000001e-01\n"
+            "2,8.3333333333333326e-01,2.5000000000000000e+00,7.0000000000000000e+00\n")
+        grid = cd.Grid2D(2, 2.0)
+        cli._write_state(path, cd.State(grid, np.array([[0.0, 1 / 3], [2.5, 1e-300]]),
+                                        np.array([[1.0, 0.1], [7.0, 1e5]])))
+        assert path.read_text() == (
+            "index,x,y,f,g\n"
+            "0,5.0000000000000000e-01,5.0000000000000000e-01,"
+            "0.0000000000000000e+00,1.0000000000000000e+00\n"
+            "1,1.5000000000000000e+00,5.0000000000000000e-01,"
+            "3.3333333333333331e-01,1.0000000000000001e-01\n"
+            "2,5.0000000000000000e-01,1.5000000000000000e+00,"
+            "2.5000000000000000e+00,7.0000000000000000e+00\n"
+            "3,1.5000000000000000e+00,1.5000000000000000e+00,"
+            "1.0000000000000000e-300,1.0000000000000000e+05\n")
 
     def test_two_dimensional_run(self, tmp_path):
         out = tmp_path / "o"

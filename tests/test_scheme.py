@@ -249,8 +249,58 @@ class TestCarriedFactors:
         assert np.abs(extrapolated.f - at_prev.f).max() <= 1e-9
         assert np.abs(extrapolated.g - at_prev.g).max() <= 1e-9
         assert [rep.iterations for rep in reports_x] != [rep.iterations for rep in reports_p]
+        # on this run the linear start took more updates than the start at
+        # prev (1,257 against 1,225); the cubic start takes fewer
+        assert sum(rep.iterations for rep in reports_x) < \
+            sum(rep.iterations for rep in reports_p)
         assert sum(rep.factorizations for rep in reports_x) <= 5
         assert sum(rep.factorizations for rep in reports_p) <= 5
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_extrapolation_reproduces_polynomials_of_degree_k_minus_1(self, k):
+        # states that are polynomials of degree k - 1 in the step index
+        rng = np.random.default_rng(k)
+        coef = rng.uniform(0.5, 2.0, (k, 2, 5))
+        at = lambda l: sum(c * float(l) ** j for j, c in enumerate(coef))
+        history = [cd.State(cd.Grid1D(5, 1.0), *at(l)) for l in range(k - 1, -1, -1)]
+        start = scheme._extrapolate(history)
+        np.testing.assert_allclose(start, at(k), rtol=1e-13)
+
+    def test_extrapolation_is_clipped_at_zero(self):
+        # a decreasing component whose extrapolation of every order is
+        # negative, next to a constant one
+        grid = cd.Grid1D(2, 1.0)
+        history = [cd.State(grid, np.array([f, 1.0]), np.array([1.0, f]))
+                   for f in (0.1, 0.6, 1.0, 1.3)]
+        for k in (2, 3, 4):
+            start = scheme._extrapolate(history[:k])
+            np.testing.assert_array_equal(start, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_start_order_ramps_up_with_the_history(self, params2111, cosine_state,
+                                                   monkeypatch):
+        seen = []
+        step = scheme.step
+
+        def recording(prev, *args, start, **kw):
+            seen.append((np.stack((prev.f, prev.g)), start))
+            return step(prev, *args, start=start, **kw)
+
+        monkeypatch.setattr(scheme, "step", recording)
+        st = cosine_state(cells=32, amp=0.4)
+        self._final(st, params2111, _opts(), t_final=6e-3)
+        u = [prev for prev, _ in seen]
+        starts = [start for _, start in seen]
+        assert starts[0] is None
+        expected = [np.maximum(2 * u[1] - u[0], 0),
+                    np.maximum(3 * u[2] - 3 * u[1] + u[0], 0)]
+        expected += [np.maximum(4 * u[l] - 6 * u[l - 1] + 4 * u[l - 2] - u[l - 3], 0)
+                     for l in range(3, 6)]
+        for start, want in zip(starts[1:], expected, strict=True):
+            assert start.tobytes() == want.tobytes()
+        # each run starts a new history
+        seen.clear()
+        self._final(st, params2111, _opts(), t_final=2e-3)
+        assert seen[0][1] is None
 
     def test_step_keeps_no_state_across_a_run(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
@@ -694,6 +744,18 @@ class TestErrors:
                         cd.SolverOptions(max_iters=1, tol=1e-14)))
         assert err.value.step_index == 1
         assert "did not converge at step 1:" in str(err.value)
+
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_nan_start_raises_nonconvergence(self, params2111, cosine_state, dimension):
+        # NaN > tol is False: a NaN residual must not pass as converged, and
+        # the singular Jacobian it can give (SuperLU in 2D) must not escape
+        # as a bare RuntimeError
+        st = cosine_state(cells=16, amp=0.4) if dimension == 1 else _degenerate_2d_state(8)
+        start = np.stack((st.f, st.g))
+        start.flat[3] = np.nan
+        with pytest.raises(cd.NonConvergence) as err:
+            cd.step(st, 1e-3, params2111, _opts(), start=start)
+        assert math.isnan(err.value.residual)
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
