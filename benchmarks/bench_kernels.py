@@ -55,7 +55,7 @@ def bench(cells: int, repeats: int) -> None:
         ("entropy_trace (n=6)", lambda: diagnostics.entropy_trace(
             state, Params(a, b, c, d), 6)),
         ("implicit_residual", lambda: fvops.implicit_residual(
-            u, u, (a, b, c, d), tau, dx, 0.0, np.inf, False, True)),
+            u, u, (a, b, c, d), tau, dx, None, True)),
     ]
     print(f"{'kernel':<24} {'cells':>7} {'us/call':>12}")
     for name, func in rows:

@@ -34,6 +34,9 @@ CONFIGS = {
     # 22 steps: the final snapshot is not one of the every-5 snapshots
     "step-snapshots": "--ic step --cells 32 --tau 1e-3 --t-final 2.2e-2 --tol 1e-10 "
                       "--snapshot-every 5",
+    # the 2D regularized Jacobian and the rho cap check
+    "regularized-2d": "--dimension 2 --cells 10 --tau 1e-3 --t-final 1e-2 --tol 1e-11 "
+                      "--eps 1e-3 --rho 1e3",
     "square-12": "--dimension 2 --cells 12 --tau 1e-3 --t-final 1e-2 --tol 1e-11",
     # step 1 needs 5 updates, each on a fresh Jacobian, and is the hardest
     # step of the run: 4 iterations fail at step 1 (residual 5e-7), exit 3

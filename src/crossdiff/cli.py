@@ -202,34 +202,27 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"cells", "dimension", "max_iters", "n_max", "ic_k", "ic_kg",
-             "seed", "snapshot_every", "tau_retries"}
-_BOOL_KEYS = {"clamp_negative", "check_invariants"}
-_STR_KEYS = {"method", "mobility_face", "ic", "ic_file", "out"}
-_FLOAT_KEYS = set(_FIELD_TYPES) - _INT_KEYS - _BOOL_KEYS - _STR_KEYS
+#: config key -> "bool", "int", "float" or "str", from RunConfig's annotations
+_FIELD_TYPES = {f.name: f.type.split(" |")[0] for f in fields(RunConfig)}
 
 
 def _convert(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"unknown configuration key {key!r}")
     raw = raw.strip()
     try:
-        if key in _BOOL_KEYS:
+        if kind == "bool":
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _STR_KEYS:
-            if key == "method" and raw != "newton":
-                removed = " (the Picard solver was removed)" if raw == "picard" else ""
-                raise ValueError(f"{raw!r}{removed}; newton is the only solver")
-            return raw
-        return float(raw)
+        if key == "method" and raw != "newton":
+            removed = " (the Picard solver was removed)" if raw == "picard" else ""
+            raise ValueError(f"{raw!r}{removed}; newton is the only solver")
+        return {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError as err:
         raise ConfigError(f"bad value for {key}: {err}") from err
 
@@ -393,7 +386,7 @@ def cmd_sweep(args) -> int:
     if not swept:
         raise ConfigError("sweep needs at least one comma-separated value list")
     for key in swept:
-        if key in _STR_KEYS:
+        if _FIELD_TYPES.get(key) == "str":
             raise ConfigError(f"cannot sweep over {key}")
     out_root = Path(base.get("out", "out"))
     keys = sorted(swept)
@@ -491,10 +484,8 @@ def _float_list(flag: str, text: str) -> list[float]:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     for key in sorted(_FIELD_TYPES):
-        flag = "--" + key.replace("_", "-")
-        if key == "muskat_R":
-            flag = "--muskat-R"
-        parser.add_argument(flag, dest=key, metavar="V", default=None)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, metavar="V",
+                            default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import math
-
 import numpy as np
 
 from . import fvops, kernels
-from .entropy import build_coefficients, eval_phi1
+from .entropy import build_coefficients, eval_phi1, phi_bounds
 from .errors import InvariantViolation
 from .grid import State
 from .params import Params, theta_constants
@@ -106,22 +104,19 @@ def steady_residual(state: State, params: Params) -> float:
     """Max-norm over faces of the two component fluxes; zero exactly at
     constant states, used as a stopping diagnostic for long runs."""
     u = np.stack((state.f, state.g))
-    fluxes = (fvops.face_terms(u, params.as_tuple(), state.grid.dx, 0.0,
-                               math.inf, False, True, axis)[4]
+    fluxes = (fvops.face_terms(u, params.as_tuple(), state.grid.dx, None, True, axis)[4]
               for axis in range(state.grid.ndim))
     return max(float(np.abs(flux).max()) for flux in fluxes)
 
 
 def entropy_sandwich(state: State, params: Params, n: int):
     """(lower, E_n, upper) where lower/upper integrate the pointwise bounds
-    (c f + d g)^n / d^n and (a f + b g)^n / b^n."""
-    a, b, c, d = params.as_tuple()
-    f = np.maximum(state.f, 0.0)
-    g = np.maximum(state.g, 0.0)
-    lower = state.grid.integrate((c * f + d * g) ** n / d**n)
-    upper = state.grid.integrate((a * f + b * g) ** n / b**n)
+    of :func:`entropy.phi_bounds` (degree ``n >= 2``) at the positive parts
+    of the state."""
+    lower, upper = phi_bounds(params, n, (np.maximum(state.f, 0.0),
+                                          np.maximum(state.g, 0.0)))
     en = entropy_trace(state, params, n)[n - 1]
-    return lower, en, upper
+    return state.grid.integrate(lower), en, state.grid.integrate(upper)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ cells; the face arrays carry that axis last, and the boundary faces 0 and n
 carry zero flux (zero-flux closure).  The face value of a mobility is the
 positive part of the upwind cell value (upwind with respect to the sign of
 the driving pressure gradient) or the mean of the positive parts when
-arithmetic averaging is requested.  The regularized variant replaces the
+arithmetic averaging is requested.  With ``reg = (eps, rho)`` (``None``
+for the unregularized operator) the regularized variant replaces the
 positive part by the capped cutoff profile, multiplies the mobility by the
 sigmoid damping factor and adds ``eps`` times the component gradient.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from .entropy import alpha_rho
 
 
-def face_terms(u, coef, dx, eps, rho, reg, upwind, axis):
+def face_terms(u, coef, dx, reg, upwind, axis):
     """(grad, dp, lam, mob, flux) of the stacked state ``u`` on the faces
     0..n along grid ``axis``: component gradients, pressure gradients,
     damping (the scalar 1.0 without regularization), face mobilities and
@@ -33,7 +34,8 @@ def face_terms(u, coef, dx, eps, rho, reg, upwind, axis):
     grad[..., 1:n] = (hi - lo) / dx
     col = np.asarray(coef, dtype=float).reshape((2, 2) + (1,) * (u.ndim - 1))
     dp = col[:, 0] * grad[0] + col[:, 1] * grad[1]
-    if reg:
+    if reg is not None:
+        eps, rho = reg
         pos = np.maximum(u, 0.0)
         s = 0.5 * (pos[0, ..., :-1] + pos[0, ..., 1:] + pos[1, ..., :-1] + pos[1, ..., 1:])
         lam = np.ones(grad.shape[1:])
@@ -48,16 +50,16 @@ def face_terms(u, coef, dx, eps, rho, reg, upwind, axis):
     else:
         mob[..., 1:n] = 0.5 * (cut(lo) + cut(hi))
     flux = lam * mob * dp
-    if reg:
+    if reg is not None:
         flux += eps * grad
     return grad, dp, lam, mob, flux
 
 
-def implicit_residual(u, prev, coef, tau, dx, eps, rho, reg, upwind):
+def implicit_residual(u, prev, coef, tau, dx, reg, upwind):
     """Residual ``u - tau/dx * sum_axis diff(flux) - prev`` of the implicit
     step at the stacked state ``u``, and the face terms of every axis (the
     :func:`face_terms` tuples, in axis order)."""
-    terms = [face_terms(u, coef, dx, eps, rho, reg, upwind, axis)
+    terms = [face_terms(u, coef, dx, reg, upwind, axis)
              for axis in range(u.ndim - 1)]
     tau_dx = tau / dx
     r = u

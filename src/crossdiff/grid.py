@@ -1,70 +1,30 @@
 """Uniform cell-centered meshes with zero-flux (Neumann) closure.
 
 1D is the primary geometry; 2D is the tensor-product extension on a square
-domain with the same cell count per axis.  Fields are plain numpy arrays of
-the grid's ``shape``; the x coordinate runs along the last axis.
+domain with the same cell count per axis.  One class, :class:`Grid`, holds
+the geometry of both; :class:`Grid1D` and :class:`Grid2D` only fix its
+dimension.  Fields are plain numpy arrays of the grid's ``shape``; the x
+coordinate runs along the last axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class Grid1D:
+class Grid:
+    """``num_cells`` cells per axis on the cube of side ``length``, in the
+    dimension ``ndim`` that :class:`Grid1D` and :class:`Grid2D` set."""
+
     num_cells: int
     length: float
-
-    def __post_init__(self):
-        if self.num_cells < 2:
-            raise ValueError(f"need at least 2 cells, got {self.num_cells}")
-        if not self.length > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
-
-    ndim = 1
-
-    @property
-    def dx(self) -> float:
-        return self.length / self.num_cells
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.num_cells,)
-
-    @property
-    def num_points(self) -> int:
-        return self.num_cells
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx
-
-    @property
-    def measure(self) -> float:
-        """Total domain measure |Omega|."""
-        return self.length
-
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.num_cells) + 0.5) * self.dx
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Midpoint quadrature, exact for cellwise-constant integrands."""
-        values = self._check_field(values)
-        return float(self.dx * values.sum())
-
-    def _check_field(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.shape:
-            raise ValueError(f"field shape {values.shape} != grid shape {self.shape}")
-        return values
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    num_cells: int
-    length: float
+    ndim: ClassVar[int]
 
     def __post_init__(self):
         if self.num_cells < 2:
@@ -72,35 +32,39 @@ class Grid2D:
         if not self.length > 0.0:
             raise ValueError(f"domain length must be positive, got {self.length}")
 
-    ndim = 2
-
-    @property
+    # computed once per grid: the states of a run share it, and each step reads it
+    @cached_property
     def dx(self) -> float:
         return self.length / self.num_cells
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
-        return (self.num_cells, self.num_cells)
+        return (self.num_cells,) * self.ndim
 
-    @property
+    @cached_property
     def num_points(self) -> int:
-        return self.num_cells * self.num_cells
+        return self.num_cells**self.ndim
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
-        return self.dx * self.dx
+        return math.prod((self.dx,) * self.ndim)
 
-    @property
+    @cached_property
     def measure(self) -> float:
-        return self.length * self.length
+        """Total domain measure |Omega|."""
+        return math.prod((self.length,) * self.ndim)
 
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) center coordinates, each of the grid's shape."""
+    def centers(self):
+        """Cell-center coordinates: an array in 1D, and in 2D the (x, y)
+        arrays of the grid's shape."""
         c = (np.arange(self.num_cells) + 0.5) * self.dx
+        if self.ndim == 1:
+            return c
         x, y = np.meshgrid(c, c, indexing="xy")
         return x, y
 
     def integrate(self, values: np.ndarray) -> float:
+        """Midpoint quadrature, exact for cellwise-constant integrands."""
         values = self._check_field(values)
         return float(self.cell_volume * values.sum())
 
@@ -109,6 +73,14 @@ class Grid2D:
         if values.shape != self.shape:
             raise ValueError(f"field shape {values.shape} != grid shape {self.shape}")
         return values
+
+
+class Grid1D(Grid):
+    ndim = 1
+
+
+class Grid2D(Grid):
+    ndim = 2
 
 
 @dataclass
@@ -120,7 +92,7 @@ class State:
     sign-indefinite data (e.g. manufactured fields in gradient checks).
     """
 
-    grid: Grid1D | Grid2D
+    grid: Grid
     f: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
 

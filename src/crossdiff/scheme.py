@@ -6,8 +6,9 @@ One step solves, cellwise on the mesh,
 
 with the component flux at a face equal to the (positive-part, upwind or
 arithmetic) face mobility times the face gradient of that component's
-pressure (a f + b g for f, c f + d g for g).  The regularized variant uses
-the capped/damped mobility plus an eps-identity diffusion block.
+pressure (a f + b g for f, c f + d g for g).  With ``opts.regularization =
+(eps, rho)``, the one value the solve hands down to the face operator, the
+same step uses the capped/damped mobility plus an eps-identity diffusion block.
 
 The face fluxes and the residual come from :mod:`crossdiff.fvops`, one
 operator for every dimension.  The nonlinear solve is a chord Newton
@@ -30,7 +31,7 @@ the inequality) on the first breach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -106,44 +107,38 @@ class StepReport:
 def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
          factors: list | None = None,
          start: np.ndarray | None = None) -> tuple[State, StepReport]:
-    """Advance one implicit step; regularized automatically when
-    ``opts.regularization`` is set.
+    """Advance one implicit step, of the eps/rho-regularized system when
+    ``opts.regularization = (eps, rho)`` is set.
+
+    A regularized step raises :class:`RhoTooSmall` when rho is below the
+    sup-norm of ``prev``; its output is capped by rho (checked, with
+    violations raised) and its entropy decay is only approximate: the
+    increment is reported, not enforced.
 
     ``factors`` is the one-slot holder through which :func:`run` carries the
     Newton LU factors from step to step, and ``start`` the stacked ``(f, g)``
     at which :func:`run` starts the Newton iteration (default ``prev``);
     without them the step depends on nothing but ``prev`` and the options.
     """
-    if opts.regularization is not None:
-        eps, rho = opts.regularization
-        return step_regularized(prev, tau, params, eps, rho, opts, factors=factors,
-                                start=start)
     _validate_step_inputs(prev, tau)
-    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, 0.0, math.inf,
-                                           False, factors, start)
-    return _finalize_step(new, prev, params, opts, iters, res, n_lu, rho=None)
+    if opts.regularization is not None:
+        rho, sup = opts.regularization[1], prev.max_value()
+        if rho < sup:
+            raise RhoTooSmall(rho, sup)
+    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, factors, start)
+    return _finalize_step(new, params, opts, iters, res, n_lu)
 
 
 def step_regularized(prev: State, tau: float, params: Params, eps: float,
                      rho: float, opts: SolverOptions, *, factors: list | None = None,
                      start: np.ndarray | None = None) -> tuple[State, StepReport]:
-    """Advance one implicit step of the eps/rho-regularized system.
-
-    The output is capped by rho (checked, with violations raised) and the
-    entropy decay is only approximate: its increment is reported, not
-    enforced.  ``factors`` and ``start`` are as in :func:`step`.
-    """
-    _validate_step_inputs(prev, tau)
-    if not (0.0 < eps < 1.0):
-        raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
-    if not rho > 1.0:
-        raise InvalidInput(f"rho must exceed 1, got {rho}")
-    sup = max(prev.f.max(), prev.g.max())
-    if rho < sup:
-        raise RhoTooSmall(rho, sup)
-    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, eps, rho, True,
-                                           factors, start)
-    return _finalize_step(new, prev, params, opts, iters, res, n_lu, rho=rho)
+    """:func:`step` with ``opts.regularization = (eps, rho)``; an ``eps``
+    outside (0, 1) or a ``rho`` not above 1 raises :class:`InvalidInput`."""
+    try:
+        opts = replace(opts, regularization=(eps, rho))
+    except ValueError as err:   # SolverOptions' check of the (eps, rho) ranges
+        raise InvalidInput(str(err)) from err
+    return step(prev, tau, params, opts, factors=factors, start=start)
 
 
 def run(initial: State, tau: float, t_final: float, params: Params,
@@ -231,40 +226,39 @@ def _validate_step_inputs(prev: State, tau: float) -> None:
 
 
 def step_residual(state: State, prev: State, tau: float, params: Params,
-                  opts: SolverOptions, eps: float = 0.0, rho: float = math.inf,
-                  reg: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                  opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
     """Nonlinear residual arrays of the implicit step equation; the
     contract checked by the solvers and the tests."""
-    if opts.regularization is not None and not reg:
-        eps, rho = opts.regularization
-        reg = True
     r = fvops.implicit_residual(
         np.stack((state.f, state.g)), np.stack((prev.f, prev.g)),
-        params.as_tuple(), tau, state.grid.dx, eps, rho, reg,
+        params.as_tuple(), tau, state.grid.dx, opts.regularization,
         opts.mobility_face == "upwind")[0]
     return r[0], r[1]
 
 
-def _cut_derivative(z, rho, reg):
-    if not reg:
+def _cut_derivative(z, reg):
+    """Derivative of the positive part, or with ``reg`` of ``alpha_rho``."""
+    if reg is None:
         return (z > 0.0).astype(float)
+    rho = reg[1]
     out = np.zeros_like(z)
     out[(z > 0.0) & (z <= rho - 1.0)] = 1.0
     out[(z > rho - 1.0) & (z < rho)] = -(rho - 1.0)
     return out
 
 
-def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
+def _jacobian(u, terms, grid, params, tau, reg, upwind):
     """Analytic Jacobian of the implicit residual at the stacked state ``u``
     as a COO matrix (duplicates summed on use) over the stacked unknowns
     (f block, then g block); ``terms`` are the per-axis face terms of ``u`` that
     :func:`fvops.implicit_residual` returns with its residual.  Mobility and
     damping derivatives included, the upwind selection and the
-    positive-part/cap kinks frozen at the iterate."""
+    positive-part/cap kinks frozen at the iterate; ``reg`` is the
+    ``(eps, rho)`` of a regularized step, or None."""
     a, b, c, d = params.as_tuple()
     P = grid.num_points
     dx = grid.dx
-    eps_eff = eps if reg else 0.0
+    eps = 0.0 if reg is None else reg[0]
     fv, gv = u[0].ravel(), u[1].ravel()
     cells = np.arange(P).reshape(grid.shape)
     diag = np.arange(2 * P)
@@ -279,16 +273,16 @@ def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
         if upwind:
             up_f = np.where(dpf > 0.0, R, L)
             up_g = np.where(dpg > 0.0, R, L)
-            dmf = _cut_derivative(fv[up_f], rho, reg)
-            dmg = _cut_derivative(gv[up_g], rho, reg)
+            dmf = _cut_derivative(fv[up_f], reg)
+            dmg = _cut_derivative(gv[up_g], reg)
             dmf_L, dmf_R = dmf * (up_f == L), dmf * (up_f == R)
             dmg_L, dmg_R = dmg * (up_g == L), dmg * (up_g == R)
         else:
-            dmf_L = 0.5 * _cut_derivative(fv[L], rho, reg)
-            dmf_R = 0.5 * _cut_derivative(fv[R], rho, reg)
-            dmg_L = 0.5 * _cut_derivative(gv[L], rho, reg)
-            dmg_R = 0.5 * _cut_derivative(gv[R], rho, reg)
-        if reg:
+            dmf_L = 0.5 * _cut_derivative(fv[L], reg)
+            dmf_R = 0.5 * _cut_derivative(fv[R], reg)
+            dmg_L = 0.5 * _cut_derivative(gv[L], reg)
+            dmg_R = 0.5 * _cut_derivative(gv[R], reg)
+        if reg is not None:
             lam = lam[..., 1:-1].ravel()
             s = 0.5 * (np.maximum(fv[L], 0.0) + np.maximum(fv[R], 0.0)
                        + np.maximum(gv[L], 0.0) + np.maximum(gv[R], 0.0))
@@ -301,15 +295,15 @@ def _jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind):
         else:
             dl_fL = dl_fR = dl_gL = dl_gR = 0.0
         # d flux_f / d {f_L, f_R, g_L, g_R}
-        dff_fL = -eps_eff / dx + lam * dmf_L * dpf - lam * mf * a / dx + dl_fL * mf * dpf
-        dff_fR = eps_eff / dx + lam * dmf_R * dpf + lam * mf * a / dx + dl_fR * mf * dpf
+        dff_fL = -eps / dx + lam * dmf_L * dpf - lam * mf * a / dx + dl_fL * mf * dpf
+        dff_fR = eps / dx + lam * dmf_R * dpf + lam * mf * a / dx + dl_fR * mf * dpf
         dff_gL = -lam * mf * b / dx + dl_gL * mf * dpf
         dff_gR = lam * mf * b / dx + dl_gR * mf * dpf
         # d flux_g / d {f_L, f_R, g_L, g_R}
         dfg_fL = -lam * mg * c / dx + dl_fL * mg * dpg
         dfg_fR = lam * mg * c / dx + dl_fR * mg * dpg
-        dfg_gL = -eps_eff / dx + lam * dmg_L * dpg - lam * mg * d / dx + dl_gL * mg * dpg
-        dfg_gR = eps_eff / dx + lam * dmg_R * dpg + lam * mg * d / dx + dl_gR * mg * dpg
+        dfg_gL = -eps / dx + lam * dmg_L * dpg - lam * mg * d / dx + dl_gL * mg * dpg
+        dfg_gR = eps / dx + lam * dmg_R * dpg + lam * mg * d / dx + dl_gR * mg * dpg
         s_tau = tau / dx
         # rows: residual index (f block 0..P-1, g block P..2P-1)
         for row_base, terms in (
@@ -362,7 +356,7 @@ def _factor(J, ndim):
     return scipy.sparse.linalg.splu(J, permc_spec=SUPERLU_ORDERING)
 
 
-def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
+def _newton_sparse(prev, tau, params, opts, factors, start):
     """Semi-smooth chord Newton with Armijo backtracking on the stacked
     state ``(f, g)`` from ``start`` (default ``prev``); returns the state,
     the number of updates, the final residual max-norm and the number of
@@ -388,13 +382,13 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
     :class:`NonConvergence` (a NaN residual too: it fails ``phi <= tol``).
     """
     grid = prev.grid
+    reg = opts.regularization
     upwind = opts.mobility_face == "upwind"
     coef = params.as_tuple()
     prev_u = np.stack((prev.f, prev.g))
 
     def norm(v):
-        r, terms = fvops.implicit_residual(v, prev_u, coef, tau, grid.dx, eps,
-                                           rho, reg, upwind)
+        r, terms = fvops.implicit_residual(v, prev_u, coef, tau, grid.dx, reg, upwind)
         return np.abs(r).max(), r, terms
 
     u = prev_u if start is None else start
@@ -417,8 +411,7 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
                 continue
             lu = None   # release the stale factors before building new ones
         try:
-            lu = _factor(_jacobian(u, terms, grid, params, tau, eps, rho, reg, upwind),
-                         grid.ndim)
+            lu = _factor(_jacobian(u, terms, grid, params, tau, reg, upwind), grid.ndim)
         except RuntimeError as err:     # a singular (or NaN) Jacobian
             raise NonConvergence(iters, float(phi)) from err
         n_lu += 1
@@ -440,7 +433,7 @@ def _newton_sparse(prev, tau, params, opts, eps, rho, reg, factors, start):
     return State(grid, u[0], u[1]), iters, float(phi), n_lu
 
 
-def _finalize_step(new, prev, params, opts, iters, res, n_lu, rho):
+def _finalize_step(new, params, opts, iters, res, n_lu):
     clamped = (0.0, 0.0)
     if opts.clamp_negative:
         neg_f = np.minimum(new.f, 0.0)
@@ -453,7 +446,8 @@ def _finalize_step(new, prev, params, opts, iters, res, n_lu, rho):
             raise InvariantViolation(
                 "nonnegativity", None,
                 f"min component {m:.3e} < -{NONNEG_TOL:.0e}")
-    if rho is not None:
+    if opts.regularization is not None:
+        rho = opts.regularization[1]
         top = new.max_value()
         if top > rho + CAP_TOL:
             raise InvariantViolation(

@@ -45,6 +45,17 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="bad value"):
             cli.build_config({"cells": "many"}, {})
 
+    def test_values_parsed_by_annotated_type(self):
+        config = cli.build_config({"cells": "48", "eps": "1e-3", "clamp_negative": "yes",
+                                   "ic_file": " x.csv "}, {})
+        assert (config.cells, config.eps, config.clamp_negative, config.ic_file) == \
+            (48, 1e-3, True, "x.csv")
+        assert type(config.cells) is int and type(config.eps) is float
+        with pytest.raises(cli.ConfigError, match="bad value for cells"):
+            cli.build_config({"cells": "1.5"}, {})
+        with pytest.raises(cli.ConfigError, match="not a boolean"):
+            cli.build_config({"check_invariants": "maybe"}, {})
+
     def test_muskat_conflicts_with_explicit(self):
         with pytest.raises(cli.ConfigError, match="not both"):
             cli.build_config({"a": "2", "b": "1", "c": "1", "d": "1",
@@ -476,6 +487,13 @@ class TestSweepCommand:
                          "--workers", 0, "--out", out])
         assert code == cli.EXIT_CONFIG
         assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not (out / "sweep_manifest.csv").exists()
+
+    def test_rejects_sweep_over_string_key(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = _run_cli(["sweep", "--ic", "step,constant", "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "cannot sweep over ic" in capsys.readouterr().err
         assert not (out / "sweep_manifest.csv").exists()
 
     def test_sweep_without_lists_is_an_error(self, tmp_path, capsys):

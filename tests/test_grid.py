@@ -21,15 +21,14 @@ def face_gradient(grid, v, axis=0):
     """Face gradient of the field ``v`` along grid ``axis``: faces 0..n on
     the last array axis, zero on the boundary faces."""
     u = np.stack([v, np.zeros_like(v)])
-    grad, *_ = fvops.face_terms(u, IDENTITY, grid.dx, 0.0, 1.0, False, True, axis)
+    grad, *_ = fvops.face_terms(u, IDENTITY, grid.dx, None, True, axis)
     return grad[0]
 
 
 def flux_and_divergence(grid, u):
     """Upwind face fluxes of the stacked state ``u`` along every grid axis,
     and the cell divergence they produce in the implicit step."""
-    r, terms = fvops.implicit_residual(u, u, IDENTITY, 1.0, grid.dx, 0.0, 1.0,
-                                       False, True)
+    r, terms = fvops.implicit_residual(u, u, IDENTITY, 1.0, grid.dx, None, True)
     return [t[-1] for t in terms], -r
 
 
@@ -37,8 +36,17 @@ class TestGrid1D:
     def test_geometry(self):
         grid = cd.Grid1D(4, 1.0)
         assert grid.dx == 0.25
+        assert grid.shape == (4,)
+        assert grid.num_points == 4
+        assert grid.cell_volume == 0.25
         np.testing.assert_allclose(grid.centers(), [0.125, 0.375, 0.625, 0.875])
         assert grid.measure == 1.0
+
+    def test_differs_from_2d_grid_of_same_size(self):
+        assert cd.Grid1D(4, 1.0) != cd.Grid2D(4, 1.0)
+        assert cd.Grid1D(4, 1.0) == cd.Grid1D(4, 1.0)
+        assert repr(cd.Grid1D(4, 1.0)).startswith("Grid1D(")
+        assert repr(cd.Grid2D(4, 1.0)).startswith("Grid2D(")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -124,6 +132,8 @@ class TestGrid2D:
     def test_geometry(self):
         grid = cd.Grid2D(4, 2.0)
         assert grid.dx == 0.5
+        assert grid.shape == (4, 4)
+        assert grid.num_points == 16
         assert grid.cell_volume == 0.25
         assert grid.measure == 4.0
         x, y = grid.centers()

@@ -185,8 +185,8 @@ class TestFluxAndResidualLanes:
         f, g = _random_state(rng, 50, allow_negative=True)
         F, G = _random_state(rng, 50)
         args = (1e-3, 0.02, 0.05, 2.5, reg, upwind)
-        r = fvops.implicit_residual(np.stack((f, g)), np.stack((F, G)), COEFS,
-                                    *args)[0]
+        r = fvops.implicit_residual(np.stack((f, g)), np.stack((F, G)), COEFS, 1e-3,
+                                    0.02, (0.05, 2.5) if reg else None, upwind)[0]
         ref_f, ref_g = _reference_residual(f, g, F, G, *args)
         np.testing.assert_allclose(r[0], ref_f, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(r[1], ref_g, rtol=1e-13, atol=1e-13)
@@ -204,8 +204,8 @@ class TestFluxAndResidualLanes:
         F = rng.uniform(0.0, 3.0, (n, n))
         G = rng.uniform(0.0, 3.0, (n, n))
         args = (1e-3, 1.0 / n, 0.05, 2.5, reg, upwind)
-        r = fvops.implicit_residual(np.stack((f, g)), np.stack((F, G)), COEFS,
-                                    *args)[0]
+        r = fvops.implicit_residual(np.stack((f, g)), np.stack((F, G)), COEFS, 1e-3,
+                                    1.0 / n, (0.05, 2.5) if reg else None, upwind)[0]
         ref_f, ref_g = _reference_residual_2d(f, g, F, G, *args)
         np.testing.assert_allclose(r[0], ref_f, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(r[1], ref_g, rtol=1e-13, atol=1e-13)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -322,15 +323,14 @@ class TestBandFactors:
                              ids=["plain", "regularized"])
     def test_solves_random_jacobians_like_splu(self, params2111, face, regularization):
         rng = np.random.default_rng(7)
-        eps, rho = regularization or (0.0, math.inf)
-        reg, upwind = regularization is not None, face == "upwind"
+        upwind = face == "upwind"
         for n in (2, 3, 17, 64):
             grid = cd.Grid1D(n, 1.0)
             # random sign changes of the pressure gradients, zero components
             u = rng.uniform(0.0, 2.0, (2, n)) * (rng.uniform(size=(2, n)) > 0.2)
             terms = fvops.implicit_residual(u, u, params2111.as_tuple(), 1e-3,
-                                            grid.dx, eps, rho, reg, upwind)[1]
-            J = scheme._jacobian(u, terms, grid, params2111, 1e-3, eps, rho, reg, upwind)
+                                            grid.dx, regularization, upwind)[1]
+            J = scheme._jacobian(u, terms, grid, params2111, 1e-3, regularization, upwind)
             lu = scheme._factor(J, grid.ndim)
             assert isinstance(lu, scheme._BandLU)
             b = rng.normal(size=2 * n)
@@ -386,7 +386,6 @@ class TestJacobian:
     def test_matches_central_differences(self, params2111, grid, face, regularization):
         state = _monotone_state(grid)
         opts = _opts(mobility_face=face, regularization=regularization)
-        eps, rho = regularization or (0.0, math.inf)
         P = grid.num_points
         z = np.concatenate([state.f.ravel(), state.g.ravel()])
 
@@ -401,11 +400,11 @@ class TestJacobian:
             e = np.zeros(2 * P)
             e[j] = h
             fd[:, j] = (residual(z + e) - residual(z - e)) / (2 * h)
-        reg, upwind = regularization is not None, face == "upwind"
+        upwind = face == "upwind"
         u = np.stack((state.f, state.g))
         terms = fvops.implicit_residual(u, u, params2111.as_tuple(), self.TAU,
-                                        grid.dx, eps, rho, reg, upwind)[1]
-        J = scheme._jacobian(u, terms, grid, params2111, self.TAU, eps, rho, reg, upwind)
+                                        grid.dx, regularization, upwind)[1]
+        J = scheme._jacobian(u, terms, grid, params2111, self.TAU, regularization, upwind)
         assert np.abs(J.toarray() - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
@@ -416,13 +415,33 @@ class TestStepRegularized:
         with pytest.raises(cd.RhoTooSmall):
             cd.step_regularized(st, 1e-3, params2111, 1e-2, 2.0, _opts())
 
+    def test_step_with_regularization_checks_rho(self, params2111):
+        grid = cd.Grid1D(8, 1.0)
+        st = cd.State.constant(grid, 3.0, 1.0)
+        with pytest.raises(cd.RhoTooSmall):
+            cd.step(st, 1e-3, params2111, _opts(regularization=(1e-2, 2.0)))
+
+    @pytest.mark.parametrize("make_grid", [cd.Grid1D, cd.Grid2D], ids=["1d", "2d"])
+    def test_is_step_with_regularization_option(self, params2111, make_grid):
+        grid = make_grid(12, 1.0)
+        x = grid.centers() if grid.ndim == 1 else grid.centers()[0]
+        st = cd.State(grid, 1.0 + 0.5 * np.cos(np.pi * x), np.ones(grid.shape))
+        opts = _opts(mobility_face="arithmetic")
+        new_r, rep_r = cd.step_regularized(st, 1e-3, params2111, 1e-2, 50.0, opts)
+        new_s, rep_s = cd.step(st, 1e-3, params2111,
+                               dataclasses.replace(opts, regularization=(1e-2, 50.0)))
+        np.testing.assert_array_equal(new_r.f, new_s.f)
+        np.testing.assert_array_equal(new_r.g, new_s.g)
+        np.testing.assert_array_equal(rep_r.entropies, rep_s.entropies)
+        assert (rep_r.iterations, rep_r.residual) == (rep_s.iterations, rep_s.residual)
+
     def test_parameter_ranges(self, params2111):
         grid = cd.Grid1D(8, 1.0)
         st = cd.State.constant(grid, 0.5, 0.5)
         for eps in (0.0, 1.0, -0.5):
-            with pytest.raises(cd.InvalidInput):
+            with pytest.raises(cd.InvalidInput, match=r"eps must lie in \(0, 1\)"):
                 cd.step_regularized(st, 1e-3, params2111, eps, 10.0, _opts())
-        with pytest.raises(cd.InvalidInput):
+        with pytest.raises(cd.InvalidInput, match="rho must exceed 1, got 1.0"):
             cd.step_regularized(st, 1e-3, params2111, 0.1, 1.0, _opts())
 
     def test_constant_state_unchanged(self, params2111):
