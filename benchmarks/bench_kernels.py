@@ -2,15 +2,16 @@
 """Time the hot kernels and one Newton step on desk-scale problems.
 
 Times the per-step entropy report (``diagnostics.entropy_trace`` of
-E_1..E_6, from one power-moment product) and the implicit-step residual
+E_1..E_6, from one power-moment product), the implicit-step residual
 (``fvops.implicit_residual``, the face operator shared by every dimension)
-at ``--cells`` cells and prints microseconds per call (best of
-the repeats).  Two more rows time one Newton step, one on the 1D grid of
-``--cells`` cells and one on a fixed 64x64 grid with a zero patch in f, and
-print milliseconds, Jacobian LU factorizations, Newton iterations and the
-storage of the step's last factors: the band array entries of the 1D LAPACK
-factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
-column order).  The last row times one 100-step 1D run on ``--cells`` cells,
+and the assembly of the upwind Newton Jacobian (``scheme._jacobian``) at
+``--cells`` cells, and the Jacobian once more on a fixed 64x64 grid with a
+zero patch in f, and prints microseconds per call (best of the repeats).
+Two more rows time one Newton step, one on the 1D grid of ``--cells``
+cells and one on the 64x64 grid, and print milliseconds, Jacobian LU
+factorizations, Newton iterations and the storage of the step's last
+factors: the band array entries of the 1D LAPACK factors, the L+U nonzeros
+of the 2D SuperLU factors (the fill left by its column order).  The last row times one 100-step 1D run on ``--cells`` cells,
 which carries the LU factors from step to step, and prints milliseconds,
 factorizations and iterations per step.  Run:
 
@@ -29,7 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from crossdiff import diagnostics, fvops  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
-from crossdiff.scheme import SolverOptions, _BandLU, run, step  # noqa: E402
+from crossdiff.scheme import SolverOptions, _BandLU, _jacobian, run, step  # noqa: E402
+
+PARAMS = Params(2.0, 1.0, 1.0, 1.0)
 
 
 def _time_us(func, repeats):
@@ -42,52 +45,64 @@ def _time_us(func, repeats):
     return 1e6 * best
 
 
+def _bump_state(cells: int) -> State:
+    """A smooth positive profile on the 1D grid of ``cells`` cells."""
+    grid = Grid1D(cells, 1.0)
+    return State(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()), np.ones(cells))
+
+
+def _square_state() -> State:
+    """The 64x64 state: f a compactly supported cap (zero near the corners)."""
+    grid = Grid2D(64, 1.0)
+    x, y = grid.centers()
+    f = 1.5 * np.maximum(0.0, 1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.35**2)
+    g = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    return State(grid, f, g)
+
+
+def _jacobian_call(state: State, tau: float):
+    """Upwind Jacobian assembly at ``state``, face terms computed once."""
+    u = np.stack((state.f, state.g))
+    terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
+                                    None, True)[1]
+    return lambda: _jacobian(u, terms, state.grid, PARAMS, tau, None, True)
+
+
 def bench(cells: int, repeats: int) -> None:
-    a, b, c, d = 2.0, 1.0, 1.0, 1.0
-    tau, dx = 1e-3, 1.0 / cells
-    x = (np.arange(cells) + 0.5) / cells
-    F = 1.0 + 0.5 * np.cos(np.pi * x)
-    G = np.ones(cells)
-    u = np.stack((F, G))
-    state = State(Grid1D(cells, 1.0), F, G)
+    tau = 1e-3
+    state = _bump_state(cells)
+    square = _square_state()
+    u = np.stack((state.f, state.g))
 
     rows = [
-        ("entropy_trace (n=6)", lambda: diagnostics.entropy_trace(
-            state, Params(a, b, c, d), 6)),
-        ("implicit_residual", lambda: fvops.implicit_residual(
-            u, u, (a, b, c, d), tau, dx, None, True)),
+        ("entropy_trace (n=6)", cells, lambda: diagnostics.entropy_trace(state, PARAMS, 6)),
+        ("implicit_residual", cells, lambda: fvops.implicit_residual(
+            u, u, PARAMS.as_tuple(), tau, state.grid.dx, None, True)),
+        ("jacobian 1d", cells, _jacobian_call(state, tau)),
+        ("jacobian 2d", square.grid.num_points, _jacobian_call(square, tau)),
     ]
     print(f"{'kernel':<24} {'cells':>7} {'us/call':>12}")
-    for name, func in rows:
-        print(f"{name:<24} {cells:>7} {_time_us(func, repeats):>12.1f}")
+    for name, n, func in rows:
+        print(f"{name:<24} {n:>7} {_time_us(func, repeats):>12.1f}")
 
 
 def bench_newton(cells: int, repeats: int) -> None:
-    """One Newton step with tau 1e-3 per row: 1D on ``cells`` cells from a
-    smooth positive profile, to tol 1e-9 (the residual floor grows like
+    """One Newton step with tau 1e-3 per row: 1D on ``cells`` cells from
+    :func:`_bump_state`, to tol 1e-9 (the residual floor grows like
     tau/dx^2 times machine epsilon, and 1e-9 stays above it up to at least
-    16384 cells), and 2D on a fixed 64x64 grid where f is a compactly
-    supported cap (zero near the corners), to tol 1e-10."""
-    params = Params(2.0, 1.0, 1.0, 1.0)
-    grid1 = Grid1D(cells, 1.0)
-    x1 = grid1.centers()
-    grid2 = Grid2D(64, 1.0)
-    x, y = grid2.centers()
-    f = 1.5 * np.maximum(0.0, 1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.35**2)
-    g = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    16384 cells), and 2D from :func:`_square_state`, to tol 1e-10."""
     cases = (
-        ("newton 1d", State(grid1, 1.0 + 0.5 * np.cos(np.pi * x1), np.ones(cells)),
-         SolverOptions(tol=1e-9)),
-        ("newton 2d", State(grid2, f, g), SolverOptions(tol=1e-10)),
+        ("newton 1d", _bump_state(cells), SolverOptions(tol=1e-9)),
+        ("newton 2d", _square_state(), SolverOptions(tol=1e-10)),
     )
     print(f"\n{'step':<24} {'cells':>7} {'ms/call':>12} {'factorizations':>15} "
           f"{'iterations':>11} {'LU entries':>11}")
     for label, state, opts in cases:
         factors = []
-        _, report = step(state, 1e-3, params, opts, factors=factors)
+        _, report = step(state, 1e-3, PARAMS, opts, factors=factors)
         lu = factors[0]
         fill = lu.lu.size if isinstance(lu, _BandLU) else lu.L.nnz + lu.U.nnz
-        ms = 1e-3 * _time_us(lambda: step(state, 1e-3, params, opts), repeats)
+        ms = 1e-3 * _time_us(lambda: step(state, 1e-3, PARAMS, opts), repeats)
         print(f"{label:<24} {state.grid.num_points:>7} {ms:>12.1f} "
               f"{report.factorizations:>15} {report.iterations:>11} {fill:>11}")
 
@@ -95,7 +110,7 @@ def bench_newton(cells: int, repeats: int) -> None:
     _, state, opts = cases[0]
     steps = 100
     t0 = time.perf_counter()
-    reports = [rep for _, _, rep in run(state, 1e-3, steps * 1e-3, params, opts)][1:]
+    reports = [rep for _, _, rep in run(state, 1e-3, steps * 1e-3, PARAMS, opts)][1:]
     ms = 1e3 * (time.perf_counter() - t0) / steps
     print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'factorizations/step':>20} "
           f"{'iterations/step':>16}")

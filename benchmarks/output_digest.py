@@ -37,6 +37,10 @@ CONFIGS = {
     # the 2D regularized Jacobian and the rho cap check
     "regularized-2d": "--dimension 2 --cells 10 --tau 1e-3 --t-final 1e-2 --tol 1e-11 "
                       "--eps 1e-3 --rho 1e3",
+    # 2D arithmetic faces on a regularized run whose values enter the cap
+    # ramp (1, 2): half of the 200 final values lie in it
+    "arithmetic-capped-2d": "--dimension 2 --cells 10 --tau 1e-3 --t-final 1e-2 --tol 1e-11 "
+                            "--mobility-face arithmetic --eps 1e-2 --rho 2",
     "square-12": "--dimension 2 --cells 12 --tau 1e-3 --t-final 1e-2 --tol 1e-11",
     # step 1 needs 5 updates, each on a fresh Jacobian, and is the hardest
     # step of the run: 4 iterations fail at step 1 (residual 5e-7), exit 3

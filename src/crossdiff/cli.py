@@ -222,7 +222,10 @@ def _convert(key: str, raw: str):
         if key == "method" and raw != "newton":
             removed = " (the Picard solver was removed)" if raw == "picard" else ""
             raise ValueError(f"{raw!r}{removed}; newton is the only solver")
-        return {"int": int, "float": float, "str": str}[kind](raw)
+        value = {"int": int, "float": float, "str": str}[kind](raw)
+        if key in ("snapshot_every", "tau_retries") and value < 0:
+            raise ValueError(f"must be >= 0, got {value}")
+        return value
     except ValueError as err:
         raise ConfigError(f"bad value for {key}: {err}") from err
 

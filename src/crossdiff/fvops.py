@@ -21,6 +21,21 @@ import numpy as np
 from .entropy import alpha_rho
 
 
+def cut(z, reg):
+    """Face mobility of the cell values ``z``: the positive part, or with
+    ``reg = (eps, rho)`` the capped profile ``alpha_rho``."""
+    return np.maximum(z, 0.0) if reg is None else alpha_rho(z, reg[1])
+
+
+def cut_derivative(z, reg):
+    """Derivative of :func:`cut` at ``z`` (a one-sided value at a kink)."""
+    if reg is None:
+        return (z > 0.0).astype(float)
+    rho = reg[1]
+    return np.where((z > 0.0) & (z <= rho - 1.0), 1.0,
+                    np.where((z > rho - 1.0) & (z < rho), 1.0 - rho, 0.0))
+
+
 def face_terms(u, coef, dx, reg, upwind, axis):
     """(grad, dp, lam, mob, flux) of the stacked state ``u`` on the faces
     0..n along grid ``axis``: component gradients, pressure gradients,
@@ -34,24 +49,20 @@ def face_terms(u, coef, dx, reg, upwind, axis):
     grad[..., 1:n] = (hi - lo) / dx
     col = np.asarray(coef, dtype=float).reshape((2, 2) + (1,) * (u.ndim - 1))
     dp = col[:, 0] * grad[0] + col[:, 1] * grad[1]
+    lam = 1.0
     if reg is not None:
-        eps, rho = reg
         pos = np.maximum(u, 0.0)
         s = 0.5 * (pos[0, ..., :-1] + pos[0, ..., 1:] + pos[1, ..., :-1] + pos[1, ..., 1:])
         lam = np.ones(grad.shape[1:])
-        lam[..., 1:n] = 2.0 / (1.0 + np.exp(eps * s))
-        cut = lambda z: alpha_rho(z, rho)
-    else:
-        lam = 1.0
-        cut = lambda z: np.maximum(z, 0.0)
+        lam[..., 1:n] = 2.0 / (1.0 + np.exp(reg[0] * s))
     mob = np.zeros(grad.shape)
     if upwind:
-        mob[..., 1:n] = cut(np.where(dp[..., 1:n] > 0.0, hi, lo))
+        mob[..., 1:n] = cut(np.where(dp[..., 1:n] > 0.0, hi, lo), reg)
     else:
-        mob[..., 1:n] = 0.5 * (cut(lo) + cut(hi))
+        mob[..., 1:n] = 0.5 * (cut(lo, reg) + cut(hi, reg))
     flux = lam * mob * dp
     if reg is not None:
-        flux += eps * grad
+        flux += reg[0] * grad
     return grad, dp, lam, mob, flux
 
 

@@ -236,88 +236,54 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     return r[0], r[1]
 
 
-def _cut_derivative(z, reg):
-    """Derivative of the positive part, or with ``reg`` of ``alpha_rho``."""
-    if reg is None:
-        return (z > 0.0).astype(float)
-    rho = reg[1]
-    out = np.zeros_like(z)
-    out[(z > 0.0) & (z <= rho - 1.0)] = 1.0
-    out[(z > rho - 1.0) & (z < rho)] = -(rho - 1.0)
-    return out
-
-
 def _jacobian(u, terms, grid, params, tau, reg, upwind):
     """Analytic Jacobian of the implicit residual at the stacked state ``u``
     as a COO matrix (duplicates summed on use) over the stacked unknowns
     (f block, then g block); ``terms`` are the per-axis face terms of ``u`` that
-    :func:`fvops.implicit_residual` returns with its residual.  Mobility and
-    damping derivatives included, the upwind selection and the
-    positive-part/cap kinks frozen at the iterate; ``reg`` is the
-    ``(eps, rho)`` of a regularized step, or None."""
-    a, b, c, d = params.as_tuple()
-    P = grid.num_points
-    dx = grid.dx
+    :func:`fvops.implicit_residual` returns with its residual, ``reg`` the
+    ``(eps, rho)`` of a regularized step or None.  Mobility and damping
+    derivatives included, the upwind choice and the cut's kinks frozen at
+    the iterate.  Along each axis ``dflux[i, j, k]`` is d(flux_i)/d(u_j) at
+    the interior faces, with u_j in the cell on side k (left, right)."""
+    P, dx = grid.num_points, grid.dx
+    coef = np.reshape(params.as_tuple(), (2, 2, 1))
     eps = 0.0 if reg is None else reg[0]
-    fv, gv = u[0].ravel(), u[1].ravel()
+    sgn = np.array([-1.0, 1.0])
+    comp = np.arange(2)
     cells = np.arange(P).reshape(grid.shape)
-    diag = np.arange(2 * P)
-    rows, cols, vals = [diag], [diag], [np.ones(2 * P)]
+    # the identity, then 16 entries per interior face of each axis
+    nnz = 2 * P + sum(16 * (P // n) * (n - 1) for n in grid.shape)
+    rows, cols = np.empty((2, nnz), np.int32)
+    rows[:2 * P] = cols[:2 * P] = np.arange(2 * P)
+    vals = np.ones(nnz)
+    end = 2 * P
     for axis, (_, dp, lam, mob, _) in enumerate(terms):
-        # flat cell indices left and right of the interior faces, in the
-        # order of the face arrays (this axis last)
+        # flat cell indices and stacked (f, g) values on the two sides of the
+        # interior faces, in the order of the face arrays (this axis last)
         moved = cells.swapaxes(axis, -1)
-        L, R = moved[..., :-1].ravel(), moved[..., 1:].ravel()
-        dpf, dpg = dp[..., 1:-1].reshape(2, -1)
-        mf, mg = mob[..., 1:-1].reshape(2, -1)
-        if upwind:
-            up_f = np.where(dpf > 0.0, R, L)
-            up_g = np.where(dpg > 0.0, R, L)
-            dmf = _cut_derivative(fv[up_f], reg)
-            dmg = _cut_derivative(gv[up_g], reg)
-            dmf_L, dmf_R = dmf * (up_f == L), dmf * (up_f == R)
-            dmg_L, dmg_R = dmg * (up_g == L), dmg * (up_g == R)
-        else:
-            dmf_L = 0.5 * _cut_derivative(fv[L], reg)
-            dmf_R = 0.5 * _cut_derivative(fv[R], reg)
-            dmg_L = 0.5 * _cut_derivative(gv[L], reg)
-            dmg_R = 0.5 * _cut_derivative(gv[R], reg)
+        side = np.stack((moved[..., :-1].ravel(), moved[..., 1:].ravel()))
+        v = np.take(u.reshape(2, -1), side, axis=1)
+        dp = dp[..., 1:-1].reshape(2, 1, -1)
+        mob = mob[..., 1:-1].reshape(2, -1)
+        lam = lam if reg is None else lam[..., 1:-1].ravel()
+        # the mobility of component i is the cut of u_i upwind, or its mean
+        weight = (dp > 0.0) == (sgn[:, None] > 0.0) if upwind else 0.5
+        dmob = weight * fvops.cut_derivative(v, reg)
+        dflux = sgn[:, None] * (lam * mob[:, None] * coef / dx)[:, :, None]
+        dflux[comp, comp] += sgn[:, None] * eps / dx + lam * dmob * dp
         if reg is not None:
-            lam = lam[..., 1:-1].ravel()
-            s = 0.5 * (np.maximum(fv[L], 0.0) + np.maximum(fv[R], 0.0)
-                       + np.maximum(gv[L], 0.0) + np.maximum(gv[R], 0.0))
-            expo = np.exp(eps * s)
-            dlam_ds = -2.0 * eps * expo / (1.0 + expo) ** 2
-            dl_fL = dlam_ds * 0.5 * (fv[L] > 0.0)
-            dl_fR = dlam_ds * 0.5 * (fv[R] > 0.0)
-            dl_gL = dlam_ds * 0.5 * (gv[L] > 0.0)
-            dl_gR = dlam_ds * 0.5 * (gv[R] > 0.0)
-        else:
-            dl_fL = dl_fR = dl_gL = dl_gR = 0.0
-        # d flux_f / d {f_L, f_R, g_L, g_R}
-        dff_fL = -eps / dx + lam * dmf_L * dpf - lam * mf * a / dx + dl_fL * mf * dpf
-        dff_fR = eps / dx + lam * dmf_R * dpf + lam * mf * a / dx + dl_fR * mf * dpf
-        dff_gL = -lam * mf * b / dx + dl_gL * mf * dpf
-        dff_gR = lam * mf * b / dx + dl_gR * mf * dpf
-        # d flux_g / d {f_L, f_R, g_L, g_R}
-        dfg_fL = -lam * mg * c / dx + dl_fL * mg * dpg
-        dfg_fR = lam * mg * c / dx + dl_fR * mg * dpg
-        dfg_gL = -eps / dx + lam * dmg_L * dpg - lam * mg * d / dx + dl_gL * mg * dpg
-        dfg_gR = eps / dx + lam * dmg_R * dpg + lam * mg * d / dx + dl_gR * mg * dpg
-        s_tau = tau / dx
-        # rows: residual index (f block 0..P-1, g block P..2P-1)
-        for row_base, terms in (
-            (0, ((dff_fL, 0, L), (dff_fR, 0, R), (dff_gL, P, L), (dff_gR, P, R))),
-            (P, ((dfg_fL, 0, L), (dfg_fR, 0, R), (dfg_gL, P, L), (dfg_gR, P, R))),
-        ):
-            for dflux, col_base, col_idx in terms:
-                # residual at L sees +flux/dx, at R sees -flux/dx
-                rows.extend((row_base + L, row_base + R))
-                cols.extend((col_base + col_idx, col_base + col_idx))
-                vals.extend((-s_tau * dflux, s_tau * dflux))
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * P, 2 * P))
+            # lam = 2 / (1 + exp(eps s)), s half the sum of the four positive parts
+            dlam = -eps * lam * (1.0 - 0.5 * lam) * 0.5 * (v > 0.0)
+            dflux += dlam * mob[:, None, None] * dp[:, None]
+        # entries (i, j, k, row side, face): the residual left of a face
+        # sees -tau/dx flux, right of it +tau/dx flux
+        start, end = end, end + 2 * dflux.size
+        shape = dflux.shape[:3] + side.shape
+        np.multiply((tau / dx * sgn)[:, None], dflux[:, :, :, None],
+                    out=vals[start:end].reshape(shape))
+        rows[start:end].reshape(shape)[...] = P * comp[:, None, None, None, None] + side
+        cols[start:end].reshape(shape)[...] = P * comp[:, None, None, None] + side[:, None]
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(2 * P, 2 * P))
 
 
 class _BandLU:

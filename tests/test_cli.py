@@ -246,6 +246,16 @@ class TestRunCommand:
         assert "t_final=1.0" in err and "tau=0.3" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, key", [("--snapshot-every", "snapshot_every"),
+                                           ("--tau-retries", "tau_retries")])
+    def test_rejects_negative_count(self, tmp_path, capsys, flag, key):
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 8, "--tau", "1e-3", "--t-final", "1e-3",
+                         flag, -3, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert f"bad value for {key}: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tau_retry_recovers(self, tmp_path):
         out = tmp_path / "o"
         code = _run_cli(["run", "--cells", 16, "--tau", "5.0", "--t-final", "5",
@@ -480,6 +490,16 @@ class TestSweepCommand:
         rows = (out / "run_001" / "diagnostics.csv").read_text().strip().splitlines()
         assert len(rows) == 6                    # header, t = 0 and 4 steps
         assert "status: COMPLETED" in (out / "run_001" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("flag, key", [("--snapshot-every", "snapshot_every"),
+                                           ("--tau-retries", "tau_retries")])
+    def test_rejects_negative_count_in_every_member(self, tmp_path, capfd, flag, key):
+        out = tmp_path / "sw"
+        code = _run_cli(["sweep", "--cells", 8, "--t-final", "2e-3", "--tau", "1e-3,2e-3",
+                         f"{flag}=-1", "--workers", 1, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert capfd.readouterr().err.count(f"bad value for {key}: must be >= 0") == 2
+        assert not (out / "run_000").exists() and not (out / "run_001").exists()
 
     def test_rejects_zero_workers_before_writing(self, tmp_path, capsys):
         out = tmp_path / "sw"

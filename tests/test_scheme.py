@@ -375,23 +375,33 @@ def _monotone_state(grid):
     return cd.State(grid, f, g)
 
 
+def _wavy_state(grid):
+    # not monotone, so upwind takes the left cell on some faces, and with
+    # rho = 2 some values lie on the cap ramp (1, 2); the phase shifts keep
+    # every cell value and its central differences off the kinks at 1 and 2
+    if grid.ndim == 1:
+        x = grid.centers()
+        f = 1.0 + 0.5 * np.cos(np.pi * x + 0.3)
+        g = 0.9 + 0.4 * np.cos(2 * np.pi * x + 0.1)
+    else:
+        x, y = grid.centers()
+        f = 1.05 + 0.5 * np.cos(np.pi * x + 0.3) * np.cos(np.pi * y + 0.2)
+        g = 0.9 + 0.4 * np.cos(2 * np.pi * y + 0.1) + 0.1 * x
+    return cd.State(grid, f, g)
+
+
 class TestJacobian:
     TAU = 1e-2
 
-    @pytest.mark.parametrize("grid", [cd.Grid1D(8, 1.0), cd.Grid2D(5, 1.0)],
-                             ids=["1d", "2d"])
-    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
-    @pytest.mark.parametrize("regularization", [None, (1e-1, 10.0)],
-                             ids=["plain", "regularized"])
-    def test_matches_central_differences(self, params2111, grid, face, regularization):
-        state = _monotone_state(grid)
+    def _check(self, params, state, face, regularization):
+        grid = state.grid
         opts = _opts(mobility_face=face, regularization=regularization)
         P = grid.num_points
         z = np.concatenate([state.f.ravel(), state.g.ravel()])
 
         def residual(zz):
             st = cd.State(grid, zz[:P].reshape(grid.shape), zz[P:].reshape(grid.shape))
-            rf, rg = scheme.step_residual(st, state, self.TAU, params2111, opts)
+            rf, rg = scheme.step_residual(st, state, self.TAU, params, opts)
             return np.concatenate([rf.ravel(), rg.ravel()])
 
         h = 1e-6
@@ -402,10 +412,33 @@ class TestJacobian:
             fd[:, j] = (residual(z + e) - residual(z - e)) / (2 * h)
         upwind = face == "upwind"
         u = np.stack((state.f, state.g))
-        terms = fvops.implicit_residual(u, u, params2111.as_tuple(), self.TAU,
+        terms = fvops.implicit_residual(u, u, params.as_tuple(), self.TAU,
                                         grid.dx, regularization, upwind)[1]
-        J = scheme._jacobian(u, terms, grid, params2111, self.TAU, regularization, upwind)
+        J = scheme._jacobian(u, terms, grid, params, self.TAU, regularization, upwind)
         assert np.abs(J.toarray() - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(8, 1.0), cd.Grid2D(5, 1.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
+    @pytest.mark.parametrize("regularization", [None, (1e-1, 10.0)],
+                             ids=["plain", "regularized"])
+    def test_matches_central_differences(self, params2111, grid, face, regularization):
+        self._check(params2111, _monotone_state(grid), face, regularization)
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(8, 1.0), cd.Grid2D(5, 1.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
+    @pytest.mark.parametrize("regularization", [None, (1e-1, 2.0)],
+                             ids=["plain", "capped"])
+    def test_matches_central_differences_off_monotone(self, params2111, grid, face,
+                                                      regularization):
+        state = _wavy_state(grid)
+        if regularization is None:
+            dp = params2111.a * np.diff(state.f, axis=0) + params2111.b * np.diff(state.g, axis=0)
+            assert (dp < 0.0).any() and (dp > 0.0).any()   # upwind takes both sides
+        else:
+            assert ((state.f > 1.0) & (state.f < 2.0)).any()   # values on the cap ramp
+        self._check(params2111, state, face, regularization)
 
 
 class TestStepRegularized:
