@@ -2,18 +2,21 @@
 """Time the hot kernels and one Newton step on desk-scale problems.
 
 Times the per-step entropy report (``diagnostics.entropy_trace`` of
-E_1..E_6, from one power-moment product), the implicit-step residual
-(``fvops.implicit_residual``, the face operator shared by every dimension)
-and the assembly of the upwind Newton Jacobian (``scheme._jacobian``) at
-``--cells`` cells, and the Jacobian once more on a fixed 64x64 grid with a
-zero patch in f, and prints microseconds per call (best of the repeats).
-Two more rows time one Newton step, one on the 1D grid of ``--cells``
-cells and one on the 64x64 grid, and print milliseconds, Jacobian LU
-factorizations, Newton iterations and the storage of the step's last
-factors: the band array entries of the 1D LAPACK factors, the L+U nonzeros
-of the 2D SuperLU factors (the fill left by its column order).  The last row times one 100-step 1D run on ``--cells`` cells,
-which carries the LU factors from step to step, and prints milliseconds,
-factorizations and iterations per step.  Run:
+E_1..E_6, from one power-moment product), the whole per-step report
+(``scheme._report_for``: masses, entropies, dissipation and sup norm), the
+cubic Newton start of a run from four states (``scheme._extrapolate``), the
+implicit-step residual (``fvops.implicit_residual``, the face operator
+shared by every dimension) and the assembly of the upwind Newton Jacobian
+(``scheme._jacobian``) at ``--cells`` cells, and the Jacobian once more on
+a fixed 64x64 grid with a zero patch in f, and prints microseconds per call
+(best of the repeats).  Two more rows time one Newton step, one on the 1D
+grid of ``--cells`` cells and one on the 64x64 grid, and print
+milliseconds, Jacobian LU factorizations, Newton iterations and the storage
+of the step's last factors: the band array entries of the 1D LAPACK
+factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
+column order).  The last row times one 100-step 1D run on ``--cells``
+cells, which carries the LU factors from step to step, and prints
+milliseconds, factorizations and iterations per step.  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
@@ -30,7 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from crossdiff import diagnostics, fvops  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
-from crossdiff.scheme import SolverOptions, _BandLU, _jacobian, run, step  # noqa: E402
+from crossdiff.scheme import (  # noqa: E402
+    SolverOptions, _BandLU, _extrapolate, _jacobian, _report_for, run, step)
 
 PARAMS = Params(2.0, 1.0, 1.0, 1.0)
 
@@ -62,7 +66,7 @@ def _square_state() -> State:
 
 def _jacobian_call(state: State, tau: float):
     """Upwind Jacobian assembly at ``state``, face terms computed once."""
-    u = np.stack((state.f, state.g))
+    u = state.u
     terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
                                     None, True)[1]
     return lambda: _jacobian(u, terms, state.grid, PARAMS, tau, None, True)
@@ -72,10 +76,15 @@ def bench(cells: int, repeats: int) -> None:
     tau = 1e-3
     state = _bump_state(cells)
     square = _square_state()
-    u = np.stack((state.f, state.g))
+    u = state.u
+    opts = SolverOptions()
+    # four states one step apart, newest first, as a run keeps them
+    history = [State(state.grid, state.f * (1.0 - 1e-3 * j), state.g) for j in range(4)]
 
     rows = [
         ("entropy_trace (n=6)", cells, lambda: diagnostics.entropy_trace(state, PARAMS, 6)),
+        ("report 1d", cells, lambda: _report_for(state, PARAMS, opts, 1, 0.0)),
+        ("extrapolate 1d", cells, lambda: _extrapolate(history)),
         ("implicit_residual", cells, lambda: fvops.implicit_residual(
             u, u, PARAMS.as_tuple(), tau, state.grid.dx, None, True)),
         ("jacobian 1d", cells, _jacobian_call(state, tau)),

@@ -50,6 +50,10 @@ CONFIGS = {
     # retry, tau = 2.5e-3, runs all 160 steps
     "tau-retries": "--cells 64 --tau 2e-2 --t-final 0.4 --tol 1e-13 --ic-amp 0.9 "
                    "--max-iters 3 --tau-retries 4 --snapshot-every 20",
+    # a cosine cap whose f is exactly zero on a fifth of the cells, so Newton
+    # iterates hold exact zeros and the derivative of the cut at 0 matters
+    "zero-front-1d": "--ic cosine-bump --ic-f0 0.2 --ic-amp 1 --cells 256 --tau 1e-3 "
+                     "--t-final 2e-2 --tol 1e-10",
 }
 
 

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fvops, kernels
-from .entropy import build_coefficients, eval_phi1, phi_bounds
+from . import fvops
+from .entropy import _log_deviation, build_coefficients, phi_bounds
 from .errors import InvariantViolation
 from .grid import State
 from .params import Params, theta_constants
@@ -54,23 +54,25 @@ def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
     """Entropy values [E_1, ..., E_n_max] of a nonnegative state; inf from
     the first degree whose coefficients overflow double precision.
 
-    E_2..E_n_max are weighted sums of one table of power moments
-    (:func:`crossdiff.kernels.power_moments`) read along the
-    anti-diagonals j + k = n only: the moments of higher total degree may
-    overflow, and never reach a finite E_n."""
+    Both components are evaluated at once on the clipped stacked state: E_1
+    as :func:`crossdiff.entropy.eval_phi1`, E_2..E_n_max as weighted sums of
+    one table of power moments M[j, k] = sum over cells of f^j g^k, read
+    along the anti-diagonals j + k = n only (higher moments may overflow)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    m = state.min_value()
-    if m < -NEGATIVE_CLIP:
+    if (m := state.min_value()) < -NEGATIVE_CLIP:
         raise ValueError(f"entropy trace requires a nonnegative state, min={m}")
-    f = np.maximum(state.f.ravel(), 0.0)
-    g = np.maximum(state.g.ravel(), 0.0)
+    p = np.maximum(state.u.reshape(2, -1), 0.0)
+    a, b, _, d = params.as_tuple()
     vol = state.grid.cell_volume
     out = np.full(n_max, np.inf)
-    out[0] = vol * eval_phi1(params, (f, g)).sum() if f.size else 0.0
+    log_f, log_g = _log_deviation(p)
+    out[0] = vol * (log_f + (b * b) / (a * d) * log_g).sum()
     top, flat, weights, starts = _moment_gather(params, n_max)
     if top >= 2:
-        moments = kernels.power_moments(f, g, top).ravel()
+        with np.errstate(over="ignore"):
+            powers = p[:, None] ** np.arange(top + 1)[:, None]
+            moments = (powers[0] @ powers[1].T).ravel()
         out[1:top] = vol * np.add.reduceat(moments[flat] * weights, starts)
     return out
 
@@ -89,13 +91,11 @@ def linf_bound_constant(params: Params) -> float:
 def dissipation(state: State, params: Params) -> float:
     """Discrete dissipation (1/a) * sum_faces [ |grad(a f + theta1 g)|^2
     + theta2 |grad g|^2 ] * cell volume, using the scheme's face gradients."""
-    a = params.a
-    th = theta_constants(params)
-    grid = state.grid
-    u = np.stack((a * state.f + th.theta1 * state.g, state.g))
+    a, th, grid = params.a, theta_constants(params), state.grid
+    p = a * state.f + th.theta1 * state.g
     total = 0.0
     for axis in range(grid.ndim):
-        gp, gg = np.diff(u, axis=axis + 1) / grid.dx
+        gp, gg = (np.diff(v, axis=axis) / grid.dx for v in (p, state.g))
         total += float(np.sum(gp * gp + th.theta2 * gg * gg))
     return grid.cell_volume * total / a
 
@@ -103,8 +103,7 @@ def dissipation(state: State, params: Params) -> float:
 def steady_residual(state: State, params: Params) -> float:
     """Max-norm over faces of the two component fluxes; zero exactly at
     constant states, used as a stopping diagnostic for long runs."""
-    u = np.stack((state.f, state.g))
-    fluxes = (fvops.face_terms(u, params.as_tuple(), state.grid.dx, None, True, axis)[4]
+    fluxes = (fvops.face_terms(state.u, params.as_tuple(), state.grid.dx, None, True, axis)[4]
               for axis in range(state.grid.ndim))
     return max(float(np.abs(flux).max()) for flux in fluxes)
 
@@ -113,8 +112,7 @@ def entropy_sandwich(state: State, params: Params, n: int):
     """(lower, E_n, upper) where lower/upper integrate the pointwise bounds
     of :func:`entropy.phi_bounds` (degree ``n >= 2``) at the positive parts
     of the state."""
-    lower, upper = phi_bounds(params, n, (np.maximum(state.f, 0.0),
-                                          np.maximum(state.g, 0.0)))
+    lower, upper = phi_bounds(params, n, np.maximum(state.u, 0.0))
     en = entropy_trace(state, params, n)[n - 1]
     return state.grid.integrate(lower), en, state.grid.integrate(upper)
 

@@ -28,9 +28,10 @@ def cut(z, reg):
 
 
 def cut_derivative(z, reg):
-    """Derivative of :func:`cut` at ``z`` (a one-sided value at a kink)."""
+    """Derivative of :func:`cut` at ``z`` (a one-sided value at a kink; 1 for
+    the positive part at 0, so that an empty upwind cell stays coupled)."""
     if reg is None:
-        return (z > 0.0).astype(float)
+        return (z >= 0.0).astype(float)
     rho = reg[1]
     return np.where((z > 0.0) & (z <= rho - 1.0), 1.0,
                     np.where((z > rho - 1.0) & (z < rho), 1.0 - rho, 0.0))

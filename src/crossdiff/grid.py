@@ -10,7 +10,7 @@ coordinate runs along the last axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -83,35 +83,44 @@ class Grid2D(Grid):
     ndim = 2
 
 
-@dataclass
 class State:
-    """Paired cell fields (f, g) on a shared grid.
+    """Paired cell fields (f, g) on a shared grid, held as one stacked array
+    ``u`` of shape ``(2, *grid.shape)``; ``f`` and ``g`` are views of its rows.
 
+    Nothing writes into a state's array in place, so states may share it.
     The solver keeps both components nonnegative; diagnostics that require
     nonnegativity check it themselves, so a state may transiently carry
-    sign-indefinite data (e.g. manufactured fields in gradient checks).
-    """
+    sign-indefinite data (e.g. manufactured fields in gradient checks)."""
 
-    grid: Grid
-    f: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
+    __slots__ = ("grid", "u")
+    f = property(lambda self: self.u[0])
+    g = property(lambda self: self.u[1])
 
-    def __post_init__(self):
-        self.f = self.grid._check_field(self.f)
-        self.g = self.grid._check_field(self.g)
+    def __init__(self, grid: Grid, f, g):
+        self.grid, self.u = grid, np.stack((grid._check_field(f), grid._check_field(g)))
+
+    @classmethod
+    def _wrap(cls, grid: Grid, u: np.ndarray) -> "State":
+        """The state whose stacked array is ``u`` itself, not a copy."""
+        state = cls.__new__(cls)
+        state.grid, state.u = grid, u
+        return state
+
+    def __repr__(self):
+        return f"State(grid={self.grid!r})"
 
     @classmethod
     def constant(cls, grid, f0: float, g0: float) -> "State":
         return cls(grid, np.full(grid.shape, float(f0)), np.full(grid.shape, float(g0)))
 
     def copy(self) -> "State":
-        return State(self.grid, self.f.copy(), self.g.copy())
+        return State._wrap(self.grid, self.u.copy())
 
     def min_value(self) -> float:
-        return float(min(self.f.min(), self.g.min()))
+        return float(self.u.min())
 
     def max_value(self) -> float:
-        return float(max(self.f.max(), self.g.max()))
+        return float(self.u.max())
 
     def masses(self) -> tuple[float, float]:
-        return self.grid.integrate(self.f), self.grid.integrate(self.g)
+        return tuple((self.grid.cell_volume * self.u.reshape(2, -1).sum(axis=1)).tolist())

@@ -1,6 +1,6 @@
-"""Power moments of the cell state, the hot loop of the per-step entropy
-report (:func:`crossdiff.diagnostics.entropy_trace`): every entropy
-polynomial of degree <= n is a weighted sum of these moments."""
+"""Power moments of a pair of cell fields, per component: the reference
+for the table that :func:`crossdiff.diagnostics.entropy_trace` forms from
+the stacked state, which weighs them into every E_n of degree <= n."""
 
 from __future__ import annotations
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,7 @@ class ThetaConstants:
     theta2: float
 
 
+@lru_cache(maxsize=256)     # read by the dissipation report at every step
 def theta_constants(params: Params) -> ThetaConstants:
     a, b, c, d = params.as_tuple()
     ad = a * d

@@ -205,9 +205,9 @@ def _extrapolate(history):
     first, one step apart), evaluated one step ahead (its k-th backward
     difference vanishes) and clipped at zero."""
     k = len(history)
-    start = k * np.stack((history[0].f, history[0].g))
+    start = k * history[0].u
     for j in range(1, k):
-        start += (-1) ** j * math.comb(k, j + 1) * np.stack((history[j].f, history[j].g))
+        start += (-1) ** j * math.comb(k, j + 1) * history[j].u
     return np.maximum(start, 0.0, out=start)
 
 
@@ -221,7 +221,7 @@ def _validate_step_inputs(prev: State, tau: float) -> None:
     m = prev.min_value()
     if m < -10.0 * NONNEG_TOL:
         raise InvalidInput(f"previous state has negative component {m}")
-    if not (np.all(np.isfinite(prev.f)) and np.all(np.isfinite(prev.g))):
+    if not np.isfinite(prev.u).all():
         raise InvalidInput("previous state contains non-finite values")
 
 
@@ -230,9 +230,8 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     """Nonlinear residual arrays of the implicit step equation; the
     contract checked by the solvers and the tests."""
     r = fvops.implicit_residual(
-        np.stack((state.f, state.g)), np.stack((prev.f, prev.g)),
-        params.as_tuple(), tau, state.grid.dx, opts.regularization,
-        opts.mobility_face == "upwind")[0]
+        state.u, prev.u, params.as_tuple(), tau, state.grid.dx,
+        opts.regularization, opts.mobility_face == "upwind")[0]
     return r[0], r[1]
 
 
@@ -351,13 +350,12 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     reg = opts.regularization
     upwind = opts.mobility_face == "upwind"
     coef = params.as_tuple()
-    prev_u = np.stack((prev.f, prev.g))
 
     def norm(v):
-        r, terms = fvops.implicit_residual(v, prev_u, coef, tau, grid.dx, reg, upwind)
+        r, terms = fvops.implicit_residual(v, prev.u, coef, tau, grid.dx, reg, upwind)
         return np.abs(r).max(), r, terms
 
-    u = prev_u if start is None else start
+    u = prev.u if start is None else start
     phi, r, terms = norm(u)
     iters = n_lu = 0
     lu = factors.pop() if factors else None
@@ -396,16 +394,14 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
         raise NonConvergence(iters, float(phi))
     if factors is not None and lu is not None:
         factors.append(lu)
-    return State(grid, u[0], u[1]), iters, float(phi), n_lu
+    return State._wrap(grid, u), iters, float(phi), n_lu
 
 
 def _finalize_step(new, params, opts, iters, res, n_lu):
     clamped = (0.0, 0.0)
     if opts.clamp_negative:
-        neg_f = np.minimum(new.f, 0.0)
-        neg_g = np.minimum(new.g, 0.0)
-        clamped = (-new.grid.integrate(neg_f), -new.grid.integrate(neg_g))
-        new = State(new.grid, np.maximum(new.f, 0.0), np.maximum(new.g, 0.0))
+        clamped = tuple(-m for m in State._wrap(new.grid, np.minimum(new.u, 0.0)).masses())
+        new = State._wrap(new.grid, np.maximum(new.u, 0.0))
     else:
         m = new.min_value()
         if m < -NONNEG_TOL:
@@ -426,14 +422,9 @@ def _finalize_step(new, params, opts, iters, res, n_lu):
 
 def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.0),
                 factorizations=0):
-    entropies = diagnostics.entropy_trace(state, params, opts.n_max)
     return StepReport(
-        iterations=iterations,
-        residual=residual,
-        masses=state.masses(),
-        entropies=entropies,
+        iterations=iterations, residual=residual, masses=state.masses(),
+        entropies=diagnostics.entropy_trace(state, params, opts.n_max),
         dissipation=diagnostics.dissipation(state, params),
-        linf=diagnostics.linf_sum(state),
-        clamped_mass=clamped_mass,
-        factorizations=factorizations,
-    )
+        linf=diagnostics.linf_sum(state), clamped_mass=clamped_mass,
+        factorizations=factorizations)

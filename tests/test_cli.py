@@ -12,6 +12,19 @@ def _run_cli(args):
     return cli.main([str(a) for a in args])
 
 
+class TestCsvRow:
+    def test_row_template_writes_the_fmt_text(self):
+        rep = scheme.StepReport(
+            iterations=7, residual=np.float64(3.1e-13), masses=(0.1, 2.0 / 3.0),
+            entropies=np.array([1.0 / 3.0, 0.0, 1e300, np.inf]), dissipation=0.5,
+            linf=np.float64(1.75), factorizations=2, dissipation_cum=np.pi)
+        values = (1e-3, 0.1, 2.0 / 3.0, 1.0 / 3.0, 0.0, 1e300, np.pi, 1.75)
+        want = ",".join([cli._fmt(v) for v in values] + ["2", "7", cli._fmt(3.1e-13)])
+        assert cli._csv_row((1e-3, None, rep), 3) == want + "\n"
+        assert cli._csv_row((1e-3, None, rep), 3).count(",") + 1 == \
+            len(cli._csv_header(3).split(","))
+
+
 class TestConfigParsing:
     def test_key_value_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

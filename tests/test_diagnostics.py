@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff import diagnostics
+from crossdiff import diagnostics, kernels
+from conftest import random_params
 
 
 def lp_norm(grid, values, p: int) -> float:
@@ -79,6 +80,52 @@ class TestEntropyTrace:
         assert E[0] == pytest.approx(1.5, rel=1e-14)
         with pytest.raises(ValueError):
             cd.entropy_trace(st, params2111, 0)
+
+
+def _state_with_zeros(grid, seed):
+    """Random nonnegative state with exact zeros in f, g and both."""
+    rng = np.random.default_rng(seed)
+    f, g = rng.uniform(0.0, 3.0, (2, *grid.shape))
+    f[rng.random(grid.shape) < 0.3] = 0.0
+    g[rng.random(grid.shape) < 0.2] = 0.0
+    return cd.State(grid, f, g)
+
+
+_REPORT_CASES = [(cd.Grid1D(64, 1.0), 0), (cd.Grid1D(257, 2.5), 1),
+                 (cd.Grid2D(12, 1.0), 2), (cd.Grid2D(7, 0.6), 3)]
+
+
+class TestStackedReport:
+    """The per-step report works on the stacked state; it equals the
+    per-component formulas bit for bit."""
+
+    @pytest.mark.parametrize("grid, seed", _REPORT_CASES)
+    def test_entropy_trace_equals_per_component_formulas(self, grid, seed):
+        st = _state_with_zeros(grid, seed)
+        for params in [cd.Params(2.0, 1.0, 1.0, 1.0)] + random_params(
+                np.random.default_rng(seed), 3):
+            f, g = np.maximum(st.f.ravel(), 0.0), np.maximum(st.g.ravel(), 0.0)
+            vol = grid.cell_volume
+            top, flat, weights, starts = diagnostics._moment_gather(params, 8)
+            moments = kernels.power_moments(f, g, top).ravel()
+            want = np.full(8, np.inf)
+            want[0] = vol * cd.eval_phi1(params, (f, g)).sum()
+            want[1:top] = vol * np.add.reduceat(moments[flat] * weights, starts)
+            assert cd.entropy_trace(st, params, 8).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid, seed", _REPORT_CASES)
+    def test_dissipation_equals_the_stacked_difference_formula(self, grid, seed):
+        # the earlier formula: np.diff of the stacked (a f + theta1 g, g)
+        st = _state_with_zeros(grid, seed)
+        for params in [cd.Params(2.0, 1.0, 1.0, 1.0)] + random_params(
+                np.random.default_rng(seed), 3):
+            th = cd.theta_constants(params)
+            u = np.stack((params.a * st.f + th.theta1 * st.g, st.g))
+            total = 0.0
+            for axis in range(grid.ndim):
+                gp, gg = np.diff(u, axis=axis + 1) / grid.dx
+                total += float(np.sum(gp * gp + th.theta2 * gg * gg))
+            assert cd.dissipation(st, params) == grid.cell_volume * total / params.a
 
 
 class TestLinfSum:

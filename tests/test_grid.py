@@ -193,3 +193,34 @@ class TestState:
         other = st.copy()
         other.f[0] = 99.0
         assert st.f[0] == 1.0
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(37, 1.3), cd.Grid2D(9, 0.7)],
+                             ids=["1d", "2d"])
+    def test_one_stacked_array_with_row_views(self, grid):
+        rng = np.random.default_rng(5)
+        f, g = rng.uniform(0.0, 2.0, grid.shape), rng.uniform(0.0, 2.0, grid.shape)
+        st = cd.State(grid, f, g)
+        assert st.u.shape == (2, *grid.shape)
+        assert st.f.base is st.u and st.g.base is st.u
+        np.testing.assert_array_equal(st.f, f)
+        np.testing.assert_array_equal(st.g, g)
+        f[0] = 99.0             # the constructor copies its fields into u
+        assert st.f.flat[0] != 99.0
+
+    def test_copy_is_independent_of_the_original(self):
+        grid = cd.Grid2D(4, 1.0)
+        st = cd.State(grid, np.ones(grid.shape), np.full(grid.shape, 2.0))
+        other = st.copy()
+        assert not np.shares_memory(other.u, st.u)
+        other.g[1, 2] = -5.0
+        st.f[0, 0] = 7.0
+        assert st.g[1, 2] == 2.0 and other.f[0, 0] == 1.0
+        assert other.min_value() == -5.0 and st.max_value() == 7.0
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(n, 0.9) for n in (2, 3, 64, 129, 1000)]
+                             + [cd.Grid2D(n, 1.1) for n in (2, 12, 33)])
+    def test_masses_equal_integrate_bit_for_bit(self, grid):
+        rng = np.random.default_rng(grid.num_cells)
+        f, g = rng.uniform(0.0, 3.0, grid.shape), rng.uniform(0.0, 3.0, grid.shape)
+        f[rng.random(grid.shape) < 0.3] = 0.0
+        assert cd.State(grid, f, g).masses() == (grid.integrate(f), grid.integrate(g))

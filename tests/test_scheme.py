@@ -303,6 +303,22 @@ class TestCarriedFactors:
         self._final(st, params2111, _opts(), t_final=2e-3)
         assert seen[0][1] is None
 
+    def test_states_share_arrays_and_none_is_written_in_place(self, params2111,
+                                                               cosine_state):
+        # a step without updates hands back the previous array itself
+        st = cd.State.constant(cd.Grid1D(16, 1.0), 0.7, 2.3)
+        new, rep = cd.step(st, 5.0, params2111, _opts())
+        assert rep.iterations == 0 and new.u is st.u
+        # the states of a run (and the starts built from them) leave every
+        # earlier state as it was
+        kept = []
+        for _, state, _ in cd.run(cosine_state(cells=32, amp=0.4), 1e-3, 6e-3,
+                                  params2111, _opts()):
+            assert state.f.base is state.u
+            kept.append((state, state.u.copy()))
+        for state, u in kept:
+            assert state.u.tobytes() == u.tobytes()
+
     def test_step_keeps_no_state_across_a_run(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.4)
         before, rep_before = cd.step(st, 1e-3, params2111, _opts())
@@ -671,6 +687,21 @@ class TestDegenerateFront:
         assert new.min_value() >= -scheme.NONNEG_TOL
         for m_new, m_old in zip(rep.masses, st.masses()):
             assert abs(m_new - m_old) <= 10 * tol * grid.measure
+
+    def test_zero_front_moves_many_cells_per_update(self, params2111):
+        # the positive part's derivative is taken as 1 at 0, so a face whose
+        # upwind cell is empty still couples to the Newton update; with 0
+        # there the support grew about one cell per side per update, and
+        # this step took 36 updates for the 68 cells it grows by
+        assert fvops.cut_derivative(np.array([-1.0, 0.0, 2.0]), None).tolist() == [0, 1, 1]
+        grid = cd.Grid1D(1024, 1.0)
+        x = grid.centers()
+        st = cd.State(grid, np.maximum(1.5 * (1.0 - 4.0 * x**2), 0.0),
+                      1.0 + 0.3 * np.cos(np.pi * x))
+        new, rep = cd.step(st, 1e-3, params2111, cd.SolverOptions(tol=1e-9))
+        grown = np.count_nonzero(new.f > 1e-12) - np.count_nonzero(st.f > 0.0)
+        assert rep.iterations <= 20 < grown
+        assert new.min_value() >= -scheme.NONNEG_TOL
 
     def test_cutoff_band_is_handled(self, params2111):
         # state values inside (rho-1, rho), where the truncation profile
