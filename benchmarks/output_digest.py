@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Print a sha256 digest of every file that ``crossdiff run`` writes, for a
-fixed list of configurations.
+"""Print a sha256 digest of every file that ``crossdiff run`` writes, and of
+what ``crossdiff verify`` prints, for a fixed list of configurations.
 
-Each configuration runs in its own directory under a temporary root; the
-script prints one ``exit <code>  <name>`` line per configuration and one
-``<sha256>  <name>/<file>`` line per output file.  Two checkouts whose
-printouts are equal write byte-identical outputs for these configurations,
-which is how an output-preserving change is checked:
+Each ``run`` configuration runs in its own directory under a temporary
+root; the script prints one ``exit <code>  <name>`` line per configuration
+and one ``<sha256>  <name>/<file>`` line per output file (``<name>/stdout``
+for a ``verify`` configuration).  Two checkouts whose printouts are equal
+write byte-identical outputs for these configurations, which is how an
+output-preserving change is checked:
 
     python benchmarks/output_digest.py [NAME ...]
 
@@ -56,28 +57,40 @@ CONFIGS = {
                      "--t-final 2e-2 --tol 1e-10",
 }
 
+#: name -> ``crossdiff verify`` arguments; the stdout of each is hashed
+VERIFY_CONFIGS = {
+    "verify-default": "",
+    "verify-6-300-3": "--n-max 6 --samples 300 --seed 3",
+}
+
 
 def digest(names) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as root:
         for name in names:
-            out = Path(root) / name
-            with contextlib.redirect_stdout(io.StringIO()), \
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["run", *CONFIGS[name].split(), "--out", str(out)])
+                if name in VERIFY_CONFIGS:
+                    code = cli.main(["verify", *VERIFY_CONFIGS[name].split()])
+                    outputs = [("stdout", stdout.getvalue().encode())]
+                else:
+                    out = Path(root) / name
+                    code = cli.main(["run", *CONFIGS[name].split(), "--out", str(out)])
+                    outputs = [(path.name, path.read_bytes()) for path in sorted(out.iterdir())]
             lines.append(f"exit {code}  {name}")
-            for path in sorted(out.iterdir()):
-                sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{sha}  {name}/{path.name}")
+            for file, data in outputs:
+                lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}")
     return lines
 
 
 if __name__ == "__main__":
+    every = [*CONFIGS, *VERIFY_CONFIGS]
     parser = argparse.ArgumentParser()
     parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"configurations to run (default: all of {', '.join(CONFIGS)})")
+                        help=f"configurations to run (default: all of {', '.join(every)})")
     args = parser.parse_args()
-    unknown = sorted(set(args.names) - set(CONFIGS))
+    unknown = sorted(set(args.names) - set(every))
     if unknown:
         parser.error(f"unknown configuration {', '.join(unknown)}")
-    print("\n".join(digest(args.names or list(CONFIGS))))
+    print("\n".join(digest(args.names or every)))

@@ -165,7 +165,10 @@ class RunConfig:
         elif self.ic == "from-file":
             if not self.ic_file:
                 raise ConfigError("ic=from-file needs ic_file=PATH")
-            table = np.genfromtxt(self.ic_file, delimiter=",", names=True)
+            try:
+                table = np.genfromtxt(self.ic_file, delimiter=",", names=True)
+            except (OSError, ValueError) as err:    # unreadable, or ragged rows
+                raise ConfigError(f"cannot read ic_file {self.ic_file}: {err}") from err
             if table.dtype.names is None or not {"f", "g"} <= set(table.dtype.names):
                 raise ConfigError(f"{self.ic_file}: need a CSV header with f and g columns")
             fcol = np.atleast_1d(table["f"]).astype(float)
@@ -454,10 +457,9 @@ def cmd_limits(args) -> int:
     print(f"{'eps':>10} {'rho':>10} {'max-norm diff':>15} {'max entropy increment':>22}")
     for rho in rho_list:
         for eps in eps_list:
-            approx, _ = step_regularized(initial, config.tau, params, eps, rho, opts)
+            approx, report = step_regularized(initial, config.tau, params, eps, rho, opts)
             diff = np.abs(approx.u - exact.u).max()
-            e_after = diagnostics.entropy_trace(approx, params, config.n_max)
-            increments = e_after - e_before
+            increments = report.entropies - e_before
             rows.append(",".join([_fmt(eps), _fmt(rho), _fmt(diff)]
                                  + [_fmt(v) for v in increments]))
             print(f"{eps:>10.3g} {rho:>10.3g} {diff:>15.6e} "

@@ -5,6 +5,9 @@ one algebraic property of the constructions in :mod:`crossdiff.entropy`,
 and reports pass counts with the worst observed slack.  No PDE is solved
 anywhere here; the suites back the ``verify`` CLI subcommand and the
 acceptance tests.
+
+The suites share one sampling loop (:func:`_cases`) and one tally
+(:func:`_tally`); each ``check_*`` adds only its predicate.
 """
 
 from __future__ import annotations
@@ -52,149 +55,126 @@ def draw_params(rng: np.random.Generator, count: int) -> list[Params]:
     return out
 
 
+def _cases(seed: int, draws: int, samples: int, n_lo: int, n_hi: int,
+           low: float = 0.0):
+    """Yield ``(params, poly, X)`` for each of ``draws`` quadruples and each
+    degree ``n_lo..n_hi``, with one sample ``X`` of ``samples`` points on
+    ``[low, 10]^2`` per quadruple.  All quadruples are drawn first; an
+    empty sample draws nothing from the generator."""
+    rng = np.random.default_rng(seed)
+    for params in draw_params(rng, draws):
+        X = rng.uniform(low, 10.0, size=(2, samples))
+        for n in range(n_lo, n_hi + 1):
+            yield params, entropy.build_coefficients(params, n), X
+
+
+def _tally(name: str, cases, worst: float, pick, note: str = "") -> CheckResult:
+    """Count the passes of each ``(pass mask, worst value)`` pair in
+    ``cases`` and fold the values into ``worst`` with ``pick``."""
+    passed = total = 0
+    for ok, value in cases:
+        passed += int(np.count_nonzero(ok))
+        total += int(np.size(ok))
+        worst = pick(worst, float(value))
+    return CheckResult(name, passed, total, worst, note)
+
+
 def check_coefficients(draws: int = 100, n_max: int = 20, seed: int = 0) -> CheckResult:
     """Closed-form coefficients equal the recursion to 1e-12 relative and are
     all strictly positive."""
-    rng = np.random.default_rng(seed)
-    passed = total = 0
-    worst = 0.0
-    for params in draw_params(rng, draws):
-        for n in range(2, n_max + 1):
-            total += 1
-            closed = entropy.build_coefficients(params, n).coeffs
-            rec = entropy.coefficients_by_recursion(params, n).coeffs
-            rel = np.abs(closed - rec) / np.abs(rec)
-            worst = max(worst, float(rel.max()))
-            if rel.max() <= COEFF_TOL and np.all(closed > 0.0):
-                passed += 1
-    return CheckResult("coefficient closed form vs recursion", passed, total, worst)
+    def case(params, poly, _):
+        rec = entropy.coefficients_by_recursion(params, poly.n).coeffs
+        rel = (np.abs(poly.coeffs - rec) / np.abs(rec)).max()
+        return rel <= COEFF_TOL and np.all(poly.coeffs > 0.0), rel
+    return _tally("coefficient closed form vs recursion",
+                  (case(*c) for c in _cases(seed, draws, 0, 2, n_max)), 0.0, max)
 
 
 def check_sn_symmetry(draws: int = 20, samples: int = 1000,
                       n_lo: int = 2, n_hi: int = 10, seed: int = 1) -> CheckResult:
     """Hessian times mobility is symmetric to 1e-12 of its own magnitude."""
-    rng = np.random.default_rng(seed)
-    passed = total = 0
-    worst = 0.0
-    for params in draw_params(rng, draws):
-        X = rng.uniform(0.0, 10.0, size=(2, samples))
-        for n in range(n_lo, n_hi + 1):
-            poly = entropy.build_coefficients(params, n)
-            s = entropy.sn_matrix(poly, params, X)
-            scale = np.abs(s).max(axis=(0, 1))
-            asym = np.abs(s[0, 1] - s[1, 0])
-            rel = asym / np.maximum(scale, 1e-300)
-            worst = max(worst, float(rel.max()))
-            passed += int(np.count_nonzero(rel <= SYMMETRY_TOL))
-            total += samples
-    return CheckResult("symmetry of hessian*mobility", passed, total, worst)
+    def case(params, poly, X):
+        s = entropy.sn_matrix(poly, params, X)
+        scale = np.abs(s).max(axis=(0, 1))
+        rel = np.abs(s[0, 1] - s[1, 0]) / np.maximum(scale, 1e-300)
+        return rel <= SYMMETRY_TOL, rel.max()
+    return _tally("symmetry of hessian*mobility",
+                  (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi)), 0.0, max)
 
 
 def check_hessian_pd(draws: int = 20, samples: int = 1000,
                      n_lo: int = 2, n_hi: int = 10, seed: int = 2) -> CheckResult:
     """Hessian is positive definite away from the origin and its determinant
     dominates the two-term lower bound from the expansion coefficients."""
-    rng = np.random.default_rng(seed)
-    passed = total = 0
-    worst = np.inf
-    for params in draw_params(rng, draws):
-        X = rng.uniform(1e-3, 10.0, size=(2, samples))
-        for n in range(n_lo, n_hi + 1):
-            poly = entropy.build_coefficients(params, n)
-            h = entropy.hessian_phi(poly, X)
-            tr = h[0, 0] + h[1, 1]
-            det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-            # closed-form smaller eigenvalue of a symmetric 2x2 matrix
-            min_eig = 0.5 * (tr - np.sqrt((h[0, 0] - h[1, 1]) ** 2 + 4.0 * h[0, 1] ** 2))
-            bound = entropy.hessian_det_lower_bound(params, poly, X)
-            scale = np.abs(h).max(axis=(0, 1)) ** 2
-            ok = (min_eig > 0.0) & (det >= bound * (1.0 - 1e-10) - 1e-12 * scale)
-            worst = min(worst, float(min_eig.min()))
-            passed += int(np.count_nonzero(ok))
-            total += samples
-    return CheckResult("hessian positive definiteness + determinant bound",
-                       passed, total, worst, note="worst = smallest eigenvalue seen")
+    def case(params, poly, X):
+        h = entropy.hessian_phi(poly, X)
+        tr = h[0, 0] + h[1, 1]
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        # closed-form smaller eigenvalue of a symmetric 2x2 matrix
+        min_eig = 0.5 * (tr - np.sqrt((h[0, 0] - h[1, 1]) ** 2 + 4.0 * h[0, 1] ** 2))
+        bound = entropy.hessian_det_lower_bound(params, poly, X)
+        scale = np.abs(h).max(axis=(0, 1)) ** 2
+        return (min_eig > 0.0) & (det >= bound * (1.0 - 1e-10) - 1e-12 * scale), min_eig.min()
+    return _tally("hessian positive definiteness + determinant bound",
+                  (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi, 1e-3)),
+                  np.inf, min, note="worst = smallest eigenvalue seen")
 
 
 def check_sn_pd(draws: int = 20, samples: int = 1000,
                 n_lo: int = 2, n_hi: int = 10, seed: int = 3) -> CheckResult:
     """Hessian*mobility has positive trace and determinant on the open quadrant."""
-    rng = np.random.default_rng(seed)
-    passed = total = 0
-    worst = np.inf
-    for params in draw_params(rng, draws):
-        X = rng.uniform(1e-3, 10.0, size=(2, samples))
-        for n in range(n_lo, n_hi + 1):
-            poly = entropy.build_coefficients(params, n)
-            s = entropy.sn_matrix(poly, params, X)
-            tr = s[0, 0] + s[1, 1]
-            det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-            ok = (tr > 0.0) & (det > 0.0)
-            worst = min(worst, float(det.min()))
-            passed += int(np.count_nonzero(ok))
-            total += samples
-    return CheckResult("positive definiteness of hessian*mobility",
-                       passed, total, worst, note="worst = smallest determinant seen")
+    def case(params, poly, X):
+        s = entropy.sn_matrix(poly, params, X)
+        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+        return (s[0, 0] + s[1, 1] > 0.0) & (det > 0.0), det.min()
+    return _tally("positive definiteness of hessian*mobility",
+                  (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi, 1e-3)),
+                  np.inf, min, note="worst = smallest determinant seen")
 
 
 def check_norm_sandwich(draws: int = 20, samples: int = 10000,
                         n_lo: int = 2, n_hi: int = 12, seed: int = 4) -> CheckResult:
     """(c X1 + d X2)^n / d^n <= polynomial <= (a X1 + b X2)^n / b^n."""
-    rng = np.random.default_rng(seed)
-    passed = total = 0
-    worst = 0.0
-    for params in draw_params(rng, draws):
-        X = rng.uniform(0.0, 10.0, size=(2, samples))
-        for n in range(n_lo, n_hi + 1):
-            poly = entropy.build_coefficients(params, n)
-            val = entropy.eval_phi(poly, X)
-            lower, upper = entropy.phi_bounds(params, n, X)
-            slack = 1e-12 * np.maximum(np.maximum(lower, upper), 1.0)
-            ok = (val >= lower - slack) & (val <= upper + slack)
-            viol = np.maximum(lower - val, val - upper) / np.maximum(upper, 1e-300)
-            worst = max(worst, float(viol.max()))
-            passed += int(np.count_nonzero(ok))
-            total += samples
-    return CheckResult("norm sandwich bounds", passed, total, worst)
+    def case(params, poly, X):
+        val = entropy.eval_phi(poly, X)
+        lower, upper = entropy.phi_bounds(params, poly.n, X)
+        slack = 1e-12 * np.maximum(np.maximum(lower, upper), 1.0)
+        viol = np.maximum(lower - val, val - upper) / np.maximum(upper, 1e-300)
+        return (val >= lower - slack) & (val <= upper + slack), viol.max()
+    return _tally("norm sandwich bounds",
+                  (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi)), 0.0, max)
 
 
 def check_derivatives(draws: int = 5, samples: int = 200,
                       n_lo: int = 2, n_hi: int = 8, seed: int = 5) -> CheckResult:
     """Analytic gradient/Hessian match central finite differences."""
-    rng = np.random.default_rng(seed)
-    h = 1e-6
-    passed = total = 0
-    worst = 0.0
-    for params in draw_params(rng, draws):
-        X = rng.uniform(0.1, 10.0, size=(2, samples))
+    def case(params, poly, X):
+        h = 1e-6
         x1, x2 = X
-        for n in range(n_lo, n_hi + 1):
-            poly = entropy.build_coefficients(params, n)
-            grad = entropy.grad_phi(poly, X)
-            fd1 = (entropy.eval_phi(poly, (x1 + h, x2))
-                   - entropy.eval_phi(poly, (x1 - h, x2))) / (2 * h)
-            fd2 = (entropy.eval_phi(poly, (x1, x2 + h))
-                   - entropy.eval_phi(poly, (x1, x2 - h))) / (2 * h)
-            scale_g = np.maximum(np.abs(grad).max(axis=0), 1e-300)
-            rel_g = np.maximum(np.abs(grad[0] - fd1), np.abs(grad[1] - fd2)) / scale_g
-            hess = entropy.hessian_phi(poly, X)
-            gp = entropy.grad_phi(poly, (x1 + h, x2))
-            gm = entropy.grad_phi(poly, (x1 - h, x2))
-            fd11 = (gp[0] - gm[0]) / (2 * h)
-            fd21 = (gp[1] - gm[1]) / (2 * h)
-            gp = entropy.grad_phi(poly, (x1, x2 + h))
-            gm = entropy.grad_phi(poly, (x1, x2 - h))
-            fd22 = (gp[1] - gm[1]) / (2 * h)
-            scale_h = np.maximum(np.abs(hess).max(axis=(0, 1)), 1e-300)
-            rel_h = np.maximum.reduce([
-                np.abs(hess[0, 0] - fd11), np.abs(hess[0, 1] - fd21),
-                np.abs(hess[1, 1] - fd22)]) / scale_h
-            ok = (rel_g <= GRAD_FD_TOL) & (rel_h <= HESS_FD_TOL)
-            worst = max(worst, float(rel_g.max()), float(rel_h.max()))
-            passed += int(np.count_nonzero(ok))
-            total += samples
-    return CheckResult("finite-difference consistency of derivatives",
-                       passed, total, worst)
+        grad = entropy.grad_phi(poly, X)
+        fd1 = (entropy.eval_phi(poly, (x1 + h, x2))
+               - entropy.eval_phi(poly, (x1 - h, x2))) / (2 * h)
+        fd2 = (entropy.eval_phi(poly, (x1, x2 + h))
+               - entropy.eval_phi(poly, (x1, x2 - h))) / (2 * h)
+        scale_g = np.maximum(np.abs(grad).max(axis=0), 1e-300)
+        rel_g = np.maximum(np.abs(grad[0] - fd1), np.abs(grad[1] - fd2)) / scale_g
+        hess = entropy.hessian_phi(poly, X)
+        gp = entropy.grad_phi(poly, (x1 + h, x2))
+        gm = entropy.grad_phi(poly, (x1 - h, x2))
+        fd11 = (gp[0] - gm[0]) / (2 * h)
+        fd21 = (gp[1] - gm[1]) / (2 * h)
+        gp = entropy.grad_phi(poly, (x1, x2 + h))
+        gm = entropy.grad_phi(poly, (x1, x2 - h))
+        fd22 = (gp[1] - gm[1]) / (2 * h)
+        scale_h = np.maximum(np.abs(hess).max(axis=(0, 1)), 1e-300)
+        rel_h = np.maximum.reduce([
+            np.abs(hess[0, 0] - fd11), np.abs(hess[0, 1] - fd21),
+            np.abs(hess[1, 1] - fd22)]) / scale_h
+        # fmax: a NaN in one of the two maxima does not hide the other
+        return ((rel_g <= GRAD_FD_TOL) & (rel_h <= HESS_FD_TOL),
+                np.fmax(rel_g.max(), rel_h.max()))
+    return _tally("finite-difference consistency of derivatives",
+                  (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi, 0.1)), 0.0, max)
 
 
 def check_regularized_bounds(draws: int = 10, samples: int = 2000,
@@ -203,9 +183,8 @@ def check_regularized_bounds(draws: int = 10, samples: int = 2000,
     0 <= entry - eps*I <= 2 rho max(a,b,c,d), off-diagonal rows vanish outside
     [0, rho], and <S M ξ, ξ> >= eps * det(S)/tr(S) |ξ|^2."""
     rng = np.random.default_rng(seed)
-    passed = total = 0
-    worst = np.inf
-    for params in draw_params(rng, draws):
+
+    def case(params):
         a, b, c, d = params.as_tuple()
         eps = float(rng.uniform(0.01, 0.99))
         rho = float(rng.uniform(1.5, 50.0))
@@ -226,15 +205,11 @@ def check_regularized_bounds(draws: int = 10, samples: int = 2000,
         quad = (sm[0, 0] * xi[0] ** 2 + (sm[0, 1] + sm[1, 0]) * xi[0] * xi[1]
                 + sm[1, 1] * xi[1] ** 2)
         floor = eps * b * c * (a * d - b * c) / (a * c + b * d)
-        norm2 = xi[0] ** 2 + xi[1] ** 2
-        margin = quad / norm2 - floor
-        ok &= margin >= -1e-12 * max(1.0, floor)
-        worst = min(worst, float(margin.min()))
-        passed += int(np.count_nonzero(ok))
-        total += samples
-    return CheckResult("regularized mobility bounds and coercivity",
-                       passed, total, worst,
-                       note="worst = smallest coercivity margin seen")
+        margin = quad / (xi[0] ** 2 + xi[1] ** 2) - floor
+        return ok & (margin >= -1e-12 * max(1.0, floor)), margin.min()
+    return _tally("regularized mobility bounds and coercivity",
+                  (case(params) for params in draw_params(rng, draws)), np.inf, min,
+                  note="worst = smallest coercivity margin seen")
 
 
 def run_property_suite(n_max: int = 10, samples: int = 1000,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff import cli, scheme
+from crossdiff import cli, scheme, verify
 from crossdiff.errors import NonConvergence
 
 
@@ -68,6 +68,7 @@ class TestConfigParsing:
             cli.build_config({"cells": "1.5"}, {})
         with pytest.raises(cli.ConfigError, match="not a boolean"):
             cli.build_config({"check_invariants": "maybe"}, {})
+        assert cli.build_config({"clamp_negative": "Off"}, {}).clamp_negative is False
 
     def test_muskat_conflicts_with_explicit(self):
         with pytest.raises(cli.ConfigError, match="not both"):
@@ -77,6 +78,16 @@ class TestConfigParsing:
     def test_partial_explicit_params(self):
         with pytest.raises(cli.ConfigError, match="all four"):
             cli.build_config({"a": "2"}, {}).build_params()
+
+    def test_muskat_mu_needs_muskat_r(self):
+        with pytest.raises(cli.ConfigError, match="needs muskat_R"):
+            cli.build_config({"muskat_mu": "2"}, {}).build_params()
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        code = _run_cli(["run", "--config", tmp_path / "missing.cfg",
+                         "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_muskat_preset(self):
         config = cli.build_config({"muskat_R": "3", "muskat_mu": "0.5"}, {})
@@ -138,6 +149,31 @@ class TestInitialConditions:
                                        "cells": "10"})
         with pytest.raises(cli.ConfigError, match="rows"):
             config.build_initial(config.build_grid())
+
+    def test_from_file_needs_a_path(self):
+        config = cli.build_config({}, {"ic": "from-file", "cells": "10"})
+        with pytest.raises(cli.ConfigError, match="needs ic_file"):
+            config.build_initial(config.build_grid())
+
+    def test_from_file_needs_f_and_g_columns(self, tmp_path):
+        path = tmp_path / "ic.csv"
+        path.write_text("x,y\n1,1\n", encoding="utf-8")
+        config = cli.build_config({}, {"ic": "from-file", "ic_file": str(path)})
+        with pytest.raises(cli.ConfigError, match="header with f and g"):
+            config.build_initial(config.build_grid())
+
+    @pytest.mark.parametrize("name, text", [("missing.csv", None),
+                                            ("ragged.csv", "f,g\n1,1\n1\n")],
+                             ids=["missing", "ragged"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code = _run_cli(["run", "--ic", "from-file", "--ic-file", path, "--cells", 2,
+                         "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert f"error [config]: cannot read ic_file {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_preset(self):
         config = cli.build_config({}, {"ic": "vortex"})
@@ -249,6 +285,36 @@ class TestRunCommand:
         assert "Picard solver was removed" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
         assert _run_cli(args + ["--method", "newton", "--out", tmp_path / "n"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "0", "tol must be positive"),
+        ("--mobility-face", "centered", "unknown face average 'centered'"),
+    ])
+    def test_rejects_bad_solver_options(self, tmp_path, capsys, flag, value, message):
+        code = _run_cli(["run", "--cells", 8, flag, value, "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert f"error [config]: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_beneath_a_file_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code = _run_cli(["run", "--cells", 8, "--tau", "1e-3", "--t-final", "1e-3",
+                         "--out", tmp_path / "file" / "o"])
+        assert code == cli.EXIT_IO
+        assert "error [io]" in capsys.readouterr().err
+
+    def test_cap_breach_exits_as_invariant_violation(self, tmp_path, capsys, monkeypatch):
+        def overshoot(prev, tau, params, opts, *args):
+            above = np.full_like(prev.u, opts.regularization[1] + 2 * scheme.CAP_TOL)
+            return cd.State(prev.grid, *above), 1, 0.0, 1
+
+        monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 8, "--tau", "1e-3", "--t-final", "2e-3",
+                         "--eps", "1e-2", "--rho", 2, "--out", out])
+        assert code == cli.EXIT_INVARIANT
+        assert "violated inequality [boundedness cap] at step 1" in capsys.readouterr().err
+        assert "status: FAILED" in (out / "summary.txt").read_text()
 
     def test_rejects_t_final_not_a_multiple_of_tau(self, tmp_path, capsys):
         # ceil(t_final / tau) steps would silently end at t = 1.2
@@ -437,6 +503,14 @@ class TestVerifyCommand:
         monkeypatch.setattr(scheme, "run", boom)
         assert _run_cli(["verify", "--n-max", 4, "--samples", 50]) == 0
 
+    def test_failing_suite_exits_one(self, capsys, monkeypatch):
+        failing = verify.CheckResult("always fails", 1, 2, 0.5)
+        monkeypatch.setattr(verify, "run_property_suite", lambda **kw: [failing])
+        assert _run_cli(["verify"]) == cli.EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == failing.line() + "\n"
+        assert "property suite FAILED" in captured.err
+
 
 class TestLimitsCommand:
     def test_table_and_csv(self, tmp_path, capsys):
@@ -513,6 +587,17 @@ class TestSweepCommand:
         assert code == cli.EXIT_CONFIG
         assert capfd.readouterr().err.count(f"bad value for {key}: must be >= 0") == 2
         assert not (out / "run_000").exists() and not (out / "run_001").exists()
+
+    def test_member_io_error_exits_like_run(self, tmp_path, capfd):
+        # run_000 is a regular file, so that member cannot make its directory
+        out = tmp_path / "sw"
+        out.mkdir()
+        (out / "run_000").write_text("", encoding="utf-8")
+        code = _run_cli(["sweep", "--cells", 8, "--t-final", "2e-3", "--tau", "1e-3,2e-3",
+                         "--workers", 1, "--out", out])
+        assert code == cli.EXIT_IO
+        assert "error [io] in" in capfd.readouterr().err
+        assert (out / "run_001" / "summary.txt").exists()
 
     def test_rejects_zero_workers_before_writing(self, tmp_path, capsys):
         out = tmp_path / "sw"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -283,10 +285,11 @@ class TestRunVerdicts:
         assert verdicts.linf_slack <= 1e-8
 
 
-def _report(entropies, dissipation=0.0, linf=1.0, masses=(1.0, 1.0)):
+def _report(entropies, dissipation=0.0, linf=1.0, masses=(1.0, 1.0),
+            clamped_mass=(0.0, 0.0)):
     return cd.StepReport(iterations=1, residual=0.0, masses=masses,
                          entropies=np.asarray(entropies, float),
-                         dissipation=dissipation, linf=linf)
+                         dissipation=dissipation, linf=linf, clamped_mass=clamped_mass)
 
 
 class TestRunMonitor:
@@ -338,3 +341,21 @@ class TestRunMonitor:
             with np.errstate(invalid="ignore"):
                 cd.RunMonitor(report0, params2111, 1e-3, 1.0,
                               cd.SolverOptions(n_max=2)).observe(_report([0.5, np.inf]))
+
+    def test_mass_drift_is_enforced_net_of_clamped_mass(self, params2111):
+        # tol 1e-10 on a unit measure: each component may drift by 1e-9
+        opts = cd.SolverOptions(n_max=2)
+        tol = diagnostics.MASS_SLACK_FACTOR * opts.tol
+        drifted = dict(masses=(1.0 + 2.0 * tol, 1.0))
+
+        def observe(opts, **kw):
+            monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1e-3, 1.0, opts)
+            monitor.observe(_report([0.5, 2.0], **kw))
+
+        with pytest.raises(cd.InvariantViolation) as err:
+            observe(opts, **drifted)
+        assert err.value.inequality == "mass conservation"
+        assert "component f drifted by" in str(err.value)
+        observe(opts, masses=(1.0, 1.0 - 0.5 * tol))
+        observe(opts, clamped_mass=(2.0 * tol, 0.0), **drifted)
+        observe(dataclasses.replace(opts, check_invariants=False), **drifted)

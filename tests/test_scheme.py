@@ -507,6 +507,24 @@ class TestStepRegularized:
         assert new.max_value() <= rho + 1e-10
         assert new.min_value() >= -1e-12
 
+    @pytest.mark.parametrize("excess", [0.5, 2.0])
+    def test_cap_is_enforced_beyond_cap_tol(self, params2111, cosine_state, monkeypatch,
+                                            excess):
+        # the solve is made to return values at rho + excess * CAP_TOL
+        rho = 3.0
+
+        def overshoot(prev, *args):
+            above = np.full_like(prev.u, rho + excess * scheme.CAP_TOL)
+            return cd.State(prev.grid, *above), 1, 0.0, 1
+
+        monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
+        try:
+            cd.step_regularized(cosine_state(cells=16), 1e-3, params2111, 1e-2, rho, _opts())
+        except cd.InvariantViolation as err:
+            assert excess > 1.0 and err.inequality == "boundedness cap"
+        else:
+            assert excess < 1.0
+
     def test_converges_to_exact_step_in_eps(self, params2111, cosine_state):
         st = cosine_state(cells=64, amp=0.5)
         opts = _opts()
@@ -845,6 +863,8 @@ class TestErrors:
             cd.SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
             cd.SolverOptions(max_iters=0)
+        with pytest.raises(ValueError):
+            cd.SolverOptions(n_max=0)
         with pytest.raises(ValueError):
             cd.SolverOptions(regularization=(0.0, 10.0))
         with pytest.raises(ValueError):
