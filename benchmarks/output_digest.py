@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Print a sha256 digest of every file that ``crossdiff run`` writes, and of
-what ``crossdiff verify`` prints, for a fixed list of configurations.
+"""Print a sha256 digest of every file that ``crossdiff run``, ``limits`` and
+``sweep`` write, and of what ``verify``, ``limits`` and ``sweep`` print, for
+a fixed list of configurations.
 
-Each ``run`` configuration runs in its own directory under a temporary
-root; the script prints one ``exit <code>  <name>`` line per configuration
-and one ``<sha256>  <name>/<file>`` line per output file (``<name>/stdout``
-for a ``verify`` configuration).  Two checkouts whose printouts are equal
+Each configuration that writes files runs in its own directory under a
+temporary root; the script prints one ``exit <code>  <name>`` line per
+configuration and one ``<sha256>  <name>/<file>`` line per output file
+(``<name>/run_000/<file>`` for a sweep member, ``<name>/stdout`` for what
+the command printed).  Two checkouts whose printouts are equal
 write byte-identical outputs for these configurations, which is how an
 output-preserving change is checked:
 
@@ -57,6 +59,15 @@ CONFIGS = {
                      "--t-final 2e-2 --tol 1e-10",
 }
 
+#: name -> ``crossdiff limits`` or ``sweep`` arguments (without ``--out``);
+#: the stdout of each is hashed too, with the output directory written as name
+COMMAND_CONFIGS = {
+    "limits": "limits --cells 16 --tau 1e-3 --tol 1e-12 --eps-list 1e-2,1e-3 "
+              "--rho-list 1e2,1e3",
+    # two members, run one after the other in one worker process
+    "sweep": "sweep --cells 12 --tau 1e-3,2e-3 --t-final 1e-2 --tol 1e-11 --workers 1",
+}
+
 #: name -> ``crossdiff verify`` arguments; the stdout of each is hashed
 VERIFY_CONFIGS = {
     "verify-default": "",
@@ -76,8 +87,14 @@ def digest(names) -> list[str]:
                     outputs = [("stdout", stdout.getvalue().encode())]
                 else:
                     out = Path(root) / name
-                    code = cli.main(["run", *CONFIGS[name].split(), "--out", str(out)])
-                    outputs = [(path.name, path.read_bytes()) for path in sorted(out.iterdir())]
+                    command = COMMAND_CONFIGS.get(name)
+                    argv = (command or "run " + CONFIGS[name]).split()
+                    code = cli.main([*argv, "--out", str(out)])
+                    outputs = [(path.relative_to(out).as_posix(), path.read_bytes())
+                               for path in sorted(out.rglob("*")) if path.is_file()]
+                    if command:
+                        printed = stdout.getvalue().replace(str(out), name)
+                        outputs.append(("stdout", printed.encode()))
             lines.append(f"exit {code}  {name}")
             for file, data in outputs:
                 lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}")
@@ -85,7 +102,7 @@ def digest(names) -> list[str]:
 
 
 if __name__ == "__main__":
-    every = [*CONFIGS, *VERIFY_CONFIGS]
+    every = [*CONFIGS, *COMMAND_CONFIGS, *VERIFY_CONFIGS]
     parser = argparse.ArgumentParser()
     parser.add_argument("names", nargs="*", metavar="NAME",
                         help=f"configurations to run (default: all of {', '.join(every)})")

@@ -86,14 +86,15 @@ class RunConfig:
     tau: float = 1e-3
     t_final: float = 1.0
     method: str = "newton"     # kept for existing configs; the only solver
-    tol: float = 1e-10
-    max_iters: int = 200
-    mobility_face: str = "upwind"
+    # solver_options copies each of these into the SolverOptions field of its name
+    tol: float = SolverOptions.tol
+    max_iters: int = SolverOptions.max_iters
+    mobility_face: str = SolverOptions.mobility_face
+    clamp_negative: bool = SolverOptions.clamp_negative
+    check_invariants: bool = SolverOptions.check_invariants
+    n_max: int = SolverOptions.n_max
     eps: float | None = None
     rho: float | None = None
-    clamp_negative: bool = False
-    check_invariants: bool = True
-    n_max: int = 6
     ic: str = "cosine-bump"
     ic_file: str = ""
     ic_f0: float = 1.0
@@ -133,14 +134,12 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def build_grid(self):
+        if self.dimension not in (1, 2):
+            raise ConfigError(f"dimension must be 1 or 2, got {self.dimension}")
         try:
-            if self.dimension == 1:
-                return Grid1D(self.cells, self.length)
-            if self.dimension == 2:
-                return Grid2D(self.cells, self.length)
+            return (Grid1D, Grid2D)[self.dimension - 1](self.cells, self.length)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        raise ConfigError(f"dimension must be 1 or 2, got {self.dimension}")
 
     def build_initial(self, grid) -> State:
         x = grid.centers() if grid.ndim == 1 else grid.centers()[0]
@@ -181,24 +180,29 @@ class RunConfig:
             g = gcol.reshape(grid.shape)
         else:
             raise ConfigError(f"unknown initial condition {self.ic!r}")
-        return State(grid, *np.maximum((f, g), 0.0))
+        u = np.maximum((f, g), 0.0)         # every preset is clipped at 0
+        finite = np.isfinite(u.reshape(2, -1)).all(axis=0)
+        if not finite.all():
+            source = (f"{self.ic_file}: row {finite.argmin() + 1}" if self.ic == "from-file"
+                      else f"ic={self.ic}")
+            raise ConfigError(f"{source} gives non-finite initial values")
+        return State(grid, *u)
 
     def solver_options(self) -> SolverOptions:
         if (self.eps is None) != (self.rho is None):
             raise ConfigError("regularization needs both eps and rho")
         reg = (self.eps, self.rho) if self.eps is not None else None
+        copied = {f.name: getattr(self, f.name) for f in fields(SolverOptions)
+                  if f.name != "regularization"}
         try:
-            return SolverOptions(
-                max_iters=self.max_iters,
-                tol=self.tol,
-                mobility_face=self.mobility_face,
-                regularization=reg,
-                clamp_negative=self.clamp_negative,
-                n_max=self.n_max,
-                check_invariants=self.check_invariants,
-            )
+            return SolverOptions(regularization=reg, **copied)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+
+    def problem(self) -> tuple[Params, State, SolverOptions]:
+        """The parameters, initial state and solver options of a run."""
+        params = self.build_params()
+        return params, self.build_initial(self.build_grid()), self.solver_options()
 
 
 #: config key -> "bool", "int", "float" or "str", from RunConfig's annotations
@@ -248,9 +252,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def build_config(file_values: dict[str, str], cli_values: dict[str, str]) -> RunConfig:
     cfg = RunConfig()
-    merged = dict(file_values)
-    merged.update(cli_values)
-    for key, raw in merged.items():
+    for key, raw in {**file_values, **cli_values}.items():
         setattr(cfg, key, _convert(key, raw))
     return cfg
 
@@ -326,10 +328,7 @@ def execute_run(config: RunConfig) -> int:
     """Run one simulation, streaming each ``diagnostics.csv`` row and due
     snapshot as its step finishes; a failed run keeps what was written and
     adds the last state's snapshot and a ``FAILED`` summary."""
-    params = config.build_params()
-    grid = config.build_grid()
-    initial = config.build_initial(grid)
-    opts = config.solver_options()
+    params, initial, opts = config.problem()
     out_dir = Path(config.out)
     tau = config.tau
     retries = config.tau_retries
@@ -365,21 +364,12 @@ def execute_run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    config = _config_from_args(args)
-    return execute_run(config)
-
-
 def _config_values(args) -> dict[str, str]:
     """Entries of the ``--config`` file, overridden by the flags given."""
     values = parse_config_file(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items()
                   if k in _FIELD_TYPES and v is not None)
     return values
-
-
-def _config_from_args(args) -> RunConfig:
-    return build_config(_config_values(args), {})
 
 
 def cmd_sweep(args) -> int:
@@ -396,17 +386,11 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"cannot sweep over {key}")
     out_root = Path(base.get("out", "out"))
     keys = sorted(swept)
-    combos = list(itertools.product(*(swept[k] for k in keys)))
-    jobs = []
-    for i, combo in enumerate(combos):
-        values = dict(base)
-        values.update(dict(zip(keys, combo)))
-        run_dir = out_root / f"run_{i:03d}"
-        values["out"] = str(run_dir)
-        jobs.append(values)
-    manifest = [",".join(["directory"] + keys)]
-    for i, combo in enumerate(combos):
-        manifest.append(",".join([f"run_{i:03d}"] + list(combo)))
+    jobs, manifest = [], [",".join(["directory", *keys])]
+    for i, combo in enumerate(itertools.product(*(swept[k] for k in keys))):
+        name = f"run_{i:03d}"
+        jobs.append({**base, **dict(zip(keys, combo)), "out": str(out_root / name)})
+        manifest.append(",".join([name, *combo]))
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "sweep_manifest.csv").write_text("\n".join(manifest) + "\n",
                                                  encoding="utf-8")
@@ -439,11 +423,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    config = _config_from_args(args)
-    params = config.build_params()
-    grid = config.build_grid()
-    initial = config.build_initial(grid)
-    opts = config.solver_options()
+    config = build_config(_config_values(args), {})
+    params, initial, opts = config.problem()
     if opts.regularization is not None:
         raise ConfigError("limits drives regularization itself; "
                           "pass --eps-list/--rho-list instead of --eps/--rho")
@@ -501,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a single simulation")
     _add_config_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=lambda args: execute_run(build_config(_config_values(args), {})))
 
     p_sweep = sub.add_parser("sweep", help="Cartesian sweep over comma-separated values")
     _add_config_flags(p_sweep)

@@ -175,6 +175,23 @@ class TestInitialConditions:
         assert f"error [config]: cannot read ic_file {path}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, flags, source", [
+        ("f,g\n1,1\nabc,1\n", ["--ic", "from-file"], "{path}: row 2"),    # read as NaN
+        ("f,g\n1,1\n1,inf\n", ["--ic", "from-file"], "{path}: row 2"),
+        (None, ["--ic-f0", "nan"], "ic=cosine-bump"),
+    ], ids=["file-abc", "file-inf", "preset-nan"])
+    def test_non_finite_values_name_their_source(self, tmp_path, capsys, text, flags,
+                                                 source):
+        path = tmp_path / "ic.csv"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code = _run_cli(["run", *flags, "--ic-file", path, "--cells", 2,
+                         "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        want = f"error [config]: {source.format(path=path)} gives non-finite initial values"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_preset(self):
         config = cli.build_config({}, {"ic": "vortex"})
         with pytest.raises(cli.ConfigError, match="unknown initial condition"):
@@ -561,8 +578,8 @@ class TestSweepCommand:
                          "--tol", "1e-11", "--workers", 2, "--out", out])
         assert code == 0
         manifest = (out / "sweep_manifest.csv").read_text().strip().splitlines()
-        assert manifest[0] == "directory,a,tau"
-        assert len(manifest) == 5
+        assert manifest == ["directory,a,tau", "run_000,2,1e-3", "run_001,2,2e-3",
+                            "run_002,3,1e-3", "run_003,3,2e-3"]
         for i in range(4):
             assert (out / f"run_{i:03d}" / "diagnostics.csv").exists()
 
