@@ -72,6 +72,8 @@ COMMAND_CONFIGS = {
 VERIFY_CONFIGS = {
     "verify-default": "",
     "verify-6-300-3": "--n-max 6 --samples 300 --seed 3",
+    # Hessians and S_n matrices of degrees 11-16
+    "verify-16-200-7": "--n-max 16 --samples 200 --seed 7",
 }
 
 

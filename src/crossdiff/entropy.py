@@ -14,28 +14,6 @@ from scipy.special import xlogy
 
 from .params import Params
 
-__all__ = [
-    "EntropyPoly",
-    "build_coefficients",
-    "coefficients_by_recursion",
-    "eval_phi",
-    "grad_phi",
-    "hessian_phi",
-    "eval_phi1",
-    "mobility",
-    "mobility_regularized",
-    "alpha_rho",
-    "symmetrizer",
-    "theta_constants",
-    "phi_bounds",
-    "sn_matrix",
-    "det_expansion_coefficient",
-    "hessian_det_expansion",
-    "hessian_det_lower_bound",
-]
-
-from .params import theta_constants  # re-exported: part of this module's surface
-
 
 class EntropyPoly:
     """Degree-n homogeneous polynomial sum_j coeffs[j] * X1^j * X2^(n-j).
@@ -117,44 +95,39 @@ def _split_point(X, nonneg: bool = False):
     return x1, x2
 
 
-def _power_sum(w, e1, e2, x1, x2):
-    # sum_j w[j] * x1**e1[j] * x2**e2[j], broadcasting over the shape of x1/x2
-    t = x1[..., None] ** e1 * x2[..., None] ** e2
-    return t @ w
+def _partial(poly: EntropyPoly, p: int, q: int, x1, x2):
+    # d1^p d2^q phi = sum_{j=p}^{n-q} c_j (j)_p (n-j)_q X1^(j-p) X2^(n-j-q), with
+    # (m)_k the falling factorial; the integer weight is formed before the
+    # coefficient multiplies it, and the sum broadcasts over the shape of x1/x2
+    n = poly.n
+    js = np.arange(p, n - q + 1)
+    w = np.ones_like(js)
+    for i in range(p):
+        w *= js - i
+    for i in range(q):
+        w *= n - js - i
+    t = x1[..., None] ** (js - p) * x2[..., None] ** (n - js - q)
+    return t @ (w * poly.coeffs[p : n - q + 1])
 
 
 def eval_phi(poly: EntropyPoly, X):
     """Evaluate the polynomial at a nonnegative point (or arrays of points)."""
-    x1, x2 = _split_point(X, nonneg=True)
-    n = poly.n
-    js = np.arange(n + 1)
-    out = _power_sum(poly.coeffs, js, n - js, x1, x2)
+    out = _partial(poly, 0, 0, *_split_point(X, nonneg=True))
     return float(out) if out.ndim == 0 else out
 
 
 def grad_phi(poly: EntropyPoly, X):
     """Exact gradient, stacked as the leading axis of the result."""
     x1, x2 = _split_point(X)
-    n = poly.n
-    c = poly.coeffs
-    js = np.arange(n + 1)
-    d1 = _power_sum(js[1:] * c[1:], js[1:] - 1, n - js[1:], x1, x2)
-    d2 = _power_sum((n - js[:n]) * c[:n], js[:n], n - js[:n] - 1, x1, x2)
-    return np.stack([d1, d2])
+    return np.stack([_partial(poly, 1, 0, x1, x2), _partial(poly, 0, 1, x1, x2)])
 
 
 def hessian_phi(poly: EntropyPoly, X):
     """Exact Hessian; shape (2, 2) + shape of the point components."""
     x1, x2 = _split_point(X)
-    n = poly.n
-    c = poly.coeffs
-    js = np.arange(n + 1)
-    h11 = _power_sum(js[2:] * (js[2:] - 1) * c[2:], js[2:] - 2, n - js[2:], x1, x2)
-    j_mid = js[1:n]
-    h12 = _power_sum(j_mid * (n - j_mid) * c[1:n], j_mid - 1, n - j_mid - 1, x1, x2)
-    j_lo = js[: n - 1]
-    h22 = _power_sum((n - j_lo) * (n - j_lo - 1) * c[: n - 1], j_lo, n - j_lo - 2, x1, x2)
-    return np.stack([np.stack([h11, h12]), np.stack([h12, h22])])
+    h12 = _partial(poly, 1, 1, x1, x2)
+    return np.stack([np.stack([_partial(poly, 2, 0, x1, x2), h12]),
+                     np.stack([h12, _partial(poly, 0, 2, x1, x2)])])
 
 
 def eval_phi1(params: Params, X):
@@ -202,21 +175,15 @@ def mobility_regularized(params: Params, X, eps: float, rho: float):
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not rho > 1.0:
-        raise ValueError(f"truncation level must exceed 1, got {rho}")
     x1, x2 = _split_point(X)
-    a, b, c, d = params.as_tuple()
-    # each state entry through the truncation profile, the whole matrix
-    # damped by the sigmoid 2 / (1 + exp(eps * (x1+ + x2+))) of the
-    # positive parts, which tends to 1 as eps -> 0
-    a1 = np.asarray(alpha_rho(x1, rho), float)
-    a2 = np.asarray(alpha_rho(x2, rho), float)
+    # the mobility of the truncated state, damped by the sigmoid
+    # 2 / (1 + exp(eps * (x1+ + x2+))) of the positive parts, which tends
+    # to 1 as eps -> 0; alpha_rho rejects rho <= 1
     lam = 2.0 / (1.0 + np.exp(eps * (np.maximum(x1, 0.0) + np.maximum(x2, 0.0))))
-    m = lam * np.stack([np.stack([a * a1, b * a1]), np.stack([c * a2, d * a2])])
-    eye = np.zeros_like(m)
-    eye[0, 0] = eps
-    eye[1, 1] = eps
-    return m + eye
+    m = lam * mobility(params, (alpha_rho(x1, rho), alpha_rho(x2, rho)))
+    m[0, 0] += eps
+    m[1, 1] += eps
+    return m
 
 
 def symmetrizer(params: Params) -> np.ndarray:

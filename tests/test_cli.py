@@ -504,6 +504,19 @@ class TestRunCommand:
         rows = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert len(rows) == 5
 
+    def test_negative_value_in_key_equals_value_form(self, tmp_path):
+        # a value that starts with "-" and is not a plain decimal reads as a flag
+        # unless it is attached with "="
+        common = ["run", "--cells", 16, "--tau", "1e-3", "--t-final", "3e-3",
+                  "--tol", "1e-12"]
+        with pytest.raises(SystemExit) as exc:
+            _run_cli([*common, "--ic-amp", "-5e-1", "--out", tmp_path / "s"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert _run_cli([*common, "--ic-amp=-5e-1", "--out", tmp_path / "e"]) == 0
+        assert _run_cli([*common, "--ic-amp", "-0.5", "--out", tmp_path / "d"]) == 0
+        assert ((tmp_path / "e" / "diagnostics.csv").read_bytes()
+                == (tmp_path / "d" / "diagnostics.csv").read_bytes())
+
 
 class TestVerifyCommand:
     def test_exit_zero_and_reports(self, capsys):
@@ -519,6 +532,24 @@ class TestVerifyCommand:
         monkeypatch.setattr(scheme, "_newton_sparse", boom)
         monkeypatch.setattr(scheme, "run", boom)
         assert _run_cli(["verify", "--n-max", 4, "--samples", 50]) == 0
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", 0, "--samples must be at least 1, got 0"),
+        ("--samples", -1, "--samples must be at least 1, got -1"),
+        ("--seed", -1, "--seed must be >= 0, got -1"),
+        ("--n-max", 2000, "--n-max must be at most 232"),
+    ])
+    def test_rejects_bad_arguments(self, capsys, flag, value, message):
+        assert _run_cli(["verify", flag, value]) == cli.EXIT_CONFIG
+        assert f"error [config]: {message}" in capsys.readouterr().err
+
+    def test_largest_accepted_degree_has_finite_coefficients(self):
+        # the extreme ratio e^3 of the quadruples that verify draws, at the cap
+        e = np.exp(1.5)
+        params = cd.Params(e, 1.0 / e, e, 1.0101 / e)
+        assert np.isfinite(cd.build_coefficients(params, cli._VERIFY_MAX_DEGREE).coeffs).all()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            cd.build_coefficients(params, cli._VERIFY_MAX_DEGREE + 2)
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         failing = verify.CheckResult("always fails", 1, 2, 0.5)

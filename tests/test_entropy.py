@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
+from crossdiff import verify
 
 from conftest import random_params
 
@@ -174,6 +175,20 @@ class TestDerivatives:
                 assert np.all(np.abs(hess[0, 0] - fd11) <= 1e-5 * scale)
                 assert np.all(np.abs(hess[0, 1] - fd12) <= 1e-5 * scale)
                 assert np.all(np.abs(hess[1, 1] - fd22) <= 1e-5 * scale)
+
+    def test_euler_identities_up_to_degree_30(self):
+        # phi_n is homogeneous of degree n: X . grad = n phi and H X = (n-1) grad;
+        # every term is nonnegative on the quadrant, so both hold to rounding
+        rng = np.random.default_rng(10)
+        for p in verify.draw_params(rng, 10):
+            X = rng.uniform(0.0, 10.0, size=(2, 200))
+            for n in range(2, 31):
+                poly = cd.build_coefficients(p, n)
+                grad = cd.grad_phi(poly, X)
+                np.testing.assert_allclose((X * grad).sum(axis=0), n * cd.eval_phi(poly, X),
+                                           rtol=1e-13, atol=0.0)
+                hess_x = np.einsum("ij...,j...->i...", cd.hessian_phi(poly, X), X)
+                np.testing.assert_allclose(hess_x, (n - 1) * grad, rtol=1e-13, atol=0.0)
 
     def test_hessian_positive_definite_on_quadrant(self):
         rng = np.random.default_rng(9)
