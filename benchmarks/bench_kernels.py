@@ -7,28 +7,36 @@ E_1..E_6, from one power-moment product), the whole per-step report
 cubic Newton start of a run from four states (``scheme._extrapolate``), the
 implicit-step residual (``fvops.implicit_residual``, the face operator
 shared by every dimension) and the assembly of the upwind Newton Jacobian
-(``scheme._jacobian``) at ``--cells`` cells, and the Jacobian once more on
-a fixed 64x64 grid with a zero patch in f, and prints microseconds per call
-(best of the repeats).  Two more rows time one Newton step, one on the 1D
-grid of ``--cells`` cells and one on the 64x64 grid, and print
+(``scheme._jacobian``, the COO triplet that the factors take) at
+``--cells`` cells, and the Jacobian once more on a fixed 64x64 grid with a
+zero patch in f, and prints microseconds per call (best of the repeats).
+Two more rows time one Newton step, one on the 1D grid of ``--cells``
+cells and one on the 64x64 grid, and print
 milliseconds, Jacobian LU factorizations, Newton iterations and the storage
 of the step's last factors: the band array entries of the 1D LAPACK
 factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
 column order).  The last row times one 100-step 1D run on ``--cells``
 cells, which carries the LU factors from step to step, and prints
-milliseconds, factorizations and iterations per step.  Run:
+milliseconds, factorizations and iterations per step.  The import row
+prints the median wall time of 5 fresh interpreters that run ``import
+crossdiff.cli``, and whether they loaded ``scipy.special`` and
+``scipy.sparse`` (neither is needed before a 2D factorization).  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
 
 import argparse
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 from crossdiff import diagnostics, fvops  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
@@ -128,6 +136,26 @@ def bench_newton(cells: int, repeats: int) -> None:
           f"{sum(r.iterations for r in reports) / steps:>16.2f}")
 
 
+def bench_import(runs: int = 5) -> None:
+    """Wall time of fresh interpreters importing ``crossdiff.cli`` from
+    this checkout, and the optional scipy subpackages that import loaded."""
+    optional = ("scipy.special", "scipy.sparse")
+    code = ("import sys, crossdiff.cli; print(*('loaded' if m in sys.modules "
+            f"else 'absent' for m in {optional!r}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split()
+        times.append(time.perf_counter() - t0)
+    print(f"\n{'import':<24} {'runs':>7} {'ms':>12} "
+          + " ".join(f"{m:>13}" for m in optional))
+    print(f"{'import crossdiff.cli':<24} {runs:>7} {1e3 * statistics.median(times):>12.1f} "
+          + " ".join(f"{v:>13}" for v in loaded))
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--cells", type=int, default=4096)
@@ -135,3 +163,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     bench(args.cells, args.repeats)
     bench_newton(args.cells, args.repeats)
+    bench_import()

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, verify
+from . import diagnostics
 from .errors import InvalidInput, InvariantViolation, NonConvergence, SchemeError
 from .grid import Grid1D, Grid2D, State
 from .params import Params, muskat_params
@@ -424,6 +424,7 @@ def cmd_verify(args) -> int:
     if args.n_max > _VERIFY_MAX_DEGREE:
         raise ConfigError(f"--n-max must be at most {_VERIFY_MAX_DEGREE}, beyond which "
                           f"the coefficients can overflow double precision, got {args.n_max}")
+    from . import verify    # only this command loads the property suites
     results = verify.run_property_suite(n_max=args.n_max, samples=args.samples,
                                         seed=args.seed)
     for result in results:

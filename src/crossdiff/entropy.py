@@ -10,7 +10,6 @@ shape; matrix-valued results put the 2x2 axes first.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .params import Params
 
@@ -143,7 +142,8 @@ def eval_phi1(params: Params, X):
 
 
 def _log_deviation(r):
-    return xlogy(r, r) - r + 1.0
+    # L(r) with 0 ln 0 = 0 (ln 1 = 0 stands in for ln 0); NaN and inf propagate
+    return r * np.log(np.where(r > 0.0, r, 1.0)) - r + 1.0
 
 
 def mobility(params: Params, X):
@@ -243,12 +243,15 @@ def hessian_det_expansion(params: Params, poly: EntropyPoly, X):
     return float(total) if total.ndim == 0 else total
 
 
-def hessian_det_lower_bound(params: Params, poly: EntropyPoly, X):
+def hessian_det_lower_bound(params: Params, poly: EntropyPoly, X, scale_exp=0):
     """Lower bound ((n-1)/2) (A_top X1^(2n-4) + A_bot X2^(2n-4)) for the
-    Hessian determinant, with A_top, A_bot the extreme expansion coefficients."""
+    Hessian determinant, with A_top, A_bot the extreme expansion coefficients;
+    with ``scale_exp = e`` (per point), for the Hessian divided by 2^e, which
+    stays finite where the unscaled bound overflows."""
     x1, x2 = _split_point(X, nonneg=True)
     n = poly.n
     a_bot = det_expansion_coefficient(params, poly, 0, 0)
     a_top = det_expansion_coefficient(params, poly, n - 2, n - 2)
-    out = 0.5 * (n - 1) * (a_top * x1 ** (2 * n - 4) + a_bot * x2 ** (2 * n - 4))
+    p1, p2 = (np.ldexp(x ** (n - 2), -scale_exp) for x in (x1, x2))
+    out = 0.5 * (n - 1) * (a_top * p1 * p1 + a_bot * p2 * p2)
     return float(out) if np.ndim(out) == 0 else out

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import diagnostics, fvops
 from .errors import InvalidInput, InvariantViolation, NonConvergence, RhoTooSmall, SchemeError
@@ -237,7 +235,8 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
 
 def _jacobian(u, terms, grid, params, tau, reg, upwind):
     """Analytic Jacobian of the implicit residual at the stacked state ``u``
-    as a COO matrix (duplicates summed on use) over the stacked unknowns
+    as the COO triplet ``(data, (rows, cols))`` that scipy's sparse
+    constructors take (duplicates summed on use) over the stacked unknowns
     (f block, then g block); ``terms`` are the per-axis face terms of ``u`` that
     :func:`fvops.implicit_residual` returns with its residual, ``reg`` the
     ``(eps, rho)`` of a regularized step or None.  Mobility and damping
@@ -282,24 +281,26 @@ def _jacobian(u, terms, grid, params, tau, reg, upwind):
                     out=vals[start:end].reshape(shape))
         rows[start:end].reshape(shape)[...] = P * comp[:, None, None, None, None] + side
         cols[start:end].reshape(shape)[...] = P * comp[:, None, None, None] + side[:, None]
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(2 * P, 2 * P))
+    return vals, (rows, cols)
 
 
 class _BandLU:
-    """LAPACK band LU factors (``dgbtrf``) of a 1D Jacobian ``J`` (COO),
-    taken over the interleaved unknowns ``(f_0, g_0, f_1, g_1, ...)``: a
-    cell couples to itself and its two neighbours only, so the band has
-    ``K`` sub- and superdiagonals.  ``solve`` takes and returns vectors over
-    the stacked unknowns, as SuperLU's factors do."""
+    """LAPACK band LU factors (``dgbtrf``) of the ``n`` x ``n`` 1D Jacobian
+    ``J`` (a COO triplet), taken over the interleaved unknowns
+    ``(f_0, g_0, f_1, g_1, ...)``: a cell couples to itself and its two
+    neighbours only, so the band has ``K`` sub- and superdiagonals.
+    ``solve`` takes and returns vectors over the stacked unknowns, as
+    SuperLU's factors do."""
 
     K = 3
 
-    def __init__(self, J):
-        n, K = J.shape[0], self.K
-        row, col = (2 * (i % (n // 2)) + i // (n // 2) for i in (J.row, J.col))
+    def __init__(self, J, n):
+        K = self.K
+        data, ij = J
+        row, col = (2 * (i % (n // 2)) + i // (n // 2) for i in ij)
         # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n)
         # band array, whose first K rows are dgbtrf's fill workspace
-        ab = np.bincount(col * (3 * K + 1) + 2 * K + row - col, J.data,
+        ab = np.bincount(col * (3 * K + 1) + 2 * K + row - col, data,
                          (3 * K + 1) * n).reshape(n, 3 * K + 1).T
         self.lu, self.piv, info = scipy.linalg.lapack.dgbtrf(ab, K, K, overwrite_ab=True)
         if info != 0:
@@ -312,12 +313,15 @@ class _BandLU:
         return x.reshape(-1, 2).T.ravel()
 
 
-def _factor(J, ndim):
-    """LU factors, with ``.solve(b)``, of the Newton Jacobian ``J`` (COO over
-    the stacked unknowns): band factors in 1D, SuperLU's in 2D."""
-    if ndim == 1:
-        return _BandLU(J)
-    J = J.tocsc()   # drops the COO arrays before SuperLU allocates its own
+def _factor(J, grid):
+    """LU factors, with ``.solve(b)``, of the Newton Jacobian ``J`` (a COO
+    triplet over the stacked unknowns of ``grid``): band factors in 1D,
+    SuperLU's in 2D.  Only a 2D run loads ``scipy.sparse``."""
+    n = 2 * grid.num_points
+    if grid.ndim == 1:
+        return _BandLU(J, n)
+    import scipy.sparse.linalg
+    J = scipy.sparse.csc_matrix(J, shape=(n, n))   # drops the triplet first
     return scipy.sparse.linalg.splu(J, permc_spec=SUPERLU_ORDERING)
 
 
@@ -375,7 +379,7 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
                 continue
             lu = None   # release the stale factors before building new ones
         try:
-            lu = _factor(_jacobian(u, terms, grid, params, tau, reg, upwind), grid.ndim)
+            lu = _factor(_jacobian(u, terms, grid, params, tau, reg, upwind), grid)
         except RuntimeError as err:     # a singular (or NaN) Jacobian
             raise NonConvergence(iters, float(phi)) from err
         n_lu += 1

@@ -79,6 +79,14 @@ def _tally(name: str, cases, worst: float, pick, note: str = "") -> CheckResult:
     return CheckResult(name, passed, total, worst, note)
 
 
+def _unit_scaled(m):
+    """The 2x2 matrices ``m`` (matrix axes first) each divided exactly by the
+    power of two 2^e above its largest entry, and e: the scaled products stay
+    finite where those of ``m`` (entries past 1e154 at high degree) overflow."""
+    _, e = np.frexp(np.abs(m).max(axis=(0, 1)))
+    return np.ldexp(m, -e), e
+
+
 def check_coefficients(draws: int = 100, n_max: int = 20, seed: int = 0) -> CheckResult:
     """Closed-form coefficients equal the recursion to 1e-12 relative and are
     all strictly positive."""
@@ -107,14 +115,15 @@ def check_hessian_pd(draws: int = 20, samples: int = 1000,
     """Hessian is positive definite away from the origin and its determinant
     dominates the two-term lower bound from the expansion coefficients."""
     def case(params, poly, X):
-        h = entropy.hessian_phi(poly, X)
+        h, e = _unit_scaled(entropy.hessian_phi(poly, X))
         tr = h[0, 0] + h[1, 1]
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         # closed-form smaller eigenvalue of a symmetric 2x2 matrix
         min_eig = 0.5 * (tr - np.sqrt((h[0, 0] - h[1, 1]) ** 2 + 4.0 * h[0, 1] ** 2))
-        bound = entropy.hessian_det_lower_bound(params, poly, X)
+        bound = entropy.hessian_det_lower_bound(params, poly, X, scale_exp=e)
         scale = np.abs(h).max(axis=(0, 1)) ** 2
-        return (min_eig > 0.0) & (det >= bound * (1.0 - 1e-10) - 1e-12 * scale), min_eig.min()
+        return ((min_eig > 0.0) & (det >= bound * (1.0 - 1e-10) - 1e-12 * scale),
+                np.ldexp(min_eig, e).min())
     return _tally("hessian positive definiteness + determinant bound",
                   (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi, 1e-3)),
                   np.inf, min, note="worst = smallest eigenvalue seen")
@@ -124,9 +133,11 @@ def check_sn_pd(draws: int = 20, samples: int = 1000,
                 n_lo: int = 2, n_hi: int = 10, seed: int = 3) -> CheckResult:
     """Hessian*mobility has positive trace and determinant on the open quadrant."""
     def case(params, poly, X):
-        s = entropy.sn_matrix(poly, params, X)
+        s, e = _unit_scaled(entropy.sn_matrix(poly, params, X))
         det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-        return (s[0, 0] + s[1, 1] > 0.0) & (det > 0.0), det.min()
+        with np.errstate(over="ignore"):    # a determinant past 1e308 is not the worst
+            worst = np.ldexp(det, 2 * e).min()
+        return (s[0, 0] + s[1, 1] > 0.0) & (det > 0.0), worst
     return _tally("positive definiteness of hessian*mobility",
                   (case(*c) for c in _cases(seed, draws, samples, n_lo, n_hi, 1e-3)),
                   np.inf, min, note="worst = smallest determinant seen")
@@ -151,25 +162,19 @@ def check_derivatives(draws: int = 5, samples: int = 200,
     def case(params, poly, X):
         h = 1e-6
         x1, x2 = X
+        # central differences along X1 and X2: fd_g[i] of phi, fd_h[i][j] of grad_j
+        steps = (((x1 + h, x2), (x1 - h, x2)), ((x1, x2 + h), (x1, x2 - h)))
+        fd_g = [(entropy.eval_phi(poly, p) - entropy.eval_phi(poly, m)) / (2 * h)
+                for p, m in steps]
+        fd_h = [(entropy.grad_phi(poly, p) - entropy.grad_phi(poly, m)) / (2 * h)
+                for p, m in steps]
         grad = entropy.grad_phi(poly, X)
-        fd1 = (entropy.eval_phi(poly, (x1 + h, x2))
-               - entropy.eval_phi(poly, (x1 - h, x2))) / (2 * h)
-        fd2 = (entropy.eval_phi(poly, (x1, x2 + h))
-               - entropy.eval_phi(poly, (x1, x2 - h))) / (2 * h)
         scale_g = np.maximum(np.abs(grad).max(axis=0), 1e-300)
-        rel_g = np.maximum(np.abs(grad[0] - fd1), np.abs(grad[1] - fd2)) / scale_g
+        rel_g = np.maximum(np.abs(grad[0] - fd_g[0]), np.abs(grad[1] - fd_g[1])) / scale_g
         hess = entropy.hessian_phi(poly, X)
-        gp = entropy.grad_phi(poly, (x1 + h, x2))
-        gm = entropy.grad_phi(poly, (x1 - h, x2))
-        fd11 = (gp[0] - gm[0]) / (2 * h)
-        fd21 = (gp[1] - gm[1]) / (2 * h)
-        gp = entropy.grad_phi(poly, (x1, x2 + h))
-        gm = entropy.grad_phi(poly, (x1, x2 - h))
-        fd22 = (gp[1] - gm[1]) / (2 * h)
         scale_h = np.maximum(np.abs(hess).max(axis=(0, 1)), 1e-300)
-        rel_h = np.maximum.reduce([
-            np.abs(hess[0, 0] - fd11), np.abs(hess[0, 1] - fd21),
-            np.abs(hess[1, 1] - fd22)]) / scale_h
+        rel_h = np.maximum.reduce([np.abs(hess[i, j] - fd_h[i][j])
+                                   for i, j in ((0, 0), (0, 1), (1, 1))]) / scale_h
         # fmax: a NaN in one of the two maxima does not hide the other
         return ((rel_g <= GRAD_FD_TOL) & (rel_h <= HESS_FD_TOL),
                 np.fmax(rel_g.max(), rel_h.max()))
@@ -190,9 +195,7 @@ def check_regularized_bounds(draws: int = 10, samples: int = 2000,
         rho = float(rng.uniform(1.5, 50.0))
         X = rng.uniform(-5.0, rho + 5.0, size=(2, samples))
         m = entropy.mobility_regularized(params, X, eps, rho)
-        core = m.copy()
-        core[0, 0] -= eps
-        core[1, 1] -= eps
+        core = m - eps * np.eye(2)[:, :, None]
         hi = 2.0 * rho * max(a, b, c, d)
         ok = np.all((core >= -1e-12) & (core <= hi + 1e-12), axis=(0, 1))
         outside1 = (X[0] < 0.0) | (X[0] > rho)

@@ -1,4 +1,8 @@
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,3 +669,32 @@ class TestSweepCommand:
     def test_sweep_without_lists_is_an_error(self, tmp_path, capsys):
         assert _run_cli(["sweep", "--cells", 12, "--out", tmp_path / "o"]) == \
             cli.EXIT_CONFIG
+
+
+class TestImportFootprint:
+    """A 1D run needs LAPACK's band factors only: neither ``scipy.special``
+    nor ``scipy.sparse`` is loaded; SuperLU is loaded by the first 2D
+    factorization."""
+
+    OPTIONAL = ("scipy.special", "scipy.sparse", "scipy.sparse.linalg")
+
+    def _loaded_after_run(self, args, out):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys\nfrom crossdiff import cli\n"
+                f"code = cli.main({[*args, '--out', str(out)]!r})\n"
+                f"print(code, *(m in sys.modules for m in {self.OPTIONAL!r}))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_1d_run_loads_neither_special_nor_sparse(self, tmp_path):
+        args = ["run", "--cells", "16", "--tau", "1e-3", "--t-final", "3e-3"]
+        assert self._loaded_after_run(args, tmp_path) == ["0", "False", "False", "False"]
+
+    def test_2d_step_loads_superlu(self, tmp_path):
+        args = ["run", "--dimension", "2", "--cells", "6", "--tau", "1e-3",
+                "--t-final", "1e-3"]
+        assert self._loaded_after_run(args, tmp_path) == ["0", "False", "True", "True"]

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import crossdiff as cd
-from crossdiff import verify
+from crossdiff import entropy, verify
 
 from conftest import random_params
 
@@ -219,6 +220,31 @@ class TestLogEntropy:
     def test_rejects_negative(self, params2111):
         with pytest.raises(ValueError, match="nonnegative"):
             cd.eval_phi1(params2111, (1.0, -0.5))
+
+    def test_value_at_origin_is_exact(self):
+        rng = np.random.default_rng(11)
+        for p in random_params(rng, 10):
+            a, b, _, d = p.as_tuple()
+            assert cd.eval_phi1(p, (0.0, 0.0)) == 1.0 + (b * b) / (a * d)
+
+    def test_log_deviation_matches_xlogy(self):
+        rng = np.random.default_rng(12)
+        r = rng.uniform(0.0, 1e3, 100_000)
+        r[::100] = 0.0
+        ref = xlogy(r, r) - r + 1.0
+        # r ln r - r + 1 cancels near r = 1, so the difference is measured in
+        # ulps of the largest term
+        scale = np.maximum(np.abs(xlogy(r, r)), r + 1.0)
+        assert np.all(np.abs(entropy._log_deviation(r) - ref) <= 4 * np.spacing(scale))
+        assert np.all(entropy._log_deviation(r[::100]) == 1.0)
+
+    def test_nan_and_inf_propagate_as_with_xlogy(self):
+        r = np.array([np.nan, np.inf, 0.0, 1.0])
+        with np.errstate(invalid="ignore"):
+            got = entropy._log_deviation(r)
+            ref = xlogy(r, r) - r + 1.0
+        np.testing.assert_array_equal(got, ref)
+        assert np.isnan(got[:2]).all()
 
 
 class TestMobility:
@@ -496,3 +522,14 @@ class TestSnMatrix:
                 det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
                 assert np.all(tr > 0.0)
                 assert np.all(det > 0.0)
+
+
+class TestVerifyAtHighDegree:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("check", [verify.check_hessian_pd, verify.check_sn_pd])
+    def test_degree_90_passes_without_overflow(self, check):
+        # at n = 90 the entries at points near (10, 10) pass 1e154, where a
+        # 2x2 determinant of the unscaled entries overflows
+        result = check(draws=20, samples=10, n_lo=90, n_hi=90, seed=3)
+        assert result.ok and result.total == 200
+        assert 0.0 < result.worst < np.inf

@@ -227,6 +227,11 @@ class TestBenchScript:
         assert ["jacobian", "1d", "64"] in starts and ["jacobian", "2d", "4096"] in starts
         assert ["newton", "1d", "64"] in starts and ["newton", "2d", "4096"] in starts
         assert ["newton", "run", "64"] in starts
+        # five fresh imports of the cli load neither scipy.special nor scipy.sparse
+        row = next(line.split() for line in proc.stdout.splitlines()
+                   if line.startswith("import crossdiff.cli"))
+        assert row[2] == "5" and float(row[3]) > 0.0
+        assert row[4:] == ["absent", "absent"]
 
 
 class TestOutputDigestScript:
