@@ -3,7 +3,9 @@
 
 Times the per-step entropy report (``diagnostics.entropy_trace`` of
 E_1..E_6, from one power-moment product), the whole per-step report
-(``scheme._report_for``: masses, entropies, dissipation and sup norm), the
+(``scheme._report_for``: masses, entropies, dissipation and sup norm) as a
+step builds it, from the face terms of its Newton solve, and once more
+without them (as for the initial state, which computes its own), the
 cubic Newton start of a run from four states (``scheme._extrapolate``), the
 implicit-step residual (``fvops.implicit_residual``, the face operator
 shared by every dimension) and the assembly of the upwind Newton Jacobian
@@ -88,10 +90,14 @@ def bench(cells: int, repeats: int) -> None:
     opts = SolverOptions()
     # four states one step apart, newest first, as a run keeps them
     history = [State(state.grid, state.f * (1.0 - 1e-3 * j), state.g) for j in range(4)]
+    # the face terms of the state, as a step's Newton solve hands them on
+    terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
+                                    None, True)[1]
 
     rows = [
         ("entropy_trace (n=6)", cells, lambda: diagnostics.entropy_trace(state, PARAMS, 6)),
-        ("report 1d", cells, lambda: _report_for(state, PARAMS, opts, 1, 0.0)),
+        ("report 1d", cells, lambda: _report_for(state, PARAMS, opts, 1, 0.0, terms=terms)),
+        ("report 1d without terms", cells, lambda: _report_for(state, PARAMS, opts, 1, 0.0)),
         ("extrapolate 1d", cells, lambda: _extrapolate(history)),
         ("implicit_residual", cells, lambda: fvops.implicit_residual(
             u, u, PARAMS.as_tuple(), tau, state.grid.dx, None, True)),

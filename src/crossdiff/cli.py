@@ -226,7 +226,7 @@ def _convert(key: str, raw: str):
             removed = " (the Picard solver was removed)" if raw == "picard" else ""
             raise ValueError(f"{raw!r}{removed}; newton is the only solver")
         value = {"int": int, "float": float, "str": str}[kind](raw)
-        if key in ("snapshot_every", "tau_retries") and value < 0:
+        if key in ("snapshot_every", "tau_retries", "seed") and value < 0:
             raise ValueError(f"must be >= 0, got {value}")
         return value
     except ValueError as err:
@@ -410,21 +410,15 @@ def _sweep_worker(values: dict[str, str]) -> int:
         return _report_error(err, f" in {values.get('out', '?')}")
 
 
-#: the largest degree whose coefficients stay finite for every quadruple that
-#: verify.draw_params draws: a, b, c, d lie in [e^-1.5, e^1.5], so each ratio of
-#: entropy.build_coefficients is at most e^3 and each coefficient at most (1 + e^3)^n
-_VERIFY_MAX_DEGREE = int(np.log(np.finfo(float).max) / np.log1p(np.exp(3.0)))
-
-
 def cmd_verify(args) -> int:
+    from . import verify    # only this command loads the property suites
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if args.n_max > _VERIFY_MAX_DEGREE:
-        raise ConfigError(f"--n-max must be at most {_VERIFY_MAX_DEGREE}, beyond which "
+    if args.n_max > verify.MAX_DEGREE:
+        raise ConfigError(f"--n-max must be at most {verify.MAX_DEGREE}, beyond which "
                           f"the coefficients can overflow double precision, got {args.n_max}")
-    from . import verify    # only this command loads the property suites
     results = verify.run_property_suite(n_max=args.n_max, samples=args.samples,
                                         seed=args.seed)
     for result in results:

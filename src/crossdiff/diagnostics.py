@@ -88,24 +88,29 @@ def linf_bound_constant(params: Params) -> float:
     return (d / b) * max(a, b) / min(c, d)
 
 
-def dissipation(state: State, params: Params) -> float:
+def _face_terms(state: State, params: Params) -> list:
+    """The unregularized upwind :func:`fvops.face_terms` of each axis."""
+    return [fvops.face_terms(state.u, params.as_tuple(), state.grid.dx, None, True, axis)
+            for axis in range(state.grid.ndim)]
+
+
+def dissipation(state: State, params: Params, terms: list | None = None) -> float:
     """Discrete dissipation (1/a) * sum_faces [ |grad(a f + theta1 g)|^2
-    + theta2 |grad g|^2 ] * cell volume, using the scheme's face gradients."""
-    a, th, grid = params.a, theta_constants(params), state.grid
-    p = a * state.f + th.theta1 * state.g
+    + theta2 |grad g|^2 ] * cell volume, from the face gradients of
+    ``terms``: the per-axis face terms of ``state``, as
+    :func:`fvops.implicit_residual` returns them (computed when not given)."""
+    a, th = params.a, theta_constants(params)
     total = 0.0
-    for axis in range(grid.ndim):
-        gp, gg = (np.diff(v, axis=axis) / grid.dx for v in (p, state.g))
-        total += float(np.sum(gp * gp + th.theta2 * gg * gg))
-    return grid.cell_volume * total / a
+    for grad, *_ in terms or _face_terms(state, params):
+        gp = a * grad[0] + th.theta1 * grad[1]
+        total += float(np.sum(gp * gp + th.theta2 * grad[1] * grad[1]))
+    return state.grid.cell_volume * total / a
 
 
 def steady_residual(state: State, params: Params) -> float:
     """Max-norm over faces of the two component fluxes; zero exactly at
     constant states, used as a stopping diagnostic for long runs."""
-    fluxes = (fvops.face_terms(state.u, params.as_tuple(), state.grid.dx, None, True, axis)[4]
-              for axis in range(state.grid.ndim))
-    return max(float(np.abs(flux).max()) for flux in fluxes)
+    return max(float(np.abs(flux).max()) for *_, flux in _face_terms(state, params))
 
 
 def entropy_sandwich(state: State, params: Params, n: int):

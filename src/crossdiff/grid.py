@@ -29,8 +29,8 @@ class Grid:
     def __post_init__(self):
         if self.num_cells < 2:
             raise ValueError(f"need at least 2 cells per axis, got {self.num_cells}")
-        if not self.length > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.length}")
 
     # computed once per grid: the states of a run share it, and each step reads it
     @cached_property

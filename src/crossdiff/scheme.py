@@ -123,8 +123,23 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
         rho, sup = opts.regularization[1], prev.max_value()
         if rho < sup:
             raise RhoTooSmall(rho, sup)
-    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, factors, start)
-    return _finalize_step(new, params, opts, iters, res, n_lu)
+    new, iters, res, n_lu, terms = _newton_sparse(prev, tau, params, opts, factors, start)
+    clamped = (0.0, 0.0)
+    if opts.clamp_negative:
+        clamped = tuple(-m for m in State._wrap(new.grid, np.minimum(new.u, 0.0)).masses())
+        # a new state: the report computes its face terms
+        new, terms = State._wrap(new.grid, np.maximum(new.u, 0.0)), None
+    elif (m := new.min_value()) < -NONNEG_TOL:
+        raise InvariantViolation("nonnegativity", None,
+                                 f"min component {m:.3e} < -{NONNEG_TOL:.0e}")
+    if opts.regularization is not None:
+        rho = opts.regularization[1]
+        if (top := new.max_value()) > rho + CAP_TOL:
+            raise InvariantViolation(
+                "boundedness cap", None,
+                f"max component {top:.6e} exceeds rho={rho} beyond {CAP_TOL:.0e}")
+    return new, _report_for(new, params, opts, iterations=iters, residual=res,
+                            clamped_mass=clamped, factorizations=n_lu, terms=terms)
 
 
 def step_regularized(prev: State, tau: float, params: Params, eps: float,
@@ -328,8 +343,9 @@ def _factor(J, grid):
 def _newton_sparse(prev, tau, params, opts, factors, start):
     """Semi-smooth chord Newton with Armijo backtracking on the stacked
     state ``(f, g)`` from ``start`` (default ``prev``); returns the state,
-    the number of updates, the final residual max-norm and the number of
-    factorizations.
+    the number of updates, the final residual max-norm, the number of
+    factorizations and the face terms of the state (per axis, as
+    :func:`fvops.implicit_residual` returns them).
 
     ``factors`` (or None) is a one-slot holder of LU factors of the Jacobian
     at an earlier iterate, possibly of an earlier step with the same
@@ -398,37 +414,14 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
         raise NonConvergence(iters, float(phi))
     if factors is not None and lu is not None:
         factors.append(lu)
-    return State._wrap(grid, u), iters, float(phi), n_lu
-
-
-def _finalize_step(new, params, opts, iters, res, n_lu):
-    clamped = (0.0, 0.0)
-    if opts.clamp_negative:
-        clamped = tuple(-m for m in State._wrap(new.grid, np.minimum(new.u, 0.0)).masses())
-        new = State._wrap(new.grid, np.maximum(new.u, 0.0))
-    else:
-        m = new.min_value()
-        if m < -NONNEG_TOL:
-            raise InvariantViolation(
-                "nonnegativity", None,
-                f"min component {m:.3e} < -{NONNEG_TOL:.0e}")
-    if opts.regularization is not None:
-        rho = opts.regularization[1]
-        top = new.max_value()
-        if top > rho + CAP_TOL:
-            raise InvariantViolation(
-                "boundedness cap", None,
-                f"max component {top:.6e} exceeds rho={rho} beyond {CAP_TOL:.0e}")
-    report = _report_for(new, params, opts, iterations=iters, residual=res,
-                         clamped_mass=clamped, factorizations=n_lu)
-    return new, report
+    return State._wrap(grid, u), iters, float(phi), n_lu, terms
 
 
 def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.0),
-                factorizations=0):
+                factorizations=0, terms=None):
     return StepReport(
         iterations=iterations, residual=residual, masses=state.masses(),
         entropies=diagnostics.entropy_trace(state, params, opts.n_max),
-        dissipation=diagnostics.dissipation(state, params),
+        dissipation=diagnostics.dissipation(state, params, terms),
         linf=diagnostics.linf_sum(state), clamped_mass=clamped_mass,
         factorizations=factorizations)

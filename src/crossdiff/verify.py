@@ -24,6 +24,13 @@ SYMMETRY_TOL = 1e-12
 GRAD_FD_TOL = 1e-6
 HESS_FD_TOL = 1e-5
 
+#: draw_params draws a, b, c, d from [e^-LOG_BOX, e^LOG_BOX], so each ratio
+#: of entropy.build_coefficients is at most e^(2 LOG_BOX) and each degree-n
+#: coefficient at most (1 + e^(2 LOG_BOX))^n; MAX_DEGREE is the largest n at
+#: which that bound is finite
+LOG_BOX = 1.5
+MAX_DEGREE = int(np.log(np.finfo(float).max) / np.log1p(np.exp(2 * LOG_BOX)))
+
 
 @dataclass
 class CheckResult:
@@ -49,7 +56,7 @@ def draw_params(rng: np.random.Generator, count: int) -> list[Params]:
     positivity checks are not run at the edge of floating-point resolution."""
     out = []
     while len(out) < count:
-        a, b, c, d = np.exp(rng.uniform(-1.5, 1.5, size=4))
+        a, b, c, d = np.exp(rng.uniform(-LOG_BOX, LOG_BOX, size=4))
         if a * d > 1.01 * b * c:
             out.append(Params(a, b, c, d))
     return out

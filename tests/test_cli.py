@@ -327,7 +327,7 @@ class TestRunCommand:
     def test_cap_breach_exits_as_invariant_violation(self, tmp_path, capsys, monkeypatch):
         def overshoot(prev, tau, params, opts, *args):
             above = np.full_like(prev.u, opts.regularization[1] + 2 * scheme.CAP_TOL)
-            return cd.State(prev.grid, *above), 1, 0.0, 1
+            return cd.State(prev.grid, *above), 1, 0.0, 1, None
 
         monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
         out = tmp_path / "o"
@@ -354,6 +354,25 @@ class TestRunCommand:
                          flag, -3, "--out", out])
         assert code == cli.EXIT_CONFIG
         assert f"bad value for {key}: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        # a negative seed reached numpy's generator as a ValueError traceback
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 8, "--ic", "random-smooth", "--seed=-1",
+                         "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "error [config]: bad value for seed: must be >= 0, got -1" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_infinite_length_without_warnings(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 8, "--length", "inf", "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "error [config]: domain length must be positive and finite, got inf" in \
+            capsys.readouterr().err
+        assert not recwarn.list
         assert not out.exists()
 
     def test_tau_retry_recovers(self, tmp_path):
@@ -549,11 +568,11 @@ class TestVerifyCommand:
 
     def test_largest_accepted_degree_has_finite_coefficients(self):
         # the extreme ratio e^3 of the quadruples that verify draws, at the cap
-        e = np.exp(1.5)
+        e = np.exp(verify.LOG_BOX)
         params = cd.Params(e, 1.0 / e, e, 1.0101 / e)
-        assert np.isfinite(cd.build_coefficients(params, cli._VERIFY_MAX_DEGREE).coeffs).all()
+        assert np.isfinite(cd.build_coefficients(params, verify.MAX_DEGREE).coeffs).all()
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-            cd.build_coefficients(params, cli._VERIFY_MAX_DEGREE + 2)
+            cd.build_coefficients(params, verify.MAX_DEGREE + 2)
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         failing = verify.CheckResult("always fails", 1, 2, 0.5)
@@ -631,7 +650,8 @@ class TestSweepCommand:
         assert "status: COMPLETED" in (out / "run_001" / "summary.txt").read_text()
 
     @pytest.mark.parametrize("flag, key", [("--snapshot-every", "snapshot_every"),
-                                           ("--tau-retries", "tau_retries")])
+                                           ("--tau-retries", "tau_retries"),
+                                           ("--seed", "seed")])
     def test_rejects_negative_count_in_every_member(self, tmp_path, capfd, flag, key):
         out = tmp_path / "sw"
         code = _run_cli(["sweep", "--cells", 8, "--t-final", "2e-3", "--tau", "1e-3,2e-3",

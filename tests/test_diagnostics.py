@@ -117,7 +117,25 @@ class TestStackedReport:
 
     @pytest.mark.parametrize("grid, seed", _REPORT_CASES)
     def test_dissipation_equals_the_stacked_difference_formula(self, grid, seed):
-        # the earlier formula: np.diff of the stacked (a f + theta1 g, g)
+        # the face gradient of fvops: differences of the stacked (f, g) over
+        # dx on the interior faces, zero on the boundary faces
+        st = _state_with_zeros(grid, seed)
+        for params in [cd.Params(2.0, 1.0, 1.0, 1.0)] + random_params(
+                np.random.default_rng(seed), 3):
+            th = cd.theta_constants(params)
+            total = 0.0
+            for axis in range(grid.ndim):
+                u = st.u.swapaxes(axis + 1, -1)
+                grad = np.zeros(u.shape[:-1] + (grid.num_cells + 1,))
+                grad[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / grid.dx
+                gp = params.a * grad[0] + th.theta1 * grad[1]
+                total += float(np.sum(gp * gp + th.theta2 * grad[1] * grad[1]))
+            assert cd.dissipation(st, params) == grid.cell_volume * total / params.a
+
+    @pytest.mark.parametrize("grid, seed", _REPORT_CASES)
+    def test_dissipation_agrees_with_the_earlier_difference_formula(self, grid, seed):
+        # np.diff of the stacked (a f + theta1 g, g): the same sum, rounded
+        # in another order
         st = _state_with_zeros(grid, seed)
         for params in [cd.Params(2.0, 1.0, 1.0, 1.0)] + random_params(
                 np.random.default_rng(seed), 3):
@@ -127,7 +145,8 @@ class TestStackedReport:
             for axis in range(grid.ndim):
                 gp, gg = np.diff(u, axis=axis + 1) / grid.dx
                 total += float(np.sum(gp * gp + th.theta2 * gg * gg))
-            assert cd.dissipation(st, params) == grid.cell_volume * total / params.a
+            assert cd.dissipation(st, params) == pytest.approx(
+                grid.cell_volume * total / params.a, rel=1e-13, abs=0.0)
 
 
 class TestLinfSum:

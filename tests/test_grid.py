@@ -54,6 +54,13 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             cd.Grid1D(4, 0.0)
 
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            cd.Grid1D(4, length)
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            cd.Grid2D(4, length)
+
     def test_constant_field_has_zero_gradient(self):
         grid = cd.Grid1D(8, 2.0)
         np.testing.assert_array_equal(face_gradient(grid, np.full(8, 3.7)),

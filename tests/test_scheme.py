@@ -517,7 +517,7 @@ class TestStepRegularized:
 
         def overshoot(prev, *args):
             above = np.full_like(prev.u, rho + excess * scheme.CAP_TOL)
-            return cd.State(prev.grid, *above), 1, 0.0, 1
+            return cd.State(prev.grid, *above), 1, 0.0, 1, None
 
         monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
         try:
@@ -606,6 +606,36 @@ class TestClamping:
         new, rep = cd.step(st, 1e-3, params2111, _opts(clamp_negative=True))
         assert rep.clamped_mass == (0.0, 0.0)
         assert new.min_value() >= 0.0
+
+
+class TestReportFaceTerms:
+    """A step's report takes the dissipation from the face terms of the
+    accepted Newton iterate; it equals the dissipation of the new state,
+    which computes its own face terms, bit for bit."""
+
+    @staticmethod
+    def _state(grid, fronts):
+        # a compactly supported cap of f over a positive g, or f and g
+        # supported on opposite sides (arithmetic faces take these negative);
+        # in 2D f varies along x and g along y
+        x, y = grid.centers() if grid.ndim == 2 else (grid.centers(),) * 2
+        if fronts:
+            return cd.State(grid, np.where(x < 0.3, 2.0, 0.0), np.where(y > 0.7, 2.0, 0.0))
+        return cd.State(grid, 1.5 * np.maximum(0.0, 1.0 - ((x - 0.5) / 0.3) ** 2),
+                        1.0 + 0.3 * np.cos(np.pi * y))
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(48, 1.0), cd.Grid2D(9, 1.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("kw", [
+        {}, {"mobility_face": "arithmetic"}, {"regularization": (1e-2, 10.0)},
+        {"mobility_face": "arithmetic", "clamp_negative": True},
+    ], ids=["upwind", "arithmetic", "regularized", "clamped"])
+    def test_report_dissipation_is_that_of_the_new_state(self, params2111, grid, kw):
+        clamp = kw.get("clamp_negative", False)
+        new, rep = cd.step(self._state(grid, clamp), 1e-2, params2111,
+                           _opts(tol=1e-11, **kw))
+        assert rep.dissipation > 0.0 and (sum(rep.clamped_mass) > 0.0) == clamp
+        assert rep.dissipation == cd.dissipation(new, params2111)
 
 
 class TestLimitCycleData:
