@@ -14,7 +14,11 @@ output-preserving change is checked:
     python benchmarks/output_digest.py [NAME ...]
 
 With names, only those configurations run.  The package is imported from
-the checkout that holds this script.
+the checkout that holds this script, or with ``--src DIR`` from the ``src``
+directory of another checkout, so that one copy of the script, with one list
+of configurations, digests both sides of a change:
+
+    python benchmarks/output_digest.py --src ../parent/src [NAME ...]
 """
 
 import argparse
@@ -24,10 +28,6 @@ import io
 import sys
 import tempfile
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from crossdiff import cli  # noqa: E402
 
 #: name -> ``crossdiff run`` arguments (without ``--out``)
 CONFIGS = {
@@ -77,7 +77,8 @@ VERIFY_CONFIGS = {
 }
 
 
-def digest(names) -> list[str]:
+def digest(cli, names) -> list[str]:
+    """The printout for ``names``, made with the ``crossdiff.cli`` module ``cli``."""
     lines = []
     with tempfile.TemporaryDirectory() as root:
         for name in names:
@@ -108,8 +109,14 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("names", nargs="*", metavar="NAME",
                         help=f"configurations to run (default: all of {', '.join(every)})")
+    parser.add_argument("--src", metavar="DIR",
+                        default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory that holds the crossdiff package to digest "
+                             "(default: the src of this script's checkout)")
     args = parser.parse_args()
     unknown = sorted(set(args.names) - set(every))
     if unknown:
         parser.error(f"unknown configuration {', '.join(unknown)}")
-    print("\n".join(digest(args.names or every)))
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from crossdiff import cli
+    print("\n".join(digest(cli, args.names or every)))

@@ -8,8 +8,8 @@ Subcommands:
 * ``sweep``  -- Cartesian product over comma-separated values of the numeric
   options, one worker process per run, per-run output directories.
 * ``verify`` -- the randomized algebraic property suites (no PDE solve).
-* ``limits`` -- regularization refinement study: one exact implicit step
-  against the regularized step over lists of eps and rho.
+* ``limits`` -- regularization refinement study: the first step of a run
+  against the first step of the regularized run over lists of eps and rho.
 
 Configuration comes from an optional flat ``key = value`` text file
 (``--config``) overridden by command-line flags.  All floating-point CSV
@@ -22,7 +22,7 @@ import argparse
 import itertools
 import sys
 from concurrent import futures
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from . import diagnostics
 from .errors import InvalidInput, InvariantViolation, NonConvergence, SchemeError
 from .grid import Grid1D, Grid2D, State
 from .params import Params, muskat_params
-from .scheme import SolverOptions, initial_report, run, step, step_regularized
+from .scheme import SolverOptions, run
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -116,30 +116,23 @@ class RunConfig:
     def build_params(self) -> Params:
         explicit = [v is not None for v in (self.a, self.b, self.c, self.d)]
         muskat = self.muskat_R is not None or self.muskat_mu is not None
-        try:
-            if muskat:
-                if any(explicit):
-                    raise ConfigError(
-                        "specify either a/b/c/d or the muskat preset, not both")
-                if self.muskat_R is None:
-                    raise ConfigError("muskat preset needs muskat_R")
-                return muskat_params(self.muskat_R,
-                                     1.0 if self.muskat_mu is None else self.muskat_mu)
+        if muskat:
             if any(explicit):
-                if not all(explicit):
-                    raise ConfigError("provide all four of a, b, c, d")
-                return Params(self.a, self.b, self.c, self.d)
-            return Params(2.0, 1.0, 1.0, 1.0)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+                raise ConfigError("specify either a/b/c/d or the muskat preset, not both")
+            if self.muskat_R is None:
+                raise ConfigError("muskat preset needs muskat_R")
+            return muskat_params(self.muskat_R,
+                                 1.0 if self.muskat_mu is None else self.muskat_mu)
+        if any(explicit):
+            if not all(explicit):
+                raise ConfigError("provide all four of a, b, c, d")
+            return Params(self.a, self.b, self.c, self.d)
+        return Params(2.0, 1.0, 1.0, 1.0)
 
     def build_grid(self):
         if self.dimension not in (1, 2):
             raise ConfigError(f"dimension must be 1 or 2, got {self.dimension}")
-        try:
-            return (Grid1D, Grid2D)[self.dimension - 1](self.cells, self.length)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return (Grid1D, Grid2D)[self.dimension - 1](self.cells, self.length)
 
     def build_initial(self, grid) -> State:
         x = grid.centers() if grid.ndim == 1 else grid.centers()[0]
@@ -151,6 +144,8 @@ class RunConfig:
             f = self.ic_f0 + self.ic_amp * np.cos(self.ic_k * np.pi * x / L)
             g = self.ic_g0 + self.ic_amp_g * np.cos(self.ic_kg * np.pi * x / L)
         elif self.ic == "step":
+            if np.isnan(self.ic_split):     # x < nan would put every cell right
+                raise ConfigError(f"ic_split must be a number, got {self.ic_split}")
             split = self.ic_split * L
             f = np.where(x < split, self.ic_f_left, self.ic_f_right)
             g = np.where(x < split, self.ic_g_left, self.ic_g_right)
@@ -194,15 +189,16 @@ class RunConfig:
         reg = (self.eps, self.rho) if self.eps is not None else None
         copied = {f.name: getattr(self, f.name) for f in fields(SolverOptions)
                   if f.name != "regularization"}
-        try:
-            return SolverOptions(regularization=reg, **copied)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return SolverOptions(regularization=reg, **copied)
 
     def problem(self) -> tuple[Params, State, SolverOptions]:
-        """The parameters, initial state and solver options of a run."""
-        params = self.build_params()
-        return params, self.build_initial(self.build_grid()), self.solver_options()
+        """The parameters, initial state and solver options of a run; what
+        ``Params``, the grid or ``SolverOptions`` rejects is a ConfigError."""
+        try:
+            params, grid, opts = self.build_params(), self.build_grid(), self.solver_options()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        return params, self.build_initial(grid), opts
 
 
 #: config key -> "bool", "int", "float" or "str", from RunConfig's annotations
@@ -432,23 +428,21 @@ def cmd_verify(args) -> int:
 
 def cmd_limits(args) -> int:
     config = build_config(_config_values(args), {})
-    params, initial, opts = config.problem()
-    if opts.regularization is not None:
+    if config.eps is not None or config.rho is not None:
         raise ConfigError("limits drives regularization itself; "
                           "pass --eps-list/--rho-list instead of --eps/--rho")
     eps_list = _float_list("--eps-list", args.eps_list)
     rho_list = _float_list("--rho-list", args.rho_list)
-    e_before = initial_report(initial, params, opts).entropies
-    exact, _ = step(initial, config.tau, params, opts)
+    _, (_, exact, _) = _first_step(config)
     header = (["eps", "rho", "max_diff"]
               + [f"dE{n}" for n in range(1, config.n_max + 1)])
     rows = [",".join(header)]
     print(f"{'eps':>10} {'rho':>10} {'max-norm diff':>15} {'max entropy increment':>22}")
     for rho in rho_list:
         for eps in eps_list:
-            approx, report = step_regularized(initial, config.tau, params, eps, rho, opts)
+            (_, _, before), (_, approx, report) = _first_step(replace(config, eps=eps, rho=rho))
             diff = np.abs(approx.u - exact.u).max()
-            increments = report.entropies - e_before
+            increments = report.entropies - before.entropies
             rows.append(",".join([_fmt(eps), _fmt(rho), _fmt(diff)]
                                  + [_fmt(v) for v in increments]))
             print(f"{eps:>10.3g} {rho:>10.3g} {diff:>15.6e} "
@@ -458,6 +452,12 @@ def cmd_limits(args) -> int:
     (out_dir / "limits.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/limits.csv")
     return EXIT_OK
+
+
+def _first_step(config: RunConfig):
+    """The initial entry and the first step of the run of ``config``."""
+    params, initial, opts = config.problem()
+    return run(initial, config.tau, config.tau, params, opts)
 
 
 def _float_list(flag: str, text: str) -> list[float]:

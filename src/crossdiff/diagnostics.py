@@ -88,29 +88,26 @@ def linf_bound_constant(params: Params) -> float:
     return (d / b) * max(a, b) / min(c, d)
 
 
-def _face_terms(state: State, params: Params) -> list:
-    """The unregularized upwind :func:`fvops.face_terms` of each axis."""
-    return [fvops.face_terms(state.u, params.as_tuple(), state.grid.dx, None, True, axis)
-            for axis in range(state.grid.ndim)]
-
-
 def dissipation(state: State, params: Params, terms: list | None = None) -> float:
     """Discrete dissipation (1/a) * sum_faces [ |grad(a f + theta1 g)|^2
     + theta2 |grad g|^2 ] * cell volume, from the face gradients of
-    ``terms``: the per-axis face terms of ``state``, as
-    :func:`fvops.implicit_residual` returns them (computed when not given)."""
+    ``terms``, the per-axis face terms of ``state`` as
+    :func:`fvops.implicit_residual` returns them, or :func:`fvops.face_gradient`."""
     a, th = params.a, theta_constants(params)
     total = 0.0
-    for grad, *_ in terms or _face_terms(state, params):
+    for axis in range(state.grid.ndim):
+        grad = terms[axis][0] if terms else fvops.face_gradient(state.u, state.grid.dx, axis)
         gp = a * grad[0] + th.theta1 * grad[1]
         total += float(np.sum(gp * gp + th.theta2 * grad[1] * grad[1]))
     return state.grid.cell_volume * total / a
 
 
 def steady_residual(state: State, params: Params) -> float:
-    """Max-norm over faces of the two component fluxes; zero exactly at
-    constant states, used as a stopping diagnostic for long runs."""
-    return max(float(np.abs(flux).max()) for *_, flux in _face_terms(state, params))
+    """Max-norm over faces of the two (upwind) component fluxes; zero exactly
+    at constant states, used as a stopping diagnostic for long runs."""
+    coef, dx = params.as_tuple(), state.grid.dx
+    return max(float(np.abs(fvops.face_terms(state.u, coef, dx, None, True, axis)[-1]).max())
+               for axis in range(state.grid.ndim))
 
 
 def entropy_sandwich(state: State, params: Params, n: int):

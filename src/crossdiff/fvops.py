@@ -37,17 +37,25 @@ def cut_derivative(z, reg):
                     np.where((z > rho - 1.0) & (z < rho), 1.0 - rho, 0.0))
 
 
+def face_gradient(u, dx, axis):
+    """Component gradients of the stacked state ``u`` on the faces 0..n
+    along grid ``axis`` (that axis last), zero on the boundary faces."""
+    u = u.swapaxes(axis + 1, -1)
+    grad = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    grad[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / dx
+    return grad
+
+
 def face_terms(u, coef, dx, reg, upwind, axis):
     """(grad, dp, lam, mob, flux) of the stacked state ``u`` on the faces
-    0..n along grid ``axis``: component gradients, pressure gradients,
-    damping (the scalar 1.0 without regularization), face mobilities and
-    fluxes.  ``coef`` holds the pressure coefficients (a, b, c, d): the
-    pressure of f is a f + b g, that of g is c f + d g."""
+    0..n along grid ``axis``: component gradients (:func:`face_gradient`),
+    pressure gradients, damping (the scalar 1.0 without regularization),
+    face mobilities and fluxes.  ``coef`` holds the pressure coefficients
+    (a, b, c, d): the pressure of f is a f + b g, that of g is c f + d g."""
+    grad = face_gradient(u, dx, axis)
     u = u.swapaxes(axis + 1, -1)
     lo, hi = u[..., :-1], u[..., 1:]
     n = u.shape[-1]
-    grad = np.zeros(u.shape[:-1] + (n + 1,))
-    grad[..., 1:n] = (hi - lo) / dx
     col = np.asarray(coef, dtype=float).reshape((2, 2) + (1,) * (u.ndim - 1))
     dp = col[:, 0] * grad[0] + col[:, 1] * grad[1]
     lam = 1.0

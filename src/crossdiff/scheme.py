@@ -162,29 +162,21 @@ def run(initial: State, tau: float, t_final: float, params: Params,
 
     Invalid arguments raise :class:`InvalidInput` when ``run`` is called:
     ``t_final`` must be a whole multiple of ``tau`` (to 1e-9 relative), and
-    E_1..E_n_max must be finite at the initial state.  Every report goes
+    E_1..E_n_max must be finite at the initial state (the error names the
+    first degree whose E_n is not).  Every report goes
     through one :class:`diagnostics.RunMonitor`, which enforces the run's
     inequalities when ``opts.check_invariants`` is set.  An error of a step
     carries its ``step_index``; the entries yielded before it are the valid
     part of the run.
     """
+    _validate_step_inputs(initial, tau)
     if not t_final > 0.0:
         raise InvalidInput(f"t_final must be positive, got {t_final}")
-    _validate_step_inputs(initial, tau)
     ratio = t_final / tau
     n_steps = round(ratio) if math.isfinite(ratio) else 0
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
                            f"the time step tau={tau}")
-    report = initial_report(initial, params, opts)
-    monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
-    return _march(initial, report, tau, n_steps, params, opts, monitor)
-
-
-def initial_report(initial: State, params: Params, opts: SolverOptions) -> StepReport:
-    """The report of the initial state of a run; raises
-    :class:`InvalidInput` naming the first degree whose E_n is not finite
-    in double precision."""
     with np.errstate(over="ignore", invalid="ignore"):
         report = _report_for(initial, params, opts, iterations=0, residual=0.0)
     overflow = np.flatnonzero(~np.isfinite(report.entropies))
@@ -193,7 +185,8 @@ def initial_report(initial: State, params: Params, opts: SolverOptions) -> StepR
         raise InvalidInput(
             f"n_max={opts.n_max} is too large: E_{n} of the initial state is "
             f"not finite in double precision; choose n_max < {n}")
-    return report
+    monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
+    return _march(initial, report, tau, n_steps, params, opts, monitor)
 
 
 def _march(state, report, tau, n_steps, params, opts, monitor):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff import cli, scheme, verify
+from crossdiff import cli, diagnostics, scheme, verify
 from crossdiff.errors import NonConvergence
 
 
@@ -195,6 +196,16 @@ class TestInitialConditions:
         want = f"error [config]: {source.format(path=path)} gives non-finite initial values"
         assert want in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_nan_step_split_is_a_config_error(self, tmp_path, capsys):
+        # x < nan is false: every cell used to get the right-hand values
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--ic", "step", "--ic-split", "nan", "--cells", 8,
+                         "--tau", "1e-3", "--t-final", "1e-3", "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert "error [config]: ic_split must be a number, got nan" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset(self):
         config = cli.build_config({}, {"ic": "vortex"})
@@ -623,6 +634,58 @@ class TestLimitsCommand:
         assert flag in err and f"{bad} is not a number" in err
         assert not out.exists()
 
+    def test_rows_are_first_steps_of_runs(self, tmp_path):
+        # each row compares the first step of the run that `crossdiff run
+        # --eps E --rho R` makes with that of the unregularized run
+        out = tmp_path / "o"
+        code = _run_cli(["limits", "--cells", 16, "--tau", "1e-3", "--tol", "1e-12",
+                         "--eps-list", "1e-2,1e-3", "--rho-list", "1e2,1e3", "--out", out])
+        assert code == cli.EXIT_OK
+        grid = cd.Grid1D(16, 1.0)
+        initial = cd.State(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()), np.ones(16))
+        params, opts = cd.Params(2.0, 1.0, 1.0, 1.0), cd.SolverOptions(tol=1e-12)
+        _, (_, exact, _) = cd.run(initial, 1e-3, 1e-3, params, opts)
+        rows = ["eps,rho,max_diff," + ",".join(f"dE{n}" for n in range(1, 7))]
+        for rho in (1e2, 1e3):
+            for eps in (1e-2, 1e-3):
+                reg = dataclasses.replace(opts, regularization=(eps, rho))
+                (_, _, before), (_, approx, rep) = cd.run(initial, 1e-3, 1e-3, params, reg)
+                values = [eps, rho, np.abs(approx.u - exact.u).max(),
+                          *(rep.entropies - before.entropies)]
+                rows.append(",".join(format(v, ".16e") for v in values))
+        assert (out / "limits.csv").read_text() == "\n".join(rows) + "\n"
+
+    def test_exact_step_is_checked_like_a_run(self, tmp_path, capsys, monkeypatch):
+        # every entropy decrease is above a slack of -1
+        monkeypatch.setattr(diagnostics, "ENTROPY_REL_SLACK", -1.0)
+        args = ["limits", "--cells", 16, "--eps-list", "1e-2"]
+        assert _run_cli(args + ["--out", tmp_path / "a"]) == cli.EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "error [invariant]: violated inequality [entropy monotonicity E_1] " \
+               "at step 1" in err
+        assert not (tmp_path / "a").exists()
+        assert _run_cli(args + ["--check-invariants", "no", "--out", tmp_path / "b"]) == \
+            cli.EXIT_OK
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eps-list", "1e-2,2", "eps must lie in (0, 1), got 2.0"),
+        ("--rho-list", "0.5", "rho must exceed 1, got 0.5"),
+    ])
+    def test_out_of_range_list_entry_is_a_config_error(self, tmp_path, capsys, flag,
+                                                      value, message):
+        out = tmp_path / "o"
+        code = _run_cli(["limits", "--cells", 16, flag, value, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert f"error [config]: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonconvergence_names_step_one(self, tmp_path, capsys):
+        code = _run_cli(["limits", "--cells", 16, "--max-iters", 1, "--tol", "1e-14",
+                         "--tau", "0.05", "--out", tmp_path / "o"])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert "error [nonconvergence]: nonlinear solve did not converge at step 1:" in \
+            capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_cartesian_product_runs(self, tmp_path):
@@ -658,6 +721,17 @@ class TestSweepCommand:
                          f"{flag}=-1", "--workers", 1, "--out", out])
         assert code == cli.EXIT_CONFIG
         assert capfd.readouterr().err.count(f"bad value for {key}: must be >= 0") == 2
+        assert not (out / "run_000").exists() and not (out / "run_001").exists()
+
+    def test_rejects_nan_step_split_in_every_member(self, tmp_path, capfd):
+        out = tmp_path / "sw"
+        code = _run_cli(["sweep", "--ic", "step", "--ic-split", "nan", "--cells", 8,
+                         "--t-final", "2e-3", "--tau", "1e-3,2e-3", "--workers", 1,
+                         "--out", out])
+        assert code == cli.EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.count("ic_split must be a number, got nan") == 2
+        assert err.count("error [config] in ") == 2
         assert not (out / "run_000").exists() and not (out / "run_001").exists()
 
     def test_member_io_error_exits_like_run(self, tmp_path, capfd):

@@ -255,3 +255,13 @@ class TestOutputDigestScript:
                 "sweep/sweep_manifest.csv", "sweep/stdout", "sweep/run_000/diagnostics.csv",
                 "sweep/run_001/summary.txt"} <= set(digests)
         assert all(len(sha) == 64 for sha in digests.values())
+
+    def test_src_flag_imports_the_given_checkout(self):
+        # with this checkout's src, --src prints what the default import does
+        root = Path(__file__).resolve().parents[1]
+        script = [sys.executable, str(root / "benchmarks" / "output_digest.py")]
+        names = ["arithmetic", "limits", "verify-6-300-3"]
+        printed = [subprocess.run(script + extra + names, capture_output=True, text=True,
+                                  timeout=300).stdout
+                   for extra in ([], ["--src", str(root / "src")])]
+        assert printed[0].count("exit 0") == 3 and printed[0] == printed[1]

@@ -600,6 +600,36 @@ class TestRun:
         assert np.abs(final.g - mean_g).max() <= 1e-5
 
 
+class TestLinearDecay:
+    """Near the constant state (1, 1) the step is, to first order in the
+    amplitude, ``(I + tau M A L_h) u_new = u_prev`` with ``M = I``: the mode
+    ``v cos(pi x)``, for ``v`` an eigenvector of ``A`` with eigenvalue
+    kappa, is damped per step by exactly ``1 / (1 + tau kappa mu)``, where
+    ``mu = (4/dx^2) sin^2(pi dx/2)`` is its eigenvalue of the zero-flux
+    Laplacian ``L_h`` (``cos(pi x) cos(pi y)`` in 2D, twice that)."""
+
+    AMP = 1e-6
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("cells", [16, 64])
+    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
+    def test_mode_decays_by_the_linear_factor(self, params2111, dimension, cells, face):
+        grid = (cd.Grid1D, cd.Grid2D)[dimension - 1](cells, 1.0)
+        mode = np.prod(np.cos(np.pi * np.reshape(grid.centers(), (dimension,) + grid.shape)),
+                       axis=0)
+        mu = dimension * 4.0 / grid.dx ** 2 * np.sin(np.pi * grid.dx / 2.0) ** 2
+        tau = 1e-3
+        kappas, vectors = np.linalg.eigh(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        for kappa, v in zip(kappas, vectors.T):
+            shape = self.AMP * v.reshape((2,) + (1,) * dimension) * mode
+            new, _ = cd.step(cd.State(grid, *(1.0 + shape)), tau, params2111,
+                             _opts(tol=1e-14, mobility_face=face))
+            ratio = np.sum((new.u - 1.0) * shape) / np.sum(shape * shape)
+            want = 1.0 / (1.0 + tau * kappa * mu)
+            # first order in the amplitude: upwind faces switch with its sign
+            assert abs((1.0 - ratio) - (1.0 - want)) <= 1e-6 * (1.0 - want)
+
+
 class TestClamping:
     def test_clamp_reports_zero_when_nothing_clamped(self, params2111, cosine_state):
         st = cosine_state(cells=16, amp=0.2)
