@@ -6,7 +6,7 @@ Subcommands:
   snapshots named by step index, and ``summary.txt`` with the inequality
   verdicts.
 * ``sweep``  -- Cartesian product over comma-separated values of the numeric
-  options, one worker process per run, per-run output directories.
+  options, at most one worker process per run, per-run output directories.
 * ``verify`` -- the randomized algebraic property suites (no PDE solve).
 * ``limits`` -- regularization refinement study: the first step of a run
   against the first step of the regularized run over lists of eps and rho.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from concurrent import futures
 from dataclasses import dataclass, fields, replace
@@ -391,7 +392,9 @@ def cmd_sweep(args) -> int:
     (out_root / "sweep_manifest.csv").write_text("\n".join(manifest) + "\n",
                                                  encoding="utf-8")
     worst = EXIT_OK
-    with futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its workers at the first submit
+    workers = min(args.workers or os.cpu_count() or 1, len(jobs))
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for code in pool.map(_sweep_worker, jobs):
             worst = max(worst, code)
     print(f"sweep finished: {len(jobs)} runs -> {out_root} "
@@ -495,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="Cartesian sweep over comma-separated values")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: executor default)")
+                         help="worker processes, at most one per run (default: CPU count)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="randomized algebraic property suites")

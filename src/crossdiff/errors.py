@@ -5,28 +5,25 @@ from __future__ import annotations
 
 
 class SchemeError(Exception):
+    #: the step of a run the error happened at; ``run`` fills it in after
+    #: the step raised, so messages that name it are rendered on demand
+    step_index: int | None = None
+
+    def _at_step(self) -> str:
+        return f" at step {self.step_index}" if self.step_index is not None else ""
+
+
+class InvalidInput(SchemeError, ValueError):
     pass
-
-
-class InvalidInput(SchemeError):
-    pass
-
-
-def _at_step(step_index: int | None) -> str:
-    return f" at step {step_index}" if step_index is not None else ""
 
 
 class NonConvergence(SchemeError):
-    # the message is rendered on demand, because ``run`` fills in
-    # ``step_index`` after the step raised
     def __init__(self, iterations: int, residual: float, step_index: int | None = None):
         super().__init__(iterations, residual, step_index)
-        self.iterations = iterations
-        self.residual = residual
-        self.step_index = step_index
+        self.iterations, self.residual, self.step_index = iterations, residual, step_index
 
     def __str__(self) -> str:
-        return (f"nonlinear solve did not converge{_at_step(self.step_index)}: "
+        return (f"nonlinear solve did not converge{self._at_step()}: "
                 f"residual {self.residual:.3e} after {self.iterations} iterations "
                 f"(time step too large or state too degenerate)")
 
@@ -44,10 +41,8 @@ class InvariantViolation(SchemeError):
 
     def __init__(self, inequality: str, step_index: int | None, detail: str):
         super().__init__(inequality, step_index, detail)
-        self.inequality = inequality
-        self.step_index = step_index
-        self.detail = detail
+        self.inequality, self.step_index, self.detail = inequality, step_index, detail
 
     def __str__(self) -> str:
         return (f"violated inequality [{self.inequality}]"
-                f"{_at_step(self.step_index)}: {self.detail}")
+                f"{self._at_step()}: {self.detail}")

@@ -72,19 +72,19 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.mobility_face not in ("upwind", "arithmetic"):
-            raise ValueError(f"unknown face average {self.mobility_face!r}")
+            raise InvalidInput(f"unknown face average {self.mobility_face!r}")
         if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+            raise InvalidInput("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidInput("max_iters must be >= 1")
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise InvalidInput("n_max must be >= 1")
         if self.regularization is not None:
             eps, rho = self.regularization
             if not (0.0 < eps < 1.0):
-                raise ValueError(f"eps must lie in (0, 1), got {eps}")
+                raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
             if not rho > 1.0:
-                raise ValueError(f"rho must exceed 1, got {rho}")
+                raise InvalidInput(f"rho must exceed 1, got {rho}")
 
 
 @dataclass
@@ -147,11 +147,8 @@ def step_regularized(prev: State, tau: float, params: Params, eps: float,
                      start: np.ndarray | None = None) -> tuple[State, StepReport]:
     """:func:`step` with ``opts.regularization = (eps, rho)``; an ``eps``
     outside (0, 1) or a ``rho`` not above 1 raises :class:`InvalidInput`."""
-    try:
-        opts = replace(opts, regularization=(eps, rho))
-    except ValueError as err:   # SolverOptions' check of the (eps, rho) ranges
-        raise InvalidInput(str(err)) from err
-    return step(prev, tau, params, opts, factors=factors, start=start)
+    return step(prev, tau, params, replace(opts, regularization=(eps, rho)),
+                factors=factors, start=start)
 
 
 def run(initial: State, tau: float, t_final: float, params: Params,
@@ -177,8 +174,11 @@ def run(initial: State, tau: float, t_final: float, params: Params,
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
                            f"the time step tau={tau}")
+    # E_n is inf from the first degree whose coefficients overflow: stop there
+    top = diagnostics._moment_gather(params, opts.n_max)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        report = _report_for(initial, params, opts, iterations=0, residual=0.0)
+        report = _report_for(initial, params, replace(opts, n_max=min(opts.n_max, top + 1)),
+                             iterations=0, residual=0.0)
     overflow = np.flatnonzero(~np.isfinite(report.entropies))
     if overflow.size:
         n = int(overflow[0]) + 1
@@ -200,7 +200,7 @@ def _march(state, report, tau, n_steps, params, opts, monitor):
             state, report = step(state, tau, params, opts, factors=factors, start=start)
             monitor.observe(report)
         except SchemeError as err:
-            err.step_index = getattr(err, "step_index", None) or l
+            err.step_index = err.step_index or l
             raise
         yield l * tau, state, report
 

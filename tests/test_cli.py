@@ -450,6 +450,26 @@ class TestRunCommand:
         assert f"E_{degree} of the initial state is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_max", [10**8, 10**13])
+    def test_rejects_huge_n_max_without_long_arrays(self, tmp_path, capsys, monkeypatch,
+                                                    n_max):
+        # 10**13 ended in numpy's MemoryError (exit 1), 10**8 allocated 800 MB
+        trace = scheme.diagnostics.entropy_trace
+
+        def guarded(state, params, n_max=6):
+            assert n_max <= 10**4, f"entropy_trace asked for {n_max} degrees"
+            return trace(state, params, n_max)
+
+        monkeypatch.setattr(scheme.diagnostics, "entropy_trace", guarded)
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 16, "--tau", "1e-3", "--t-final", "2e-3",
+                         "--n-max", n_max, "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert (f"error [input]: n_max={n_max} is too large: E_648 of the initial state "
+                f"is not finite in double precision; choose n_max < 648"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_initial_state_has_a_sup_norm_verdict(self, tmp_path):
         # the cap of ||f+g||_inf is 0 here; the slack used to divide by it
         out = tmp_path / "o"
@@ -752,6 +772,36 @@ class TestSweepCommand:
         assert code == cli.EXIT_CONFIG
         assert "--workers must be at least 1" in capsys.readouterr().err
         assert not (out / "sweep_manifest.csv").exists()
+
+    @pytest.mark.parametrize("flags, cpus, workers", [
+        (["--workers", 512], 8, 2), (["--workers", 1], 8, 1), ([], 8, 2), ([], 1, 1),
+        ([], None, 1)])
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch,
+                                                flags, cpus, workers):
+        # the pool starts all its workers at once, so it must be no larger
+        # than the sweep; this one maps in-process and records its size
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "sw"
+        code = _run_cli(["sweep", "--cells", 8, "--t-final", "2e-3", "--tau", "1e-3,2e-3",
+                         *flags, "--out", out])
+        assert code == cli.EXIT_OK and sizes == [workers]
+        assert (out / "run_001" / "summary.txt").exists()
 
     def test_rejects_sweep_over_string_key(self, tmp_path, capsys):
         out = tmp_path / "sw"

@@ -590,6 +590,25 @@ class TestRun:
         with pytest.raises(cd.InvalidInput, match="E_558 of the initial state"):
             cd.run(st, 1e-3, 2e-3, params2111, _opts(n_max=n_max))
 
+    @pytest.mark.parametrize("n_max", [1000, 10**8, 10**13])
+    def test_huge_n_max_is_rejected_without_long_arrays(self, params2111, cosine_state,
+                                                        monkeypatch, n_max):
+        # the entropies are evaluated no further than the first degree whose
+        # coefficients overflow (865 here), so the message is that of n_max=1000
+        trace = scheme.diagnostics.entropy_trace
+
+        def guarded(state, params, n_max=6):
+            assert n_max <= 10**4, f"entropy_trace asked for {n_max} degrees"
+            return trace(state, params, n_max)
+
+        monkeypatch.setattr(scheme.diagnostics, "entropy_trace", guarded)
+        st = cosine_state(cells=16, amp=0.9)
+        with pytest.raises(cd.InvalidInput) as err:
+            cd.run(st, 1e-3, 2e-3, params2111, _opts(n_max=n_max))
+        assert str(err.value) == (
+            f"n_max={n_max} is too large: E_558 of the initial state is not "
+            f"finite in double precision; choose n_max < 558")
+
     def test_long_time_limit_is_constant_state(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.3)
         traj = list(cd.run(st, 1e-3, 4.0, params2111, _opts()))
@@ -598,6 +617,38 @@ class TestRun:
         mean_g = st.masses()[1] / st.grid.measure
         assert np.abs(final.f - mean_f).max() <= 1e-5
         assert np.abs(final.g - mean_g).max() <= 1e-5
+
+
+class TestBarenblatt:
+    """With g = 0 and (a, b, c, d) = (2, 1, 1, 1) the f equation is the
+    porous-medium equation f_t = (f^2)_xx, whose Barenblatt solution
+    t^(-1/3) (C - (x - 1/2)^2 t^(-2/3) / 12)_+ has its front at
+    sqrt(12 C) t^(1/3).  From the exact profile at t = 1e-3, run to 4e-3
+    with tau proportional to dx; the L1 error falls at first order."""
+
+    C = 0.25
+
+    def _exact(self, x, t):
+        return t ** (-1 / 3) * np.maximum(self.C - (x - 0.5) ** 2 * t ** (-2 / 3) / 12, 0.0)
+
+    def test_converges_at_first_order_with_the_front(self, params2111):
+        errors, fronts = [], []
+        for n in (64, 128, 256):
+            grid = cd.Grid1D(n, 1.0)
+            x = grid.centers()
+            initial = cd.State(grid, self._exact(x, 1e-3), np.zeros(n))
+            *_, (_, final, _) = cd.run(initial, 3e-3 / (n / 4), 3e-3, params2111,
+                                       _opts(tol=1e-11))
+            assert not final.g.any()
+            errors.append(np.abs(final.f - self._exact(x, 4e-3)).sum() * grid.dx)
+            # the implicit step leaves f > 0 far beyond the front (down to
+            # 1e-293), so the front is where f passes 1% of its maximum
+            fronts.append((final.f > 0.01 * final.f.max()).sum() * grid.dx / 2)
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert (orders >= 0.8).all(), (errors, orders)
+        front_errors = np.abs(np.subtract(fronts, math.sqrt(12 * self.C) * 4e-3 ** (1 / 3)))
+        assert (np.diff(front_errors) < 0).all(), fronts
+        assert front_errors[-1] <= 2 / 256, fronts
 
 
 class TestLinearDecay:
@@ -919,6 +970,49 @@ class TestErrors:
         with pytest.raises(cd.NonConvergence) as err:
             cd.step(st, 1e-3, params2111, _opts(), start=start)
         assert math.isnan(err.value.residual)
+
+    def test_invalid_input_is_a_value_error(self):
+        assert issubclass(cd.InvalidInput, ValueError)
+        assert issubclass(cd.RhoTooSmall, ValueError)
+        with pytest.raises(cd.InvalidInput, match="^tol must be positive$"):
+            cd.SolverOptions(tol=0.0)
+        with pytest.raises(cd.InvalidInput, match=r"^rho must exceed 1, got 0\.5$"):
+            cd.SolverOptions(regularization=(0.1, 0.5))
+
+    def test_step_index_is_declared_once(self):
+        assert cd.SchemeError("x").step_index is None
+        assert cd.InvalidInput("x").step_index is None
+        assert cd.RhoTooSmall(1.5, 2.0).step_index is None
+        owners = [cls for cls in (cd.SchemeError, cd.InvalidInput, cd.RhoTooSmall,
+                                  cd.NonConvergence, cd.InvariantViolation)
+                  if "step_index" in cls.__dict__]
+        assert owners == [cd.SchemeError]
+
+    def test_run_reports_failing_step_of_rejected_rho(self, params2111, cosine_state):
+        # the first step's previous state has sup 1.4 > rho
+        st = cosine_state(cells=16, amp=0.4)
+        with pytest.raises(cd.RhoTooSmall) as err:
+            list(cd.run(st, 1e-3, 3e-3, params2111, _opts(regularization=(1e-2, 1.2))))
+        assert err.value.step_index == 1
+
+    def test_run_reports_step_of_any_scheme_error(self, params2111, cosine_state,
+                                                  monkeypatch):
+        calls = []
+
+        def third_step_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise cd.InvalidInput("rejected")
+            return step(*args, **kwargs)
+
+        step = scheme.step
+        monkeypatch.setattr(scheme, "step", third_step_fails)
+        entries = []
+        with pytest.raises(cd.InvalidInput) as err:
+            entries.extend(cd.run(cosine_state(cells=16, amp=0.4), 1e-3, 5e-3,
+                                  params2111, _opts()))
+        assert err.value.step_index == 3 and len(entries) == 3
+        assert str(err.value) == "rejected"
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
