@@ -57,6 +57,11 @@ CONFIGS = {
     # iterates hold exact zeros and the derivative of the cut at 0 matters
     "zero-front-1d": "--ic cosine-bump --ic-f0 0.2 --ic-amp 1 --cells 256 --tau 1e-3 "
                      "--t-final 2e-2 --tol 1e-10",
+    # the same cap on a 24x24 grid, f zero on a strip of it: SuperLU factors,
+    # and steps that make 3 or more chord updates on one set of factors, so
+    # that the updates are Anderson-mixed with two pairs
+    "zero-front-2d": "--dimension 2 --ic cosine-bump --ic-f0 0.2 --ic-amp 1 --cells 24 "
+                     "--tau 1e-3 --t-final 1e-2 --tol 1e-10",
 }
 
 #: name -> ``crossdiff limits`` or ``sweep`` arguments (without ``--out``);

@@ -32,12 +32,20 @@ LINF_REL_SLACK = 1e-8
 DISSIPATION_REL_SLACK = 1e-8
 
 
+#: params -> (m, gather) once the coefficients of params overflowed at degree
+#: m: every n_max >= m shares that gather, so it is built once
+_OVERFLOWED: dict = {}
+
+
 @lru_cache(maxsize=256)
 def _moment_gather(params: Params, n_max: int):
     """(top, flat, weights, starts): top is the last degree <= n_max whose
     coefficients are finite; flat indexes the anti-diagonals j + k = n,
     n = 2..top, of the flattened (top+1)^2 power-moment table, weights
     holds their coefficients and starts the first entry of each degree."""
+    known = _OVERFLOWED.get(params)
+    if known and n_max >= known[0]:
+        return known[1]
     coeffs = []
     for n in range(2, n_max + 1):
         try:
@@ -47,7 +55,10 @@ def _moment_gather(params: Params, n_max: int):
     top = len(coeffs) + 1
     flat = [j * (top + 1) + n - j for n in range(2, top + 1) for j in range(n + 1)]
     starts = np.cumsum([0] + [n + 1 for n in range(2, top)])
-    return top, np.array(flat, dtype=np.intp), np.concatenate([[]] + coeffs), starts
+    gather = top, np.array(flat, dtype=np.intp), np.concatenate([[]] + coeffs), starts
+    if top < n_max:
+        _OVERFLOWED[params] = top + 1, gather
+    return gather
 
 
 def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
@@ -70,10 +81,10 @@ def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
     out[0] = vol * (log_f + (b * b) / (a * d) * log_g).sum()
     top, flat, weights, starts = _moment_gather(params, n_max)
     if top >= 2:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             powers = p[:, None] ** np.arange(top + 1)[:, None]
             moments = (powers[0] @ powers[1].T).ravel()
-        out[1:top] = vol * np.add.reduceat(moments[flat] * weights, starts)
+            out[1:top] = vol * np.add.reduceat(moments[flat] * weights, starts)
     return out
 
 

@@ -13,9 +13,10 @@ same step uses the capped/damped mobility plus an eps-identity diffusion block.
 The face fluxes and the residual come from :mod:`crossdiff.fvops`, one
 operator for every dimension.  The nonlinear solve is a chord Newton
 iteration in every dimension (analytic Jacobian including mobility
-derivatives, one LU factorization reused while it keeps contracting the
-residual, refreshed with Armijo backtracking when it does not).  In 1D the
-Jacobian is factored as a band matrix by LAPACK, in 2D by SuperLU.
+derivatives, one LU factorization reused, with Anderson-mixed updates,
+while it keeps contracting the residual, refreshed with Armijo
+backtracking when it does not).  In 1D the Jacobian is factored as a band
+matrix by LAPACK, in 2D by SuperLU.
 Convergence is declared on the max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
@@ -117,6 +118,8 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
     Newton LU factors from step to step, and ``start`` the stacked ``(f, g)``
     at which :func:`run` starts the Newton iteration (default ``prev``);
     without them the step depends on nothing but ``prev`` and the options.
+    As in :func:`run`, :class:`InvalidInput` names an ``opts.n_max`` for
+    which some E_n of the state, here the new one, is not finite.
     """
     _validate_step_inputs(prev, tau)
     if opts.regularization is not None:
@@ -174,17 +177,8 @@ def run(initial: State, tau: float, t_final: float, params: Params,
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
                            f"the time step tau={tau}")
-    # E_n is inf from the first degree whose coefficients overflow: stop there
-    top = diagnostics._moment_gather(params, opts.n_max)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = _report_for(initial, params, replace(opts, n_max=min(opts.n_max, top + 1)),
-                             iterations=0, residual=0.0)
-    overflow = np.flatnonzero(~np.isfinite(report.entropies))
-    if overflow.size:
-        n = int(overflow[0]) + 1
-        raise InvalidInput(
-            f"n_max={opts.n_max} is too large: E_{n} of the initial state is "
-            f"not finite in double precision; choose n_max < {n}")
+    report = _report_for(initial, params, opts, iterations=0, residual=0.0,
+                         state_name="initial state")
     monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
     return _march(initial, report, tau, n_steps, params, opts, monitor)
 
@@ -347,11 +341,13 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     reference while a new LU is built, and the factors in use are put back
     on success; on any error the holder stays empty.
 
-    Each iteration first tries the full update with the kept factors and
+    Each iteration first tries a chord update with the kept factors and
     accepts it if it contracts the true residual by ``CHORD_CONTRACTION``
     and, at the ratio it achieved, the iterations left still reach ``tol``;
     otherwise the Jacobian is refactored at the current iterate and the
-    fresh Newton direction is backtracked on the true residual.  With upwind
+    fresh Newton direction is backtracked on the true residual.  A chord
+    update is Anderson-mixed (:func:`_anderson`) with the pairs of the last
+    three updates made with the same factors in this step.  With upwind
     faces the iteration also goes on, within ``max_iters``, while an iterate
     has a component below ``-NONNEG_TOL``: the exact solution of the upwind
     step is nonnegative, so such an iterate is not yet the solution even if
@@ -372,11 +368,16 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     phi, r, terms = norm(u)
     iters = n_lu = 0
     lu = factors.pop() if factors else None
+    last, pairs = None, []  # the last (u, du) made with lu, and (s, y) pairs
     while ((not phi <= opts.tol or (upwind and u.min() < -NONNEG_TOL))
            and iters < opts.max_iters):
         iters += 1
         if lu is not None:
-            u_try = u + lu.solve(-r.ravel()).reshape(u.shape)
+            du = lu.solve(-r.ravel()).reshape(u.shape)
+            if last is not None:
+                pairs = [(u - last[0], du - last[1])] + pairs[:1]
+            last = u, du
+            u_try = u + _anderson(du, pairs)
             phi_try, r_try, terms_try = norm(u_try)
             # a linear rate that cannot reach tol within max_iters would
             # make the step fail where a fresh Jacobian converges
@@ -393,6 +394,7 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
             raise NonConvergence(iters, float(phi)) from err
         n_lu += 1
         du = lu.solve(-r.ravel()).reshape(u.shape)
+        last, pairs = (u, du), []
         t_step = 1.0
         for _ in range(30):
             u_try = u + t_step * du
@@ -410,11 +412,39 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     return State._wrap(grid, u), iters, float(phi), n_lu, terms
 
 
+def _anderson(du, pairs):
+    """The type-II Anderson mix ``du - sum_k gamma_k (s_k + y_k)`` of the chord
+    update ``du`` with the ``pairs`` ``(s_k, y_k)`` of iterate and update
+    differences, ``gamma`` minimising ``|du - sum_k gamma_k y_k|_2`` (Cramer's
+    rule); ``du`` itself if the Gram determinant is not positive and finite."""
+    if not pairs:
+        return du
+    y = [pair[1] for pair in pairs]
+    g11, b1 = np.vdot(y[0], y[0]), np.vdot(y[0], du)
+    det, gamma = g11, [b1]
+    if len(y) == 2:
+        g12, g22, b2 = np.vdot(y[0], y[1]), np.vdot(y[1], y[1]), np.vdot(y[1], du)
+        det, gamma = g11 * g22 - g12 * g12, [g22 * b1 - g12 * b2, g11 * b2 - g12 * b1]
+    if not 0.0 < det < math.inf:
+        return du
+    for (s, y_k), c in zip(pairs, gamma):
+        du = du - c / det * (s + y_k)
+    return du
+
+
 def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.0),
-                factorizations=0, terms=None):
+                factorizations=0, terms=None, state_name="new state"):
+    """The report of ``state``; :class:`InvalidInput` unless its E_1..E_n_max
+    are finite.  No E_n beyond the first overflowing coefficients is formed."""
+    top = diagnostics._moment_gather(params, opts.n_max)[0]
+    entropies = diagnostics.entropy_trace(state, params, min(opts.n_max, top + 1))
+    if not np.isfinite(entropies).all():
+        n = int(np.argmin(np.isfinite(entropies))) + 1
+        raise InvalidInput(
+            f"n_max={opts.n_max} is too large: E_{n} of the {state_name} is "
+            f"not finite in double precision; choose n_max < {n}")
     return StepReport(
         iterations=iterations, residual=residual, masses=state.masses(),
-        entropies=diagnostics.entropy_trace(state, params, opts.n_max),
-        dissipation=diagnostics.dissipation(state, params, terms),
+        entropies=entropies, dissipation=diagnostics.dissipation(state, params, terms),
         linf=diagnostics.linf_sum(state), clamped_mass=clamped_mass,
         factorizations=factorizations)

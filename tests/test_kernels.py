@@ -3,6 +3,7 @@ and loop-by-loop reference computations, the dense reference Picard
 iteration that the Newton tests compare against, and a smoke run of the
 kernel benchmark script."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff import fvops, kernels
+from crossdiff import cli, fvops, kernels
 
 
 def _trace_state(case):
@@ -265,3 +266,19 @@ class TestOutputDigestScript:
                                   timeout=300).stdout
                    for extra in ([], ["--src", str(root / "src")])]
         assert printed[0].count("exit 0") == 3 and printed[0] == printed[1]
+
+    def test_zero_front_2d_makes_three_chord_updates_on_one_set_of_factors(self, tmp_path):
+        # a step without a factorization makes all its updates on the factors
+        # carried into it; from the third one on the mix has two pairs
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "output_digest", root / "benchmarks" / "output_digest.py")
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        argv = ["run", *digest.CONFIGS["zero-front-2d"].split(), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        counts = [[int(row.split(",")[header.index(k)]) for k in ("iterations", "factorizations")]
+                  for row in rows[1:]]
+        assert any(iters >= 3 and lu == 0 for iters, lu in counts)

@@ -212,6 +212,71 @@ class TestChordNewton:
             assert abs(m_new - m_old) <= 10 * opts.tol * grid.measure
 
 
+class TestAndersonChord:
+    def _linear_chord_updates(self, monkeypatch):
+        # the residual u - target with stale factors of its Jacobian (the
+        # identity) that leave the error e at d * e, d from 0 to 0.2: every
+        # plain chord update cuts the residual by 5x, so none refactors
+        target = 1.0 + np.random.default_rng(0).uniform(0.0, 1.0, (2, 32))
+        d = np.linspace(0.0, 0.2, 64)
+
+        class Stale:
+            def solve(self, b):
+                return (1.0 - d) * b
+
+        monkeypatch.setattr(scheme.fvops, "implicit_residual",
+                            lambda v, *args: (v - target, None))
+        prev = cd.State(cd.Grid1D(32, 1.0), np.ones(32), np.ones(32))
+        opts = _opts(tol=1e-10, mobility_face="arithmetic")
+        new, iters, res, n_lu, _ = scheme._newton_sparse(
+            prev, 1e-3, cd.Params(2.0, 1.0, 1.0, 1.0), opts, [Stale()], None)
+        assert res <= opts.tol and n_lu == 0
+        assert np.abs(new.u - target).max() <= opts.tol
+        return iters
+
+    def test_mixing_reaches_tol_in_fewer_updates_on_stale_factors(self, monkeypatch):
+        mixed = self._linear_chord_updates(monkeypatch)
+        monkeypatch.setattr(scheme, "_anderson", lambda du, pairs: du)
+        plain = self._linear_chord_updates(monkeypatch)
+        # the plain residual falls as 0.2^k from at most 1: 14 updates
+        assert plain == 14
+        assert mixed <= 10
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_closed_form_is_the_least_squares_mix(self, depth):
+        rng = np.random.default_rng(depth)
+        du = rng.standard_normal((2, 8))
+        pairs = [(rng.standard_normal((2, 8)), rng.standard_normal((2, 8)))
+                 for _ in range(depth)]
+        Y = np.stack([y.ravel() for _, y in pairs], axis=1)
+        gamma = np.linalg.lstsq(Y, du.ravel(), rcond=None)[0]
+        expected = du - sum(c * (s + y) for c, (s, y) in zip(gamma, pairs))
+        np.testing.assert_allclose(scheme._anderson(du, pairs), expected, rtol=1e-12)
+
+    def test_singular_gram_gives_the_plain_update(self):
+        rng = np.random.default_rng(3)
+        du, s, y = rng.standard_normal((3, 2, 8))
+        zero = np.zeros_like(y)
+        for pairs in ([(s, zero)], [(s, y), (s, 2.0 * y)], [(s, np.full_like(y, np.nan))]):
+            assert scheme._anderson(du, pairs) is du
+
+    def test_2d_zero_patch_run_makes_fewer_updates(self):
+        # f is a cap that is exactly zero around the corners of the grid;
+        # with plain chord updates these 10 steps took 88 updates and 4
+        # factorizations
+        n = 24
+        c = (np.arange(n) + 0.5) / n
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        f = 1.5 * np.maximum(0.0, 1.0 - ((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.35**2)
+        g = 1.0 + 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+        reports = [rep for _, _, rep in cd.run(cd.State(cd.Grid2D(n, 1.0), f, g), 1e-3,
+                                               1e-2, cd.muskat_params(1.0, 1.0),
+                                               cd.SolverOptions(tol=1e-10))]
+        assert len(reports) == 11
+        assert sum(rep.factorizations for rep in reports) <= 4
+        assert sum(rep.iterations for rep in reports) <= 68
+
+
 class TestCarriedFactors:
     """``run`` carries the Newton LU factors from step to step."""
 
@@ -608,6 +673,45 @@ class TestRun:
         assert str(err.value) == (
             f"n_max={n_max} is too large: E_558 of the initial state is not "
             f"finite in double precision; choose n_max < 558")
+
+    @pytest.mark.parametrize("n_max", [1000, 10**13])
+    def test_step_rejects_huge_n_max_without_long_arrays(self, params2111, cosine_state,
+                                                         monkeypatch, n_max):
+        # 10**13 ended in numpy's MemoryError (72.8 TiB); a step checks its
+        # new state as run checks the initial one
+        trace = scheme.diagnostics.entropy_trace
+
+        def guarded(state, params, n_max=6):
+            assert n_max <= 10**4, f"entropy_trace asked for {n_max} degrees"
+            return trace(state, params, n_max)
+
+        monkeypatch.setattr(scheme.diagnostics, "entropy_trace", guarded)
+        st = cosine_state(cells=16, amp=0.9)
+        with pytest.raises(cd.InvalidInput) as err:
+            cd.step(st, 1e-3, params2111, _opts(n_max=n_max))
+        assert str(err.value) == (
+            f"n_max={n_max} is too large: E_565 of the new state is not "
+            f"finite in double precision; choose n_max < 565")
+
+    def test_run_builds_the_coefficient_table_once(self, params2111, cosine_state,
+                                                   monkeypatch):
+        # the coefficients overflow from degree 865 on; the table of degrees
+        # 2..864 was built twice per run, for n_max and for 865
+        built = []
+        build = scheme.diagnostics.build_coefficients
+
+        def counted(params, n):
+            built.append(n)
+            return build(params, n)
+
+        monkeypatch.setattr(scheme.diagnostics, "build_coefficients", counted)
+        monkeypatch.setattr(scheme.diagnostics, "_OVERFLOWED", {})
+        scheme.diagnostics._moment_gather.cache_clear()
+        st = cosine_state(cells=16, amp=0.9)
+        for n_max in (10**13, 1000, 10**13):
+            with pytest.raises(cd.InvalidInput, match="E_558 of the initial state"):
+                cd.run(st, 1e-3, 2e-3, params2111, _opts(n_max=n_max))
+        assert built == list(range(2, 866))
 
     def test_long_time_limit_is_constant_state(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.3)
