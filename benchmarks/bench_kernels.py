@@ -17,9 +17,16 @@ cells and one on the 64x64 grid, and print
 milliseconds, Jacobian LU factorizations, Newton iterations and the storage
 of the step's last factors: the band array entries of the 1D LAPACK
 factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
-column order).  The last row times one 100-step 1D run on ``--cells``
+column order).  The next row times one 100-step 1D run on ``--cells``
 cells, which carries the LU factors from step to step, and prints
-milliseconds, factorizations and iterations per step.  The import row
+milliseconds, factorizations and iterations per step.  The ``factor 2d``
+row times the SuperLU factorization of the 64x64 Jacobian, first on a
+grid shape (it picks the column order) and later (it keeps it), and
+prints the fill.  The ``zero-front run 1d`` rows run 50 steps of ROADMAP
+item 2's zero-front cap on 1024 cells, with the Anderson-mixed chord
+updates the solver makes and, in the ``plain`` row, with
+``scheme._anderson`` patched in this script to return the plain update;
+they print ms per step, updates and factorizations.  The import row
 prints the median wall time of 5 fresh interpreters that run ``import
 crossdiff.cli``, and whether they loaded ``scipy.special`` and
 ``scipy.sparse`` (neither is needed before a 2D factorization).  Run:
@@ -40,11 +47,11 @@ import numpy as np
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
-from crossdiff import diagnostics, fvops  # noqa: E402
+from crossdiff import diagnostics, fvops, scheme  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
 from crossdiff.scheme import (  # noqa: E402
-    SolverOptions, _BandLU, _extrapolate, _jacobian, _report_for, run, step)
+    SolverOptions, _BandLU, _extrapolate, _factor, _jacobian, _report_for, run, step)
 
 PARAMS = Params(2.0, 1.0, 1.0, 1.0)
 
@@ -74,12 +81,26 @@ def _square_state() -> State:
     return State(grid, f, g)
 
 
+def _zero_front_state(cells: int) -> State:
+    """ROADMAP item 2's cap: f = max(1.5 (1 - 4x^2), 0), zero on half the
+    cells, and g = 1 + 0.3 cos(pi x)."""
+    grid = Grid1D(cells, 1.0)
+    x = grid.centers()
+    return State(grid, np.maximum(1.5 * (1.0 - 4.0 * x**2), 0.0),
+                 1.0 + 0.3 * np.cos(np.pi * x))
+
+
 def _jacobian_call(state: State, tau: float):
     """Upwind Jacobian assembly at ``state``, face terms computed once."""
     u = state.u
     terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
                                     None, True)[1]
     return lambda: _jacobian(u, terms, state.grid, PARAMS, tau, None, True)
+
+
+def _fill(lu) -> int:
+    """Storage of LU factors: band array entries in 1D, L+U nonzeros in 2D."""
+    return lu.lu.size if isinstance(lu, _BandLU) else lu.lu.L.nnz + lu.lu.U.nnz
 
 
 def bench(cells: int, repeats: int) -> None:
@@ -123,11 +144,9 @@ def bench_newton(cells: int, repeats: int) -> None:
     for label, state, opts in cases:
         factors = []
         _, report = step(state, 1e-3, PARAMS, opts, factors=factors)
-        lu = factors[0]
-        fill = lu.lu.size if isinstance(lu, _BandLU) else lu.L.nnz + lu.U.nnz
         ms = 1e-3 * _time_us(lambda: step(state, 1e-3, PARAMS, opts), repeats)
         print(f"{label:<24} {state.grid.num_points:>7} {ms:>12.1f} "
-              f"{report.factorizations:>15} {report.iterations:>11} {fill:>11}")
+              f"{report.factorizations:>15} {report.iterations:>11} {_fill(factors[0]):>11}")
 
     # the 1D case marched 100 steps, timed once
     _, state, opts = cases[0]
@@ -140,6 +159,52 @@ def bench_newton(cells: int, repeats: int) -> None:
     print(f"{'newton run':<24} {cells:>7} {ms:>12.2f} "
           f"{sum(r.factorizations for r in reports) / steps:>20.2f} "
           f"{sum(r.iterations for r in reports) / steps:>16.2f}")
+
+
+def bench_factor(repeats: int) -> None:
+    """The SuperLU factorization of the upwind Jacobian at the 64x64 state
+    of :func:`_square_state`: the first on a grid shape, which picks the
+    column order, against a later one, which keeps it, and the fill."""
+    state = _square_state()
+    J = _jacobian_call(state, 1e-3)()
+
+    def first():
+        scheme._pattern.cache_clear()
+        return _factor(J, state.grid)
+
+    first_ms = 1e-3 * _time_us(first, repeats)
+    _factor(J, state.grid)  # builds the CSC pattern of the kept order
+    cached_ms = 1e-3 * _time_us(lambda: _factor(J, state.grid), repeats)
+    print(f"\n{'factor':<24} {'cells':>7} {'first ms':>12} {'cached ms':>12} "
+          f"{'LU entries':>11}")
+    print(f"{'factor 2d':<24} {state.grid.num_points:>7} {first_ms:>12.2f} "
+          f"{cached_ms:>12.2f} {_fill(_factor(J, state.grid)):>11}")
+
+
+def bench_zero_front(cells: int = 1024, steps: int = 50, runs: int = 3) -> None:
+    """``steps`` steps of ROADMAP item 2's cap on ``cells`` cells (tau 1e-3,
+    tol 1e-9), best of ``runs``: once with the Anderson-mixed chord updates
+    the solver makes, once with ``scheme._anderson`` patched to return the
+    plain update."""
+    state = _zero_front_state(cells)
+    opts = SolverOptions(tol=1e-9)
+    print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'updates':>12} "
+          f"{'factorizations':>15}")
+    mixed = scheme._anderson
+    for label, anderson in (("zero-front run 1d", mixed),
+                            ("zero-front run 1d plain", lambda du, pairs: du)):
+        scheme._anderson = anderson
+        try:
+            best = np.inf
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                reports = [rep for _, _, rep in run(state, 1e-3, steps * 1e-3, PARAMS, opts)]
+                best = min(best, time.perf_counter() - t0)
+        finally:
+            scheme._anderson = mixed
+        print(f"{label:<24} {cells:>7} {1e3 * best / steps:>12.2f} "
+              f"{sum(r.iterations for r in reports):>12} "
+              f"{sum(r.factorizations for r in reports):>15}")
 
 
 def bench_import(runs: int = 5) -> None:
@@ -169,4 +234,6 @@ if __name__ == "__main__":
     args = parser.parse_args()
     bench(args.cells, args.repeats)
     bench_newton(args.cells, args.repeats)
+    bench_factor(args.repeats)
+    bench_zero_front()
     bench_import()

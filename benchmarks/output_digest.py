@@ -19,6 +19,11 @@ directory of another checkout, so that one copy of the script, with one list
 of configurations, digests both sides of a change:
 
     python benchmarks/output_digest.py --src ../parent/src [NAME ...]
+
+With ``--keep DIR`` the outputs stay in the new directory ``DIR`` instead of
+a deleted temporary one, each configuration's in ``DIR/<name>`` and what a
+command printed in ``DIR/<name>/stdout``; ``csv_delta.py`` compares two such
+directories.
 """
 
 import argparse
@@ -82,10 +87,11 @@ VERIFY_CONFIGS = {
 }
 
 
-def digest(cli, names) -> list[str]:
-    """The printout for ``names``, made with the ``crossdiff.cli`` module ``cli``."""
+def digest(cli, names, keep=None) -> list[str]:
+    """The printout for ``names``, made with the ``crossdiff.cli`` module
+    ``cli``; the outputs are written under ``keep`` if given, else deleted."""
     lines = []
-    with tempfile.TemporaryDirectory() as root:
+    with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as root:
         for name in names:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), \
@@ -106,6 +112,9 @@ def digest(cli, names) -> list[str]:
             lines.append(f"exit {code}  {name}")
             for file, data in outputs:
                 lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}")
+                if keep and file == "stdout":
+                    Path(root, name).mkdir(exist_ok=True)
+                    Path(root, name, "stdout").write_bytes(data)
     return lines
 
 
@@ -118,10 +127,16 @@ if __name__ == "__main__":
                         default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory that holds the crossdiff package to digest "
                              "(default: the src of this script's checkout)")
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="new directory to keep the outputs in (default: deleted)")
     args = parser.parse_args()
+    if args.keep and args.keep.exists():
+        parser.error(f"--keep {args.keep} exists")
     unknown = sorted(set(args.names) - set(every))
     if unknown:
         parser.error(f"unknown configuration {', '.join(unknown)}")
     sys.path.insert(0, str(Path(args.src).resolve()))
     from crossdiff import cli
-    print("\n".join(digest(cli, args.names or every)))
+    if args.keep:
+        args.keep.mkdir(parents=True)
+    print("\n".join(digest(cli, args.names or every, args.keep)))

@@ -31,8 +31,10 @@ the inequality) on the first breach.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -53,11 +55,11 @@ CAP_TOL = 1e-10
 # Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
-# SuperLU column order of the 2D Newton splu: minimum degree on the structure
-# of A + A^T.  The Jacobian is face-coupled with a structurally symmetric
-# pattern; on 2D grids of 32x32 cells and more this order leaves about
-# 0.5-0.6 of the L+U fill of the default COLAMD order.  The pivot threshold
-# stays at SuperLU's default (partial pivoting)
+# SuperLU column order of the 2D Newton splu, picked once per grid shape: minimum
+# degree on the structure of A + A^T.  The Jacobian is face-coupled with a
+# structurally symmetric pattern; on 2D grids of 32x32 cells and more this order
+# leaves about 0.5-0.6 of the L+U fill of the default COLAMD order.  The pivot
+# threshold stays at SuperLU's default (partial pivoting)
 SUPERLU_ORDERING = "MMD_AT_PLUS_A"
 
 
@@ -235,6 +237,15 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     return r[0], r[1]
 
 
+@functools.lru_cache(maxsize=4)
+def _pattern(shape):
+    """What :func:`_factor` derives once per grid ``shape`` from the triplet's
+    ``(rows, cols)``, alike at every call: the storage positions ``slots`` of
+    the entries and, in 2D, the column order ``q`` and the CSC ``(indices,
+    indptr)`` of ``J[q][:, q]``."""
+    return SimpleNamespace(slots=None, q=None, csc=None)
+
+
 def _jacobian(u, terms, grid, params, tau, reg, upwind):
     """Analytic Jacobian of the implicit residual at the stacked state ``u``
     as the COO triplet ``(data, (rows, cols))`` that scipy's sparse
@@ -291,19 +302,21 @@ class _BandLU:
     ``J`` (a COO triplet), taken over the interleaved unknowns
     ``(f_0, g_0, f_1, g_1, ...)``: a cell couples to itself and its two
     neighbours only, so the band has ``K`` sub- and superdiagonals.
-    ``solve`` takes and returns vectors over the stacked unknowns, as
-    SuperLU's factors do."""
+    ``slots`` are the band positions of J's entries, computed if not given.
+    ``solve`` takes and returns vectors over the stacked unknowns."""
 
     K = 3
 
-    def __init__(self, J, n):
+    def __init__(self, J, n, slots=None):
         K = self.K
         data, ij = J
-        row, col = (2 * (i % (n // 2)) + i // (n // 2) for i in ij)
-        # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n)
-        # band array, whose first K rows are dgbtrf's fill workspace
-        ab = np.bincount(col * (3 * K + 1) + 2 * K + row - col, data,
-                         (3 * K + 1) * n).reshape(n, 3 * K + 1).T
+        if slots is None:
+            row, col = (2 * (i % (n // 2)) + i // (n // 2) for i in ij)
+            # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n)
+            # band array, whose first K rows are dgbtrf's fill workspace
+            slots = col * (3 * K + 1) + 2 * K + row - col
+        self.slots = slots
+        ab = np.bincount(slots, data, (3 * K + 1) * n).reshape(n, 3 * K + 1).T
         self.lu, self.piv, info = scipy.linalg.lapack.dgbtrf(ab, K, K, overwrite_ab=True)
         if info != 0:
             raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
@@ -315,16 +328,55 @@ class _BandLU:
         return x.reshape(-1, 2).T.ravel()
 
 
+@dataclass
+class _SuperLU:
+    """SuperLU factors ``lu`` of ``J[q][:, q]``, solving over J's unknowns."""
+    lu: object
+    q: object
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.q] = self.lu.solve(b[self.q])
+        return x
+
+
 def _factor(J, grid):
     """LU factors, with ``.solve(b)``, of the Newton Jacobian ``J`` (a COO
-    triplet over the stacked unknowns of ``grid``): band factors in 1D,
-    SuperLU's in 2D.  Only a 2D run loads ``scipy.sparse``."""
+    triplet of :func:`_jacobian` on ``grid``): band factors in 1D, SuperLU's
+    in 2D, where each factorization after the first on a grid shape keeps its
+    column order.  Only a 2D run loads ``scipy.sparse``."""
     n = 2 * grid.num_points
+    pattern = _pattern(grid.shape)
     if grid.ndim == 1:
-        return _BandLU(J, n)
+        lu = _BandLU(J, n, pattern.slots)
+        pattern.slots = lu.slots
+        return lu
     import scipy.sparse.linalg
-    J = scipy.sparse.csc_matrix(J, shape=(n, n))   # drops the triplet first
-    return scipy.sparse.linalg.splu(J, permc_spec=SUPERLU_ORDERING)
+    if pattern.q is None:
+        J = scipy.sparse.csc_matrix(J, shape=(n, n))   # drops the triplet first
+        lu = scipy.sparse.linalg.splu(J, permc_spec=SUPERLU_ORDERING)
+        # perm_c is a view into lu: argsort's new array keeps no factors alive
+        pattern.q = np.argsort(lu.perm_c)
+        return _SuperLU(lu, slice(None))
+    if pattern.slots is None:   # built when no factors of the run are alive
+        perm = np.empty(n, np.int32 if n * n < 2**31 else np.int64)
+        perm[pattern.q] = np.arange(n)
+        keys = perm[J[1][1]]    # column-major positions in J[q][:, q]
+        keys *= n
+        keys += perm[J[1][0]]
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.r_[True, keys[1:] != keys[:-1]]    # the first of equal keys
+        pattern.slots = np.empty(len(keys), np.int32)
+        pattern.slots[order] = np.cumsum(new, dtype=np.int32) - 1
+        keys = keys[new]    # the distinct positions, sorted
+        pattern.csc = ((keys % n).astype(np.int32),
+                       np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))
+        del perm, keys, order, new  # freed before the factorization, as J is below
+    data = np.bincount(pattern.slots, J[0], len(pattern.csc[0]))
+    del J
+    A = scipy.sparse.csc_matrix((data, *pattern.csc), shape=(n, n))
+    return _SuperLU(scipy.sparse.linalg.splu(A, permc_spec="NATURAL"), pattern.q)
 
 
 def _newton_sparse(prev, tau, params, opts, factors, start):

@@ -4,6 +4,7 @@ iteration that the Newton tests compare against, and a smoke run of the
 kernel benchmark script."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,20 @@ class TestBenchScript:
         assert ["jacobian", "1d", "64"] in starts and ["jacobian", "2d", "4096"] in starts
         assert ["newton", "1d", "64"] in starts and ["newton", "2d", "4096"] in starts
         assert ["newton", "run", "64"] in starts
+        lines = proc.stdout.splitlines()
+        # the first factorization on the 64x64 grid picks the column order,
+        # a later one keeps it; both in ms, then the fill of the kept order
+        row = next(line.split() for line in lines if line.startswith("factor 2d"))
+        assert row[2] == "4096" and float(row[3]) > 0.0 and float(row[4]) > 0.0
+        assert int(row[5]) > 0
+        # the 1024-cell zero front, with Anderson-mixed and with plain chord
+        # updates: (updates, factorizations) differ, the mix saving factorizations
+        zero = {line[:24].strip(): line[24:].split() for line in lines
+                if line.startswith("zero-front run 1d")}
+        assert set(zero) == {"zero-front run 1d", "zero-front run 1d plain"}
+        assert all(cols[0] == "1024" and float(cols[1]) > 0.0 for cols in zero.values())
+        mixed, plain = (zero[k] for k in ("zero-front run 1d", "zero-front run 1d plain"))
+        assert int(mixed[3]) < int(plain[3])
         # five fresh imports of the cli load neither scipy.special nor scipy.sparse
         row = next(line.split() for line in proc.stdout.splitlines()
                    if line.startswith("import crossdiff.cli"))
@@ -266,6 +281,50 @@ class TestOutputDigestScript:
                                   timeout=300).stdout
                    for extra in ([], ["--src", str(root / "src")])]
         assert printed[0].count("exit 0") == 3 and printed[0] == printed[1]
+
+    def test_keep_and_csv_delta_list_the_changed_columns(self, tmp_path):
+        # --keep leaves the digested outputs in a new directory; csv_delta
+        # names each changed column of a CSV with its row count, largest
+        # changes and, for an integer column, both totals
+        root = Path(__file__).resolve().parents[1]
+        digest = [sys.executable, str(root / "benchmarks" / "output_digest.py")]
+        kept, other = tmp_path / "kept", tmp_path / "other"
+        printed = subprocess.run(digest + ["--keep", str(kept), "square-12", "limits"],
+                                 capture_output=True, text=True, timeout=300).stdout
+        names = [line.split("  ")[1] for line in printed.splitlines()
+                 if not line.startswith("exit")]
+        assert "limits/stdout" in names
+        assert all((kept / name).is_file() for name in names)
+        again = subprocess.run(digest + ["--keep", str(kept), "limits"],
+                               capture_output=True, text=True, timeout=300)
+        assert again.returncode == 2 and "exists" in again.stderr
+
+        shutil.copytree(kept, other)
+        path = other / "square-12" / "diagnostics.csv"
+        header, *rows = path.read_text().splitlines()
+        cols = header.split(",")
+        cells = rows[3].split(",")
+        e1, iters = float(cells[cols.index("E1")]), int(cells[cols.index("iterations")])
+        cells[cols.index("E1")] = repr(e1 * (1.0 + 1e-3))
+        cells[cols.index("iterations")] = str(iters + 2)
+        rows[3] = ",".join(cells)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        (other / "extra.csv").write_text("a\n1\n")
+
+        delta = [sys.executable, str(root / "benchmarks" / "csv_delta.py")]
+        lines = subprocess.run(delta + [str(kept), str(other)], capture_output=True,
+                               text=True, timeout=60).stdout.splitlines()
+        total = sum(int(row.split(",")[cols.index("iterations")]) for row in rows)
+        assert lines[0] == f"extra.csv: only in {other}"
+        assert lines[1] == f"square-12/diagnostics.csv: 1 of {len(rows)} rows differ"
+        assert lines[2].startswith("  E1: 1 rows, max abs ")
+        assert abs(float(lines[2].split("max rel ")[1]) - 1e-3 / (1.0 + 1e-3)) < 1e-6
+        assert lines[3] == (f"  iterations: 1 rows, max abs 2, max rel {2 / (iters + 2):.3g}, "
+                            f"total {total - 2} -> {total}")
+        assert len(lines) == 4
+        same = subprocess.run(delta + [str(kept), str(kept)], capture_output=True,
+                              text=True, timeout=60)
+        assert same.returncode == 0 and same.stdout == ""
 
     def test_zero_front_2d_makes_three_chord_updates_on_one_set_of_factors(self, tmp_path):
         # a step without a factorization makes all its updates on the factors

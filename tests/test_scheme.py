@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -442,6 +445,107 @@ class TestSuperLUOrdering:
         for A, lu in factored:
             colamd = splu(A, permc_spec="COLAMD")
             assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
+
+
+class TestJacobianPattern:
+    """The structure of the Newton Jacobian depends on the grid's shape only,
+    so :func:`scheme._factor` keeps one SuperLU column order and one CSC
+    pattern per shape, computed at the first factorization on it."""
+
+    @staticmethod
+    def _random_jacobian(rng, grid, params, tau, face, regularization):
+        # random sign changes of the pressure gradients, zero components
+        shape = (2, *grid.shape)
+        u = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) > 0.2)
+        upwind = face == "upwind"
+        terms = fvops.implicit_residual(u, u, params.as_tuple(), tau, grid.dx,
+                                        regularization, upwind)[1]
+        return scheme._jacobian(u, terms, grid, params, tau, regularization, upwind)
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(9, 1.0), cd.Grid2D(6, 2.0)],
+                             ids=["1d", "2d"])
+    def test_rows_and_cols_depend_on_the_grid_only(self, grid):
+        rng = np.random.default_rng(5)
+        cases = [(cd.Params(2.0, 1.0, 1.0, 1.0), 1e-3, "upwind", None),
+                 (cd.Params(1.0, 0.5, 0.3, 2.0), 2e-2, "arithmetic", None),
+                 (cd.Params(3.0, 0.1, 0.2, 1.0), 1e-4, "upwind", (1e-1, 10.0)),
+                 (cd.Params(1.0, 0.9, 0.9, 1.0), 5e-3, "arithmetic", (1e-2, 2.0))]
+        first = self._random_jacobian(rng, grid, *cases[0])
+        for case in cases[1:]:
+            data, (rows, cols) = self._random_jacobian(rng, grid, *case)
+            assert len(data) == len(first[0])
+            assert np.array_equal(rows, first[1][0]) and np.array_equal(cols, first[1][1])
+
+    @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
+    @pytest.mark.parametrize("regularization", [None, (1e-1, 10.0)],
+                             ids=["plain", "regularized"])
+    def test_cached_order_solves_random_jacobians_like_splu(self, params2111, face,
+                                                             regularization):
+        rng = np.random.default_rng(11)
+        scheme._pattern.cache_clear()
+        for n in (2, 3, 7, 16):
+            grid = cd.Grid2D(n, 1.0)
+            scheme._factor(self._random_jacobian(rng, grid, params2111, 1e-3, face,
+                                                 regularization), grid)
+            for _ in range(3):
+                J = self._random_jacobian(rng, grid, params2111, 1e-3, face, regularization)
+                lu = scheme._factor(J, grid)
+                assert isinstance(lu, scheme._SuperLU) and len(lu.q) == 2 * n * n
+                b = rng.normal(size=2 * n * n)
+                A = scipy.sparse.coo_matrix(J, shape=(2 * n * n, 2 * n * n))
+                x_ref = scipy.sparse.linalg.splu(A.tocsc()).solve(b)
+                assert np.abs(lu.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_run_orders_each_grid_shape_once(self, params2111, monkeypatch):
+        specs = []
+        splu = scipy.sparse.linalg.splu
+
+        def record(A, *args, permc_spec=None, **kwargs):
+            specs.append((A.shape[0], permc_spec))
+            return splu(A, *args, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
+        scheme._pattern.cache_clear()
+        lu_count = 0
+        for n in (12, 16, 12):
+            for _, _, rep in cd.run(_degenerate_2d_state(n), 1e-2, 5e-2, params2111,
+                                    _opts()):
+                lu_count += rep.factorizations
+        assert len(specs) == lu_count > 3
+        ordered = [size for size, spec in specs if spec == scheme.SUPERLU_ORDERING]
+        assert ordered == [2 * 12 * 12, 2 * 16 * 16]
+        assert all(spec in (scheme.SUPERLU_ORDERING, "NATURAL") for _, spec in specs)
+
+    def test_cache_keeps_no_factors_alive(self, params2111, monkeypatch):
+        # SuperLU objects take no weak references, so the test holds the
+        # first one and counts the other references left to it: a cached
+        # view of its perm_c would be one
+        made, wrappers = [], []
+        splu, factor = scipy.sparse.linalg.splu, scheme._factor
+
+        def keep_first(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            made.append(lu)
+            return lu
+
+        def keep_wrapper(*args):
+            lu = factor(*args)
+            wrappers.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", keep_first)
+        monkeypatch.setattr(scheme, "_factor", keep_wrapper)
+        scheme._pattern.cache_clear()
+        reports = [rep for _, _, rep in cd.run(_degenerate_2d_state(16), 1e-2, 5e-2,
+                                                params2111, _opts())]
+        assert sum(rep.factorizations for rep in reports) > 1
+        assert scheme._pattern((16, 16)).q is not None
+        first = made[0]
+        del made[:]
+        gc.collect()
+        assert wrappers[0]() is None
+        assert sys.getrefcount(first) == 2   # the name first and the argument
 
 
 def _monotone_state(grid):
