@@ -9,7 +9,8 @@ without them (as for the initial state, which computes its own), the
 cubic Newton start of a run from four states (``scheme._extrapolate``), the
 implicit-step residual (``fvops.implicit_residual``, the face operator
 shared by every dimension) and the assembly of the upwind Newton Jacobian
-(``scheme._jacobian``, the COO triplet that the factors take) at
+(``scheme._jacobian``, the values that the factors place by the grid's
+one structure) at
 ``--cells`` cells, and the Jacobian once more on a fixed 64x64 grid with a
 zero patch in f, and prints microseconds per call (best of the repeats).
 Two more rows time one Newton step, one on the 1D grid of ``--cells``
@@ -20,9 +21,10 @@ factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
 column order).  The next row times one 100-step 1D run on ``--cells``
 cells, which carries the LU factors from step to step, and prints
 milliseconds, factorizations and iterations per step.  The ``factor 2d``
-row times the SuperLU factorization of the 64x64 Jacobian, first on a
-grid shape (it picks the column order) and later (it keeps it), and
-prints the fill.  The ``zero-front run 1d`` rows run 50 steps of ROADMAP
+row times, on the 64x64 grid, the one-time build of the Jacobian's
+structure (``scheme._structure``: the column order and the place of each
+entry) and the SuperLU factorization of one Jacobian's values, and prints
+the fill.  The ``zero-front run 1d`` rows run 50 steps of ROADMAP
 item 2's zero-front cap on 1024 cells, with the Anderson-mixed chord
 updates the solver makes and, in the ``plain`` row, with
 ``scheme._anderson`` patched in this script to return the plain update;
@@ -51,7 +53,7 @@ from crossdiff import diagnostics, fvops, scheme  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
 from crossdiff.scheme import (  # noqa: E402
-    SolverOptions, _BandLU, _extrapolate, _factor, _jacobian, _report_for, run, step)
+    SolverOptions, _extrapolate, _factor, _jacobian, _report_for, _structure, run, step)
 
 PARAMS = Params(2.0, 1.0, 1.0, 1.0)
 
@@ -100,7 +102,7 @@ def _jacobian_call(state: State, tau: float):
 
 def _fill(lu) -> int:
     """Storage of LU factors: band array entries in 1D, L+U nonzeros in 2D."""
-    return lu.lu.size if isinstance(lu, _BandLU) else lu.lu.L.nnz + lu.lu.U.nnz
+    return lu.lu.size if isinstance(lu.lu, np.ndarray) else lu.lu.L.nnz + lu.lu.U.nnz
 
 
 def bench(cells: int, repeats: int) -> None:
@@ -162,23 +164,18 @@ def bench_newton(cells: int, repeats: int) -> None:
 
 
 def bench_factor(repeats: int) -> None:
-    """The SuperLU factorization of the upwind Jacobian at the 64x64 state
-    of :func:`_square_state`: the first on a grid shape, which picks the
-    column order, against a later one, which keeps it, and the fill."""
+    """On the 64x64 grid of :func:`_square_state`: the build of the
+    Jacobian's structure, which a process makes once per grid shape, and
+    the SuperLU factorization of the upwind Jacobian at that state, made
+    once per Jacobian, and the fill."""
     state = _square_state()
-    J = _jacobian_call(state, 1e-3)()
-
-    def first():
-        scheme._pattern.cache_clear()
-        return _factor(J, state.grid)
-
-    first_ms = 1e-3 * _time_us(first, repeats)
-    _factor(J, state.grid)  # builds the CSC pattern of the kept order
-    cached_ms = 1e-3 * _time_us(lambda: _factor(J, state.grid), repeats)
-    print(f"\n{'factor':<24} {'cells':>7} {'first ms':>12} {'cached ms':>12} "
+    vals = _jacobian_call(state, 1e-3)()
+    structure_ms = 1e-3 * _time_us(lambda: _structure.__wrapped__(state.grid.shape), repeats)
+    factor_ms = 1e-3 * _time_us(lambda: _factor(vals, state.grid), repeats)
+    print(f"\n{'factor':<24} {'cells':>7} {'structure ms':>12} {'factor ms':>12} "
           f"{'LU entries':>11}")
-    print(f"{'factor 2d':<24} {state.grid.num_points:>7} {first_ms:>12.2f} "
-          f"{cached_ms:>12.2f} {_fill(_factor(J, state.grid)):>11}")
+    print(f"{'factor 2d':<24} {state.grid.num_points:>7} {structure_ms:>12.2f} "
+          f"{factor_ms:>12.2f} {_fill(_factor(vals, state.grid)):>11}")
 
 
 def bench_zero_front(cells: int = 1024, steps: int = 50, runs: int = 3) -> None:

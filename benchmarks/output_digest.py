@@ -76,6 +76,10 @@ COMMAND_CONFIGS = {
               "--rho-list 1e2,1e3",
     # two members, run one after the other in one worker process
     "sweep": "sweep --cells 12 --tau 1e-3,2e-3 --t-final 1e-2 --tol 1e-11 --workers 1",
+    # two 2D grid shapes in one worker process, so that a Jacobian structure
+    # cached under the wrong shape shows in the outputs
+    "sweep-2d": "sweep --dimension 2 --cells 8,10 --tau 1e-3 --t-final 5e-3 --tol 1e-11 "
+                "--workers 1",
 }
 
 #: name -> ``crossdiff verify`` arguments; the stdout of each is hashed

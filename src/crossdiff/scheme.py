@@ -15,8 +15,9 @@ operator for every dimension.  The nonlinear solve is a chord Newton
 iteration in every dimension (analytic Jacobian including mobility
 derivatives, one LU factorization reused, with Anderson-mixed updates,
 while it keeps contracting the residual, refreshed with Armijo
-backtracking when it does not).  In 1D the Jacobian is factored as a band
-matrix by LAPACK, in 2D by SuperLU.
+backtracking when it does not).  The Jacobian's structure depends on the grid
+alone: it is ordered once per grid shape, and each Jacobian gives only its
+values, factored as a band matrix by LAPACK in 1D and by SuperLU in 2D.
 Convergence is declared on the max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
@@ -31,13 +32,13 @@ the inequality) on the first breach.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import diagnostics, fvops
 from .errors import InvalidInput, InvariantViolation, NonConvergence, RhoTooSmall, SchemeError
@@ -55,12 +56,15 @@ CAP_TOL = 1e-10
 # Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
-# SuperLU column order of the 2D Newton splu, picked once per grid shape: minimum
-# degree on the structure of A + A^T.  The Jacobian is face-coupled with a
-# structurally symmetric pattern; on 2D grids of 32x32 cells and more this order
-# leaves about 0.5-0.6 of the L+U fill of the default COLAMD order.  The pivot
-# threshold stays at SuperLU's default (partial pivoting)
+# SuperLU column order of the 2D Newton Jacobian, computed once per grid shape from
+# the one structure of its Jacobians: minimum degree on the structure of A + A^T.
+# On 2D grids of 32x32 cells and more it leaves about 0.5-0.6 of the L+U fill of
+# the default COLAMD order.  Each factorization takes the reordered matrix as it
+# is ("NATURAL"), with SuperLU's default partial pivoting
 SUPERLU_ORDERING = "MMD_AT_PLUS_A"
+
+# sub- and superdiagonals of the 1D Jacobian over the unknowns (f_0, g_0, f_1, ...)
+BANDS = 3
 
 
 @dataclass(frozen=True)
@@ -237,20 +241,73 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     return r[0], r[1]
 
 
+_Structure = collections.namedtuple("_Structure", "sides q slots size csc")
+
+
 @functools.lru_cache(maxsize=4)
-def _pattern(shape):
-    """What :func:`_factor` derives once per grid ``shape`` from the triplet's
-    ``(rows, cols)``, alike at every call: the storage positions ``slots`` of
-    the entries and, in 2D, the column order ``q`` and the CSC ``(indices,
-    indptr)`` of ``J[q][:, q]``."""
-    return SimpleNamespace(slots=None, q=None, csc=None)
+def _structure(shape):
+    """What every Newton Jacobian on a grid of ``shape`` shares, whatever the
+    state, parameters, ``tau``, face average and regularization: the cells
+    ``sides[axis]`` on the two sides of the interior faces along each axis
+    (in face-array order), the order ``q`` of the stacked unknowns that the
+    factors take, and the place ``slots`` of each value of :func:`_jacobian`
+    among the ``size`` stored entries of ``J[q][:, q]``: LAPACK's band array
+    in 1D, the data of the CSC ``(indices, indptr)`` ``csc`` in 2D."""
+    P = math.prod(shape)
+    n = 2 * P
+    comp = np.arange(2, dtype=np.int32)
+    cells = np.arange(P, dtype=np.int32).reshape(shape)
+    # the identity, then the 16 entries (i, j, k, row side, face) per interior
+    # face of each axis: d(residual_i on the row side)/d(u_j on side k)
+    nnz = n + sum(16 * (P // m) * (m - 1) for m in shape)
+    rows, cols = np.empty((2, nnz), np.int32)
+    rows[:n] = cols[:n] = np.arange(n)
+    sides, end = [], n
+    for axis in range(len(shape)):
+        moved = cells.swapaxes(axis, -1)
+        side = np.stack((moved[..., :-1].ravel(), moved[..., 1:].ravel()))
+        start, end = end, end + 8 * side.size
+        full = (2, 2, 2) + side.shape
+        rows[start:end].reshape(full)[...] = P * comp[:, None, None, None, None] + side
+        cols[start:end].reshape(full)[...] = P * comp[:, None, None, None] + side[:, None]
+        sides.append(side)
+    if len(shape) == 1:     # the place of each unknown in (f_0, g_0, f_1, ...)
+        perm = np.arange(n, dtype=np.int32).reshape(P, 2).T.ravel()
+    else:
+        import scipy.sparse.linalg
+        # a diagonally dominant matrix of the pattern: its incomplete factors with
+        # every entry dropped cost little, and SuperLU orders them as it would J
+        A = scipy.sparse.csc_matrix((np.r_[np.full(n, float(nnz)), np.ones(nnz - n)],
+                                     (rows, cols)), shape=(n, n))
+        perm = scipy.sparse.linalg.spilu(A, drop_tol=np.inf, fill_factor=1.0,
+                                         permc_spec=SUPERLU_ORDERING).perm_c
+        del A
+    q = np.argsort(perm)
+    rows, cols = perm[rows], perm[cols]     # places in J[q][:, q]
+    if len(shape) == 1:
+        # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n) band
+        # array, whose first K rows are dgbtrf's fill workspace
+        slots = cols * (3 * BANDS + 1) + 2 * BANDS + rows - cols
+        return _Structure(sides, q, slots, (3 * BANDS + 1) * n, None)
+    keys = cols.astype(np.int32 if n * n < 2**31 else np.int64)
+    keys *= n       # column-major places
+    keys += rows
+    del rows, cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.r_[True, keys[1:] != keys[:-1]]    # the first of equal keys
+    slots = np.empty(nnz, np.int32)
+    slots[order] = np.cumsum(new, dtype=np.int32) - 1
+    keys = keys[new]    # the distinct places, sorted
+    csc = ((keys % n).astype(np.int32),
+           np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))
+    return _Structure(sides, q, slots, len(keys), csc)
 
 
 def _jacobian(u, terms, grid, params, tau, reg, upwind):
-    """Analytic Jacobian of the implicit residual at the stacked state ``u``
-    as the COO triplet ``(data, (rows, cols))`` that scipy's sparse
-    constructors take (duplicates summed on use) over the stacked unknowns
-    (f block, then g block); ``terms`` are the per-axis face terms of ``u`` that
+    """Values of the analytic Jacobian of the implicit residual at the stacked
+    state ``u``, in the order of the entries of :func:`_structure` (summed where
+    they coincide); ``terms`` are the per-axis face terms of ``u`` that
     :func:`fvops.implicit_residual` returns with its residual, ``reg`` the
     ``(eps, rho)`` of a regularized step or None.  Mobility and damping
     derivatives included, the upwind choice and the cut's kinks frozen at
@@ -261,18 +318,11 @@ def _jacobian(u, terms, grid, params, tau, reg, upwind):
     eps = 0.0 if reg is None else reg[0]
     sgn = np.array([-1.0, 1.0])
     comp = np.arange(2)
-    cells = np.arange(P).reshape(grid.shape)
-    # the identity, then 16 entries per interior face of each axis
-    nnz = 2 * P + sum(16 * (P // n) * (n - 1) for n in grid.shape)
-    rows, cols = np.empty((2, nnz), np.int32)
-    rows[:2 * P] = cols[:2 * P] = np.arange(2 * P)
-    vals = np.ones(nnz)
+    structure = _structure(grid.shape)
+    vals = np.ones(len(structure.slots))
     end = 2 * P
-    for axis, (_, dp, lam, mob, _) in enumerate(terms):
-        # flat cell indices and stacked (f, g) values on the two sides of the
-        # interior faces, in the order of the face arrays (this axis last)
-        moved = cells.swapaxes(axis, -1)
-        side = np.stack((moved[..., :-1].ravel(), moved[..., 1:].ravel()))
+    for (_, dp, lam, mob, _), side in zip(terms, structure.sides):
+        # stacked (f, g) values on the two sides of the interior faces
         v = np.take(u.reshape(2, -1), side, axis=1)
         dp = dp[..., 1:-1].reshape(2, 1, -1)
         mob = mob[..., 1:-1].reshape(2, -1)
@@ -289,94 +339,42 @@ def _jacobian(u, terms, grid, params, tau, reg, upwind):
         # entries (i, j, k, row side, face): the residual left of a face
         # sees -tau/dx flux, right of it +tau/dx flux
         start, end = end, end + 2 * dflux.size
-        shape = dflux.shape[:3] + side.shape
         np.multiply((tau / dx * sgn)[:, None], dflux[:, :, :, None],
-                    out=vals[start:end].reshape(shape))
-        rows[start:end].reshape(shape)[...] = P * comp[:, None, None, None, None] + side
-        cols[start:end].reshape(shape)[...] = P * comp[:, None, None, None] + side[:, None]
-    return vals, (rows, cols)
-
-
-class _BandLU:
-    """LAPACK band LU factors (``dgbtrf``) of the ``n`` x ``n`` 1D Jacobian
-    ``J`` (a COO triplet), taken over the interleaved unknowns
-    ``(f_0, g_0, f_1, g_1, ...)``: a cell couples to itself and its two
-    neighbours only, so the band has ``K`` sub- and superdiagonals.
-    ``slots`` are the band positions of J's entries, computed if not given.
-    ``solve`` takes and returns vectors over the stacked unknowns."""
-
-    K = 3
-
-    def __init__(self, J, n, slots=None):
-        K = self.K
-        data, ij = J
-        if slots is None:
-            row, col = (2 * (i % (n // 2)) + i // (n // 2) for i in ij)
-            # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n)
-            # band array, whose first K rows are dgbtrf's fill workspace
-            slots = col * (3 * K + 1) + 2 * K + row - col
-        self.slots = slots
-        ab = np.bincount(slots, data, (3 * K + 1) * n).reshape(n, 3 * K + 1).T
-        self.lu, self.piv, info = scipy.linalg.lapack.dgbtrf(ab, K, K, overwrite_ab=True)
-        if info != 0:
-            raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
-
-    def solve(self, b):
-        x, _ = scipy.linalg.lapack.dgbtrs(self.lu, self.K, self.K,
-                                          b.reshape(2, -1).T.ravel(), self.piv,
-                                          overwrite_b=True)
-        return x.reshape(-1, 2).T.ravel()
+                    out=vals[start:end].reshape(dflux.shape[:3] + side.shape))
+    return vals
 
 
 @dataclass
-class _SuperLU:
-    """SuperLU factors ``lu`` of ``J[q][:, q]``, solving over J's unknowns."""
+class _LU:
+    """LU factors ``lu`` of ``J[q][:, q]`` and their ``lu_solve`` (LAPACK's band
+    array in 1D, a SuperLU object in 2D), solving over J's unknowns."""
     lu: object
-    q: object
+    q: np.ndarray
+    lu_solve: object
 
     def solve(self, b):
         x = np.empty_like(b)
-        x[self.q] = self.lu.solve(b[self.q])
+        x[self.q] = self.lu_solve(b[self.q])
         return x
 
 
-def _factor(J, grid):
-    """LU factors, with ``.solve(b)``, of the Newton Jacobian ``J`` (a COO
-    triplet of :func:`_jacobian` on ``grid``): band factors in 1D, SuperLU's
-    in 2D, where each factorization after the first on a grid shape keeps its
-    column order.  Only a 2D run loads ``scipy.sparse``."""
-    n = 2 * grid.num_points
-    pattern = _pattern(grid.shape)
-    if grid.ndim == 1:
-        lu = _BandLU(J, n, pattern.slots)
-        pattern.slots = lu.slots
-        return lu
+def _factor(vals, grid):
+    """LU factors, with ``.solve(b)``, of the Newton Jacobian of the values
+    ``vals`` of :func:`_jacobian` on ``grid``, in the order of its structure:
+    band factors in 1D, SuperLU's in 2D (only a 2D run loads scipy.sparse)."""
+    s = _structure(grid.shape)
+    n = len(s.q)
+    data = np.bincount(s.slots, vals, s.size)
+    del vals    # freed before the factorization
+    if s.csc is None:
+        lu, piv, info = dgbtrf(data.reshape(n, -1).T, BANDS, BANDS, overwrite_ab=True)
+        if info != 0:
+            raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
+        return _LU(lu, s.q, lambda b: dgbtrs(lu, BANDS, BANDS, b, piv, overwrite_b=True)[0])
     import scipy.sparse.linalg
-    if pattern.q is None:
-        J = scipy.sparse.csc_matrix(J, shape=(n, n))   # drops the triplet first
-        lu = scipy.sparse.linalg.splu(J, permc_spec=SUPERLU_ORDERING)
-        # perm_c is a view into lu: argsort's new array keeps no factors alive
-        pattern.q = np.argsort(lu.perm_c)
-        return _SuperLU(lu, slice(None))
-    if pattern.slots is None:   # built when no factors of the run are alive
-        perm = np.empty(n, np.int32 if n * n < 2**31 else np.int64)
-        perm[pattern.q] = np.arange(n)
-        keys = perm[J[1][1]]    # column-major positions in J[q][:, q]
-        keys *= n
-        keys += perm[J[1][0]]
-        order = np.argsort(keys)
-        keys = keys[order]
-        new = np.r_[True, keys[1:] != keys[:-1]]    # the first of equal keys
-        pattern.slots = np.empty(len(keys), np.int32)
-        pattern.slots[order] = np.cumsum(new, dtype=np.int32) - 1
-        keys = keys[new]    # the distinct positions, sorted
-        pattern.csc = ((keys % n).astype(np.int32),
-                       np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))
-        del perm, keys, order, new  # freed before the factorization, as J is below
-    data = np.bincount(pattern.slots, J[0], len(pattern.csc[0]))
-    del J
-    A = scipy.sparse.csc_matrix((data, *pattern.csc), shape=(n, n))
-    return _SuperLU(scipy.sparse.linalg.splu(A, permc_spec="NATURAL"), pattern.q)
+    A = scipy.sparse.csc_matrix((data, *s.csc), shape=(n, n))
+    lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL")
+    return _LU(lu, s.q, lu.solve)
 
 
 def _newton_sparse(prev, tau, params, opts, factors, start):

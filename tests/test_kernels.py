@@ -256,20 +256,20 @@ class TestOutputDigestScript:
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "output_digest.py"),
-             "nonconverging", "square-12", "verify-6-300-3", "limits", "sweep"],
+             "nonconverging", "square-12", "verify-6-300-3", "limits", "sweep", "sweep-2d"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "exit 3  nonconverging"
         assert {"exit 0  square-12", "exit 0  verify-6-300-3", "exit 0  limits",
-                "exit 0  sweep"} <= set(lines)
+                "exit 0  sweep", "exit 0  sweep-2d"} <= set(lines)
         digests = dict(reversed(line.split("  ")) for line in lines
                        if not line.startswith("exit"))
         assert {"nonconverging/summary.txt", "nonconverging/state_000000.csv",
                 "square-12/diagnostics.csv", "square-12/state_000010.csv",
                 "verify-6-300-3/stdout", "limits/limits.csv", "limits/stdout",
                 "sweep/sweep_manifest.csv", "sweep/stdout", "sweep/run_000/diagnostics.csv",
-                "sweep/run_001/summary.txt"} <= set(digests)
+                "sweep/run_001/summary.txt", "sweep-2d/run_001/state_000005.csv"} <= set(digests)
         assert all(len(sha) == 64 for sha in digests.values())
 
     def test_src_flag_imports_the_given_checkout(self):

@@ -2,13 +2,18 @@
 
 Hypothesis draws admissible parameters, small nonnegative states with exact
 zeros and time steps; each draw must either fail to converge, loudly, or
-give a step that keeps the invariants the run monitor enforces.
+give a step that keeps the invariants the run monitor enforces.  It also
+draws two-cell faces, whose entropy dissipation density must not be
+negative: the decay of each E_n in a step rests on that sign.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 import crossdiff as cd
+from crossdiff import entropy, fvops
 from crossdiff.diagnostics import ENTROPY_REL_SLACK, MASS_SLACK_FACTOR
 from crossdiff.scheme import NONNEG_TOL
 
@@ -51,3 +56,43 @@ def test_step_keeps_mass_sign_and_entropies(params, prev, tau):
     before = cd.entropy_trace(prev, params, OPTS.n_max)
     rise = (report.entropies - before) / np.maximum(before, 1e-300)
     assert (rise <= ENTROPY_REL_SLACK).all(), rise
+
+
+def _face_density(u, flux, params, n):
+    """The dissipation density sum_i F_i dw_i of E_n at the face between the
+    two cells of each row of the stacked ``u`` (shape ``(2, rows, 2)``), with
+    ``w = grad phi_n(u)`` and the face fluxes ``flux`` (shape ``(2, rows)``),
+    and its scale sum_i |F_i| |dw_i|."""
+    w = entropy.grad_phi(entropy.build_coefficients(params, n), u)
+    dw = w[..., 1] - w[..., 0]
+    return (flux * dw).sum(axis=0), (np.abs(flux) * np.abs(dw)).sum(axis=0)
+
+
+@st.composite
+def faces(draw):
+    """Every face whose four cell values (f and g of two cells) come from a
+    drawn pool of up to 6 values, as rows of a stacked ``(2, rows, 2)``."""
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    cells = np.array(list(itertools.product(pool, repeat=4)))     # (f_0, f_1, g_0, g_1)
+    return cells.T.reshape(2, 2, -1).transpose(0, 2, 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(params=params, n=st.integers(2, 30), u=faces(), upwind=st.booleans())
+def test_face_dissipation_density_is_nonnegative(params, n, u, upwind):
+    flux = fvops.face_terms(u, params.as_tuple(), 1.0, None, upwind, axis=1)[-1][..., 1]
+    density, scale = _face_density(u, flux, params, n)
+    assert (density >= -1e-12 * scale).all(), (density, scale)
+
+
+def test_downwind_face_dissipation_density_is_negative():
+    # the control: with the mobility of each component taken downwind of its
+    # pressure gradient, the density has no sign.  Here f's downwind cell is
+    # empty, so only g's flux is left, and it runs up g's entropy gradient
+    params, n = cd.Params(4.0, 1.0, 1.0, 1.0), 4
+    u = np.array([[[0.0, 0.5]], [[1.0, 0.25]]])     # (f, g) of the two cells
+    _, dp, _, _, flux = fvops.face_terms(u, params.as_tuple(), 1.0, None, True, axis=1)
+    downwind = np.maximum(np.where(dp[..., 1] > 0.0, u[..., 0], u[..., 1]), 0.0) * dp[..., 1]
+    density, scale = _face_density(u, downwind, params, n)
+    assert density[0] < 0.0 and density[0] == -scale[0]
+    assert _face_density(u, flux[..., 1], params, n)[0][0] > 0.0

@@ -399,6 +399,30 @@ class TestCarriedFactors:
         assert rep_before.factorizations >= 1
 
 
+def _sparse_jacobian(vals, grid):
+    """The Newton Jacobian over the stacked unknowns (f block, then g block)
+    of the values ``vals`` of ``scheme._jacobian``, each placed through its
+    slot in the factors' storage of ``scheme._structure``."""
+    s = scheme._structure(grid.shape)
+    if s.csc is None:   # the band array: slot = col (3K + 1) + 2K + row - col
+        col = s.slots // (3 * scheme.BANDS + 1)
+        row = s.slots % (3 * scheme.BANDS + 1) - 2 * scheme.BANDS + col
+    else:
+        indices, indptr = s.csc
+        row, col = indices[s.slots], np.searchsorted(indptr, s.slots, side="right") - 1
+    return scipy.sparse.csc_matrix((vals, (s.q[row], s.q[col])), shape=(len(s.q),) * 2)
+
+
+def _random_jacobian(rng, grid, params, tau, face, regularization):
+    # random sign changes of the pressure gradients, zero components
+    shape = (2, *grid.shape)
+    u = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) > 0.2)
+    upwind = face == "upwind"
+    terms = fvops.implicit_residual(u, u, params.as_tuple(), tau, grid.dx,
+                                    regularization, upwind)[1]
+    return scheme._jacobian(u, terms, grid, params, tau, regularization, upwind)
+
+
 class TestBandFactors:
     """1D Jacobians are factored as band matrices by LAPACK."""
 
@@ -407,25 +431,23 @@ class TestBandFactors:
                              ids=["plain", "regularized"])
     def test_solves_random_jacobians_like_splu(self, params2111, face, regularization):
         rng = np.random.default_rng(7)
-        upwind = face == "upwind"
         for n in (2, 3, 17, 64):
             grid = cd.Grid1D(n, 1.0)
-            # random sign changes of the pressure gradients, zero components
-            u = rng.uniform(0.0, 2.0, (2, n)) * (rng.uniform(size=(2, n)) > 0.2)
-            terms = fvops.implicit_residual(u, u, params2111.as_tuple(), 1e-3,
-                                            grid.dx, regularization, upwind)[1]
-            J = scheme._jacobian(u, terms, grid, params2111, 1e-3, regularization, upwind)
-            lu = scheme._factor(J, grid)
-            assert isinstance(lu, scheme._BandLU)
+            vals = _random_jacobian(rng, grid, params2111, 1e-3, face, regularization)
+            lu = scheme._factor(vals, grid)
+            # dgbtrf's band array: K fill rows, K super-, the main and K subdiagonals
+            assert lu.lu.shape == (3 * scheme.BANDS + 1, 2 * n)
             b = rng.normal(size=2 * n)
-            A = scipy.sparse.coo_matrix(J, shape=(2 * n, 2 * n))
-            x_ref = scipy.sparse.linalg.splu(A.tocsc()).solve(b)
+            x_ref = scipy.sparse.linalg.splu(_sparse_jacobian(vals, grid)).solve(b)
             assert np.abs(lu.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
     def test_singular_matrix_raises(self):
-        J = ([1.0, 1.0, 1.0], (np.array([0, 1, 2]), np.array([0, 1, 2])))
+        # the identity of a 2-cell grid but for the equation of g_1, the 4th
+        # unknown of (f_0, g_0, f_1, g_1)
+        vals = np.zeros(len(scheme._structure((2,)).slots))
+        vals[:3] = 1.0
         with pytest.raises(RuntimeError, match="dgbtrf info=4"):
-            scheme._BandLU(J, 4)
+            scheme._factor(vals, cd.Grid1D(2, 1.0))
 
 
 class TestSuperLUOrdering:
@@ -450,32 +472,21 @@ class TestSuperLUOrdering:
 
 class TestJacobianPattern:
     """The structure of the Newton Jacobian depends on the grid's shape only,
-    so :func:`scheme._factor` keeps one SuperLU column order and one CSC
-    pattern per shape, computed at the first factorization on it."""
-
-    @staticmethod
-    def _random_jacobian(rng, grid, params, tau, face, regularization):
-        # random sign changes of the pressure gradients, zero components
-        shape = (2, *grid.shape)
-        u = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) > 0.2)
-        upwind = face == "upwind"
-        terms = fvops.implicit_residual(u, u, params.as_tuple(), tau, grid.dx,
-                                        regularization, upwind)[1]
-        return scheme._jacobian(u, terms, grid, params, tau, regularization, upwind)
+    so :func:`scheme._structure` orders it and places its entries once per
+    shape, and every factorization takes that order."""
 
     @pytest.mark.parametrize("grid", [cd.Grid1D(9, 1.0), cd.Grid2D(6, 2.0)],
                              ids=["1d", "2d"])
-    def test_rows_and_cols_depend_on_the_grid_only(self, grid):
+    def test_values_fill_one_structure_per_grid(self, grid):
         rng = np.random.default_rng(5)
         cases = [(cd.Params(2.0, 1.0, 1.0, 1.0), 1e-3, "upwind", None),
                  (cd.Params(1.0, 0.5, 0.3, 2.0), 2e-2, "arithmetic", None),
                  (cd.Params(3.0, 0.1, 0.2, 1.0), 1e-4, "upwind", (1e-1, 10.0)),
                  (cd.Params(1.0, 0.9, 0.9, 1.0), 5e-3, "arithmetic", (1e-2, 2.0))]
-        first = self._random_jacobian(rng, grid, *cases[0])
-        for case in cases[1:]:
-            data, (rows, cols) = self._random_jacobian(rng, grid, *case)
-            assert len(data) == len(first[0])
-            assert np.array_equal(rows, first[1][0]) and np.array_equal(cols, first[1][1])
+        structure = scheme._structure(grid.shape)
+        for case in cases:
+            assert len(_random_jacobian(rng, grid, *case)) == len(structure.slots)
+        assert scheme._structure(grid.shape) is structure
 
     @pytest.mark.parametrize("face", ["upwind", "arithmetic"])
     @pytest.mark.parametrize("regularization", [None, (1e-1, 10.0)],
@@ -483,39 +494,54 @@ class TestJacobianPattern:
     def test_cached_order_solves_random_jacobians_like_splu(self, params2111, face,
                                                              regularization):
         rng = np.random.default_rng(11)
-        scheme._pattern.cache_clear()
+        scheme._structure.cache_clear()
         for n in (2, 3, 7, 16):
             grid = cd.Grid2D(n, 1.0)
-            scheme._factor(self._random_jacobian(rng, grid, params2111, 1e-3, face,
-                                                 regularization), grid)
             for _ in range(3):
-                J = self._random_jacobian(rng, grid, params2111, 1e-3, face, regularization)
-                lu = scheme._factor(J, grid)
-                assert isinstance(lu, scheme._SuperLU) and len(lu.q) == 2 * n * n
+                vals = _random_jacobian(rng, grid, params2111, 1e-3, face, regularization)
+                lu = scheme._factor(vals, grid)
+                assert isinstance(lu, scheme._LU) and len(lu.q) == 2 * n * n
                 b = rng.normal(size=2 * n * n)
-                A = scipy.sparse.coo_matrix(J, shape=(2 * n * n, 2 * n * n))
-                x_ref = scipy.sparse.linalg.splu(A.tocsc()).solve(b)
+                x_ref = scipy.sparse.linalg.splu(_sparse_jacobian(vals, grid)).solve(b)
                 assert np.abs(lu.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
+    def test_structure_order_is_the_order_splu_picks(self, params2111):
+        # the order of the structure is the one SuperLU picks for each
+        # Jacobian on its own, which keeps the fill of SUPERLU_ORDERING
+        rng = np.random.default_rng(13)
+        for n in (*range(2, 21), 64):
+            grid = cd.Grid2D(n, 1.0)
+            for face, regularization in (("upwind", None), ("arithmetic", None),
+                                         ("upwind", (1e-1, 10.0))):
+                J = _sparse_jacobian(_random_jacobian(rng, grid, params2111, 1e-3, face,
+                                                      regularization), grid)
+                lu = scipy.sparse.linalg.splu(J, permc_spec=scheme.SUPERLU_ORDERING)
+                assert np.array_equal(scheme._structure(grid.shape).q,
+                                      np.argsort(lu.perm_c)), (n, face, regularization)
+
     def test_run_orders_each_grid_shape_once(self, params2111, monkeypatch):
-        specs = []
-        splu = scipy.sparse.linalg.splu
+        specs, ordered = [], []
+        splu, spilu = scipy.sparse.linalg.splu, scipy.sparse.linalg.spilu
 
         def record(A, *args, permc_spec=None, **kwargs):
-            specs.append((A.shape[0], permc_spec))
+            specs.append(permc_spec)
             return splu(A, *args, permc_spec=permc_spec, **kwargs)
 
+        def record_order(A, *args, **kwargs):
+            ordered.append(A.shape[0])
+            return spilu(A, *args, **kwargs)
+
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        scheme._pattern.cache_clear()
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", record_order)
+        scheme._structure.cache_clear()
         lu_count = 0
         for n in (12, 16, 12):
             for _, _, rep in cd.run(_degenerate_2d_state(n), 1e-2, 5e-2, params2111,
                                     _opts()):
                 lu_count += rep.factorizations
-        assert len(specs) == lu_count > 3
-        ordered = [size for size, spec in specs if spec == scheme.SUPERLU_ORDERING]
+        # every factorization takes the structure's order as it is
+        assert specs == ["NATURAL"] * lu_count and lu_count > 3
         assert ordered == [2 * 12 * 12, 2 * 16 * 16]
-        assert all(spec in (scheme.SUPERLU_ORDERING, "NATURAL") for _, spec in specs)
 
     def test_cache_keeps_no_factors_alive(self, params2111, monkeypatch):
         # SuperLU objects take no weak references, so the test holds the
@@ -536,11 +562,11 @@ class TestJacobianPattern:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", keep_first)
         monkeypatch.setattr(scheme, "_factor", keep_wrapper)
-        scheme._pattern.cache_clear()
+        scheme._structure.cache_clear()
         reports = [rep for _, _, rep in cd.run(_degenerate_2d_state(16), 1e-2, 5e-2,
                                                 params2111, _opts())]
         assert sum(rep.factorizations for rep in reports) > 1
-        assert scheme._pattern((16, 16)).q is not None
+        assert scheme._structure.cache_info().currsize == 1
         first = made[0]
         del made[:]
         gc.collect()
@@ -600,8 +626,8 @@ class TestJacobian:
         u = np.stack((state.f, state.g))
         terms = fvops.implicit_residual(u, u, params.as_tuple(), self.TAU,
                                         grid.dx, regularization, upwind)[1]
-        J = scheme._jacobian(u, terms, grid, params, self.TAU, regularization, upwind)
-        J = scipy.sparse.coo_matrix(J, shape=(2 * P, 2 * P)).toarray()
+        vals = scheme._jacobian(u, terms, grid, params, self.TAU, regularization, upwind)
+        J = _sparse_jacobian(vals, grid).toarray()
         assert np.abs(J - fd).max() <= 1e-7 * np.abs(fd).max()
 
     @pytest.mark.parametrize("grid", [cd.Grid1D(8, 1.0), cd.Grid2D(5, 1.0)],
