@@ -3,7 +3,7 @@
 
 Times the per-step entropy report (``diagnostics.entropy_trace`` of
 E_1..E_6, from one power-moment product), the whole per-step report
-(``scheme._report_for``: masses, entropies, dissipation and sup norm) as a
+(``diagnostics.step_report``: masses, entropies, dissipation and sup norm) as a
 step builds it, from the face terms of its Newton solve, and once more
 without them (as for the initial state, which computes its own), the
 cubic Newton start of a run from four states (``scheme._extrapolate``), the
@@ -24,8 +24,8 @@ milliseconds, factorizations and iterations per step.  The ``factor 2d``
 row times, on the 64x64 grid, the one-time build of the Jacobian's
 structure (``scheme._structure``: the column order and the place of each
 entry) and the SuperLU factorization of one Jacobian's values, and prints
-the fill.  The ``zero-front run 1d`` rows run 50 steps of ROADMAP
-item 2's zero-front cap on 1024 cells, with the Anderson-mixed chord
+the fill.  The ``zero-front run 1d`` rows run 50 steps of the zero-front
+cap f = max(1.5 (1 - 4x^2), 0) on 1024 cells, with the Anderson-mixed chord
 updates the solver makes and, in the ``plain`` row, with
 ``scheme._anderson`` patched in this script to return the plain update;
 they print ms per step, updates and factorizations.  The import row
@@ -52,8 +52,9 @@ sys.path.insert(0, SRC)
 from crossdiff import diagnostics, fvops, scheme  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
+from crossdiff.diagnostics import step_report  # noqa: E402
 from crossdiff.scheme import (  # noqa: E402
-    SolverOptions, _extrapolate, _factor, _jacobian, _report_for, _structure, run, step)
+    SolverOptions, _extrapolate, _factor, _jacobian, _structure, run, step)
 
 PARAMS = Params(2.0, 1.0, 1.0, 1.0)
 
@@ -84,8 +85,8 @@ def _square_state() -> State:
 
 
 def _zero_front_state(cells: int) -> State:
-    """ROADMAP item 2's cap: f = max(1.5 (1 - 4x^2), 0), zero on half the
-    cells, and g = 1 + 0.3 cos(pi x)."""
+    """The zero-front cap: f = max(1.5 (1 - 4x^2), 0), zero on half the
+    cells (one front, at x = 1/2), and g = 1 + 0.3 cos(pi x)."""
     grid = Grid1D(cells, 1.0)
     x = grid.centers()
     return State(grid, np.maximum(1.5 * (1.0 - 4.0 * x**2), 0.0),
@@ -119,8 +120,10 @@ def bench(cells: int, repeats: int) -> None:
 
     rows = [
         ("entropy_trace (n=6)", cells, lambda: diagnostics.entropy_trace(state, PARAMS, 6)),
-        ("report 1d", cells, lambda: _report_for(state, PARAMS, opts, 1, 0.0, terms=terms)),
-        ("report 1d without terms", cells, lambda: _report_for(state, PARAMS, opts, 1, 0.0)),
+        ("report 1d", cells, lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0,
+                                                 terms=terms)),
+        ("report 1d without terms", cells,
+         lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0)),
         ("extrapolate 1d", cells, lambda: _extrapolate(history)),
         ("implicit_residual", cells, lambda: fvops.implicit_residual(
             u, u, PARAMS.as_tuple(), tau, state.grid.dx, None, True)),
@@ -179,10 +182,10 @@ def bench_factor(repeats: int) -> None:
 
 
 def bench_zero_front(cells: int = 1024, steps: int = 50, runs: int = 3) -> None:
-    """``steps`` steps of ROADMAP item 2's cap on ``cells`` cells (tau 1e-3,
-    tol 1e-9), best of ``runs``: once with the Anderson-mixed chord updates
-    the solver makes, once with ``scheme._anderson`` patched to return the
-    plain update."""
+    """``steps`` steps of the zero-front cap of :func:`_zero_front_state` on
+    ``cells`` cells (tau 1e-3, tol 1e-9), best of ``runs``: once with the
+    Anderson-mixed chord updates the solver makes, once with
+    ``scheme._anderson`` patched to return the plain update."""
     state = _zero_front_state(cells)
     opts = SolverOptions(tol=1e-9)
     print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'updates':>12} "

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .scheme import (
     SolverOptions,
-    StepReport,
     run,
     step,
     step_regularized,
@@ -47,6 +46,7 @@ from .scheme import (
 from .diagnostics import (
     RunMonitor,
     RunVerdicts,
+    StepReport,
     dissipation,
     entropy_trace,
     linf_bound_constant,

@@ -270,10 +270,10 @@ def _csv_template(n_max: int) -> str:
     return ",".join(["{:.16e}"] * (n_max + 5) + ["{}", "{}", "{:.16e}"]) + "\n"
 
 
-def _csv_row(entry, n_max: int) -> str:
+def _csv_row(entry) -> str:
     t, _, rep = entry
-    return _csv_template(n_max).format(
-        t, *rep.masses, *rep.entropies[:n_max].tolist(), rep.dissipation_cum, rep.linf,
+    return _csv_template(len(rep.entropies)).format(
+        t, *rep.masses, *rep.entropies.tolist(), rep.dissipation_cum, rep.linf,
         rep.factorizations, rep.iterations, rep.residual)
 
 
@@ -281,11 +281,11 @@ def _snapshot_due(index: int, every: int) -> bool:
     return index % every == 0 if every > 0 else index == 0
 
 
-def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
-                  steps: int, entry, status: str) -> diagnostics.RunVerdicts:
+def write_outputs(out_dir: Path, config: RunConfig, params: Params, steps: int,
+                  entry, status: str) -> None:
     """Write the snapshot of the last entry of a run (unless it was due
-    already) and ``summary.txt``; returns the inequality verdicts that the
-    summary reports, those on the last entry's report."""
+    already) and ``summary.txt``, whose time step and inequality verdicts
+    are those of the last entry's report."""
     _, final_state, report = entry
     if not _snapshot_due(steps, config.snapshot_every):
         _write_state(out_dir / f"state_{steps:06d}.csv", final_state)
@@ -293,7 +293,7 @@ def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
         f"status: {status}",
         f"params: a={_fmt(params.a)} b={_fmt(params.b)} c={_fmt(params.c)} d={_fmt(params.d)}",
         f"grid: dimension={config.dimension} cells={config.cells} length={_fmt(config.length)}",
-        f"tau: {_fmt(tau)}",
+        f"tau: {_fmt(report.tau)}",
         f"steps: {steps}",
         f"final steady-state flux residual: {_fmt(diagnostics.steady_residual(final_state, params))}",
     ]
@@ -302,7 +302,6 @@ def write_outputs(out_dir: Path, config: RunConfig, params: Params, tau: float,
                     "the failing step is not part of the trajectory")
     text.extend(report.verdicts.lines())
     (out_dir / "summary.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-    return report.verdicts
 
 
 def _write_state(path: Path, state: State) -> None:
@@ -339,7 +338,7 @@ def execute_run(config: RunConfig) -> int:
                                                     buffering=1) as csv:
                 csv.write(_csv_header(config.n_max))
                 for steps, entry in enumerate(entries):
-                    csv.write(_csv_row(entry, config.n_max))
+                    csv.write(_csv_row(entry))
                     if _snapshot_due(steps, config.snapshot_every):
                         snapshots.append(out_dir / f"state_{steps:06d}.csv")
                         _write_state(snapshots[-1], entry[1])
@@ -352,12 +351,12 @@ def execute_run(config: RunConfig) -> int:
                 for path in snapshots:      # the restart rewrites the rest
                     path.unlink()
                 continue
-            write_outputs(out_dir, config, params, tau, steps, entry, f"FAILED: {err}")
+            write_outputs(out_dir, config, params, steps, entry, f"FAILED: {err}")
             raise
         break
-    verdicts = write_outputs(out_dir, config, params, tau, steps, entry, "COMPLETED")
+    write_outputs(out_dir, config, params, steps, entry, "COMPLETED")
     print(f"completed {steps} steps -> {out_dir}/diagnostics.csv "
-          f"(verdict: {'PASS' if verdicts.all_ok else 'FAIL'})")
+          f"(verdict: {'PASS' if entry[2].verdicts.all_ok else 'FAIL'})")
     return EXIT_OK
 
 

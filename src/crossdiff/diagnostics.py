@@ -9,14 +9,14 @@ sup-norm bound): it measures, enforces and reports each of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import fvops
 from .entropy import _log_deviation, build_coefficients, phi_bounds
-from .errors import InvariantViolation
+from .errors import InvalidInput, InvariantViolation
 from .grid import State
 from .params import Params, theta_constants
 
@@ -158,6 +158,40 @@ class RunVerdicts:
             f"overall: {'PASS' if self.all_ok else 'FAIL'}"]
 
 
+@dataclass
+class StepReport:
+    """What a run records of one state, as :func:`step_report` builds it."""
+    iterations: int                     # Newton updates, chord ones included
+    residual: float
+    masses: tuple[float, float]
+    entropies: np.ndarray = field(repr=False)
+    dissipation: float
+    linf: float
+    tau: float                          # the step's; the run's for the initial state
+    clamped_mass: tuple[float, float] = (0.0, 0.0)
+    factorizations: int = 0             # Jacobian LU factorizations (_factor calls)
+    # set by the run monitor on the reports of a run
+    dissipation_cum: float = 0.0
+    verdicts: RunVerdicts | None = None
+
+
+def step_report(state, params, tau, n_max, iterations=0, residual=0.0,
+                clamped_mass=(0.0, 0.0), factorizations=0, terms=None, state_name="new state"):
+    """The report of ``state``, reached by a step of ``tau`` (``terms`` as
+    :func:`dissipation` takes them); :class:`InvalidInput` unless its
+    E_1..E_n_max are finite.  No E_n beyond the first overflowing
+    coefficients is formed."""
+    top = _moment_gather(params, n_max)[0]
+    entropies = entropy_trace(state, params, min(n_max, top + 1))
+    if not np.isfinite(entropies).all():
+        n = int(np.argmin(np.isfinite(entropies))) + 1
+        raise InvalidInput(f"n_max={n_max} is too large: E_{n} of the {state_name} is "
+                           f"not finite in double precision; choose n_max < {n}")
+    return StepReport(iterations, residual, state.masses(), entropies,
+                      dissipation(state, params, terms), linf_sum(state), tau,
+                      clamped_mass, factorizations)
+
+
 class RunMonitor:
     """The inequalities of one run: measured per step, enforced, and kept.
 
@@ -176,8 +210,7 @@ class RunMonitor:
     :class:`InvariantViolation`; regularized runs enforce the mass drift only.
     """
 
-    def __init__(self, report0, params: Params, tau: float, measure: float, opts):
-        self.tau = tau
+    def __init__(self, report0: StepReport, params: Params, measure: float, opts):
         self.mass_tol = MASS_SLACK_FACTOR * opts.tol * measure
         self.enforce = opts.check_invariants
         self.regularized = opts.regularization is not None
@@ -197,9 +230,9 @@ class RunMonitor:
         return RunVerdicts(dict(enumerate(self.entropy_worst.tolist(), start=1)),
                            self.dissipation_worst, self.linf_worst)
 
-    def observe(self, report) -> None:
+    def observe(self, report: StepReport) -> None:
         prev, self.prev = self.prev, report
-        self.dissipation_cum += self.tau * report.dissipation
+        self.dissipation_cum += report.tau * report.dissipation
         # np.maximum keeps a NaN, so a non-finite measurement stays failed
         self.entropy_worst = np.maximum(
             self.entropy_worst,

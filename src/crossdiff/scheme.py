@@ -35,7 +35,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -94,24 +94,9 @@ class SolverOptions:
                 raise InvalidInput(f"rho must exceed 1, got {rho}")
 
 
-@dataclass
-class StepReport:
-    iterations: int                     # Newton updates, chord ones included
-    residual: float
-    masses: tuple[float, float]
-    entropies: np.ndarray = field(repr=False)
-    dissipation: float
-    linf: float
-    clamped_mass: tuple[float, float] = (0.0, 0.0)
-    factorizations: int = 0             # Jacobian LU factorizations (_factor calls)
-    # set by the run monitor on the reports of a run
-    dissipation_cum: float = 0.0
-    verdicts: diagnostics.RunVerdicts | None = None
-
-
 def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
          factors: list | None = None,
-         start: np.ndarray | None = None) -> tuple[State, StepReport]:
+         start: np.ndarray | None = None) -> tuple[State, diagnostics.StepReport]:
     """Advance one implicit step, of the eps/rho-regularized system when
     ``opts.regularization = (eps, rho)`` is set.
 
@@ -147,13 +132,13 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
             raise InvariantViolation(
                 "boundedness cap", None,
                 f"max component {top:.6e} exceeds rho={rho} beyond {CAP_TOL:.0e}")
-    return new, _report_for(new, params, opts, iterations=iters, residual=res,
-                            clamped_mass=clamped, factorizations=n_lu, terms=terms)
+    return new, diagnostics.step_report(new, params, tau, opts.n_max, iters, res,
+                                        clamped, n_lu, terms)
 
 
 def step_regularized(prev: State, tau: float, params: Params, eps: float,
                      rho: float, opts: SolverOptions, *, factors: list | None = None,
-                     start: np.ndarray | None = None) -> tuple[State, StepReport]:
+                     start: np.ndarray | None = None) -> tuple[State, diagnostics.StepReport]:
     """:func:`step` with ``opts.regularization = (eps, rho)``; an ``eps``
     outside (0, 1) or a ``rho`` not above 1 raises :class:`InvalidInput`."""
     return step(prev, tau, params, replace(opts, regularization=(eps, rho)),
@@ -183,9 +168,9 @@ def run(initial: State, tau: float, t_final: float, params: Params,
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidInput(f"t_final={t_final} is not a whole multiple of "
                            f"the time step tau={tau}")
-    report = _report_for(initial, params, opts, iterations=0, residual=0.0,
-                         state_name="initial state")
-    monitor = diagnostics.RunMonitor(report, params, tau, initial.grid.measure, opts)
+    report = diagnostics.step_report(initial, params, tau, opts.n_max,
+                                     state_name="initial state")
+    monitor = diagnostics.RunMonitor(report, params, initial.grid.measure, opts)
     return _march(initial, report, tau, n_steps, params, opts, monitor)
 
 
@@ -480,21 +465,3 @@ def _anderson(du, pairs):
     for (s, y_k), c in zip(pairs, gamma):
         du = du - c / det * (s + y_k)
     return du
-
-
-def _report_for(state, params, opts, iterations, residual, clamped_mass=(0.0, 0.0),
-                factorizations=0, terms=None, state_name="new state"):
-    """The report of ``state``; :class:`InvalidInput` unless its E_1..E_n_max
-    are finite.  No E_n beyond the first overflowing coefficients is formed."""
-    top = diagnostics._moment_gather(params, opts.n_max)[0]
-    entropies = diagnostics.entropy_trace(state, params, min(opts.n_max, top + 1))
-    if not np.isfinite(entropies).all():
-        n = int(np.argmin(np.isfinite(entropies))) + 1
-        raise InvalidInput(
-            f"n_max={opts.n_max} is too large: E_{n} of the {state_name} is "
-            f"not finite in double precision; choose n_max < {n}")
-    return StepReport(
-        iterations=iterations, residual=residual, masses=state.masses(),
-        entropies=entropies, dissipation=diagnostics.dissipation(state, params, terms),
-        linf=diagnostics.linf_sum(state), clamped_mass=clamped_mass,
-        factorizations=factorizations)

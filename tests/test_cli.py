@@ -19,14 +19,14 @@ def _run_cli(args):
 
 class TestCsvRow:
     def test_row_template_writes_the_fmt_text(self):
-        rep = scheme.StepReport(
+        rep = diagnostics.StepReport(
             iterations=7, residual=np.float64(3.1e-13), masses=(0.1, 2.0 / 3.0),
-            entropies=np.array([1.0 / 3.0, 0.0, 1e300, np.inf]), dissipation=0.5,
-            linf=np.float64(1.75), factorizations=2, dissipation_cum=np.pi)
+            entropies=np.array([1.0 / 3.0, 0.0, 1e300]), dissipation=0.5,
+            linf=np.float64(1.75), tau=1e-3, factorizations=2, dissipation_cum=np.pi)
         values = (1e-3, 0.1, 2.0 / 3.0, 1.0 / 3.0, 0.0, 1e300, np.pi, 1.75)
         want = ",".join([cli._fmt(v) for v in values] + ["2", "7", cli._fmt(3.1e-13)])
-        assert cli._csv_row((1e-3, None, rep), 3) == want + "\n"
-        assert cli._csv_row((1e-3, None, rep), 3).count(",") + 1 == \
+        assert cli._csv_row((1e-3, None, rep)) == want + "\n"
+        assert cli._csv_row((1e-3, None, rep)).count(",") + 1 == \
             len(cli._csv_header(3).split(","))
 
 
@@ -420,6 +420,56 @@ class TestRunCommand:
         assert len(rows) == 6
         assert float(rows[-1].split(",")[0]) == pytest.approx(4 * 2.5e-3)
         assert "tau: 2.5" in (out / "summary.txt").read_text()
+
+    def test_reports_carry_the_tau_of_their_attempt(self, tmp_path, monkeypatch):
+        # 3 iterations fail at step 1 with tau = 2e-2, 1e-2 and 5e-3; the
+        # third retry, tau = 2.5e-3, runs all 40 steps
+        attempts = []
+        run = cli.run
+
+        def recorded(initial, tau, *args):
+            attempts.append((tau, []))
+            for entry in run(initial, tau, *args):
+                attempts[-1][1].append(entry[2])
+                yield entry
+
+        monkeypatch.setattr(cli, "run", recorded)
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 64, "--tau", "2e-2", "--t-final", "0.1",
+                         "--tol", "1e-13", "--ic-amp", "0.9", "--max-iters", 3,
+                         "--tau-retries", 4, "--out", out])
+        assert code == cli.EXIT_OK
+        assert [tau for tau, _ in attempts] == [2e-2, 1e-2, 5e-3, 2.5e-3]
+        for tau, reports in attempts:
+            assert reports and all(rep.tau == tau for rep in reports)
+        assert len(attempts[-1][1]) == 41
+        assert f"tau: {cli._fmt(2.5e-3)}\n" in (out / "summary.txt").read_text()
+
+    def test_failed_summary_takes_tau_from_the_last_report(self, tmp_path, monkeypatch):
+        # the Newton solve of step 3 fails; the summary is written from the
+        # entry of step 2
+        reports, newton, step = [], scheme._newton_sparse, scheme.step
+
+        def failing(prev, tau, *args):
+            if len(reports) == 2:
+                raise NonConvergence(1, 1.0)
+            return newton(prev, tau, *args)
+
+        def recorded(*args, **kwargs):
+            state, report = step(*args, **kwargs)
+            reports.append(report)
+            return state, report
+
+        monkeypatch.setattr(scheme, "_newton_sparse", failing)
+        monkeypatch.setattr(scheme, "step", recorded)
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--cells", 16, "--tau", "1e-3", "--t-final", "1e-2",
+                         "--out", out])
+        assert code == cli.EXIT_NONCONVERGENCE
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[0].startswith("status: FAILED")
+        assert summary[3:5] == [f"tau: {cli._fmt(reports[1].tau)}", "steps: 2"]
+        assert reports[1].tau == 1e-3
 
     def test_tight_budget_completes_with_carried_factors(self, tmp_path):
         # with a fresh Jacobian in every step, step 5 needed 15 updates and

@@ -307,8 +307,8 @@ class TestRunVerdicts:
 def _report(entropies, dissipation=0.0, linf=1.0, masses=(1.0, 1.0),
             clamped_mass=(0.0, 0.0)):
     return cd.StepReport(iterations=1, residual=0.0, masses=masses,
-                         entropies=np.asarray(entropies, float),
-                         dissipation=dissipation, linf=linf, clamped_mass=clamped_mass)
+                         entropies=np.asarray(entropies, float), dissipation=dissipation,
+                         linf=linf, tau=1e-3, clamped_mass=clamped_mass)
 
 
 class TestRunMonitor:
@@ -316,7 +316,7 @@ class TestRunMonitor:
         opts = cd.SolverOptions(n_max=2)
         e_prev = 2.0
         for rise, breach in ((1.1e-9, True), (0.9e-9, False)):
-            monitor = cd.RunMonitor(_report([0.5, e_prev]), params2111, 1e-3, 1.0, opts)
+            monitor = cd.RunMonitor(_report([0.5, e_prev]), params2111, 1.0, opts)
             report = _report([0.5, e_prev + rise * e_prev])
             slack = (report.entropies[1] - e_prev) / e_prev
             if breach:
@@ -333,7 +333,7 @@ class TestRunMonitor:
                             f"(tolerance 1e-09) -> {verdict}")
 
     def test_keeps_worst_slack_and_cumulative_dissipation(self, params2111):
-        monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1e-3, 1.0,
+        monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1.0,
                                 cd.SolverOptions(n_max=2))
         first = _report([0.49, 2.0 * (1 + 5e-10)], dissipation=3.0)
         second = _report([0.4, 1.0], dissipation=4.0)
@@ -343,12 +343,26 @@ class TestRunMonitor:
         assert second.verdicts.entropy_slack[2] == first.verdicts.entropy_slack[2] > 0.0
         assert second.verdicts.all_ok
 
+    def test_dissipation_cum_sums_each_reports_tau_times_dissipation(self, params2111):
+        # the README example; the initial report starts the sum at zero
+        grid = cd.Grid1D(64, 1.0)
+        state = cd.State(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()), np.ones(64))
+        entries = cd.run(state, 1e-3, 1.0, params2111, cd.SolverOptions(tol=1e-12))
+        total, steps = 0.0, 0
+        for t, _, report in entries:
+            assert report.tau == 1e-3
+            if t > 0.0:
+                total += report.tau * report.dissipation
+                steps += 1
+            assert report.dissipation_cum == total
+        assert steps == 1000 and total > 0.0
+
     def test_non_finite_entropy_fails(self, params2111):
         # inf - inf is NaN, and max(0.0, nan) is 0.0: a NaN slack must not
         # read as a pass
         report0 = _report([0.5, np.inf])
         opts = cd.SolverOptions(n_max=2, check_invariants=False)
-        monitor = cd.RunMonitor(report0, params2111, 1e-3, 1.0, opts)
+        monitor = cd.RunMonitor(report0, params2111, 1.0, opts)
         report = _report([0.5, np.inf])
         with np.errstate(invalid="ignore"):
             monitor.observe(report)
@@ -358,7 +372,7 @@ class TestRunMonitor:
         assert "overall: FAIL" in report.verdicts.lines()
         with pytest.raises(cd.InvariantViolation, match="E_2"):
             with np.errstate(invalid="ignore"):
-                cd.RunMonitor(report0, params2111, 1e-3, 1.0,
+                cd.RunMonitor(report0, params2111, 1.0,
                               cd.SolverOptions(n_max=2)).observe(_report([0.5, np.inf]))
 
     def test_mass_drift_is_enforced_net_of_clamped_mass(self, params2111):
@@ -368,7 +382,7 @@ class TestRunMonitor:
         drifted = dict(masses=(1.0 + 2.0 * tol, 1.0))
 
         def observe(opts, **kw):
-            monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1e-3, 1.0, opts)
+            monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1.0, opts)
             monitor.observe(_report([0.5, 2.0], **kw))
 
         with pytest.raises(cd.InvariantViolation) as err:
