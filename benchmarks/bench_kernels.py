@@ -6,15 +6,17 @@ E_1..E_6, from one power-moment product), the whole per-step report
 (``diagnostics.step_report``: masses, entropies, dissipation and sup norm) as a
 step builds it, from the face terms of its Newton solve, and once more
 without them (as for the initial state, which computes its own), the
-cubic Newton start of a run from four states (``scheme._extrapolate``), the
-implicit-step residual (``fvops.implicit_residual``, the face operator
-shared by every dimension) and the assembly of the upwind Newton Jacobian
-(``scheme._jacobian``, the values that the factors place by the grid's
-one structure) at
-``--cells`` cells, and the Jacobian once more on a fixed 64x64 grid with a
-zero patch in f, and prints microseconds per call (best of the repeats).
-Two more rows time one Newton step, one on the 1D grid of ``--cells``
-cells and one on the 64x64 grid, and print
+run monitor's bookkeeping of one step (``diagnostics.RunMonitor.observe``
+of the report of one step on 64 cells, each call on a fresh monitor built
+from the report of the initial state), the cubic Newton start of a run
+from four states (``scheme._extrapolate``), the implicit-step residual
+(``fvops.implicit_residual``, the face operator shared by every dimension)
+and the assembly of the upwind Newton Jacobian (``scheme._jacobian``, the
+values that the factors place by the grid's one structure) at
+``--cells`` cells (the monitor row excepted), and the Jacobian once more
+on a fixed 64x64 grid with a zero patch in f, and prints microseconds per
+call (best of the repeats).  Two more rows time one Newton step, one on
+the 1D grid of ``--cells`` cells and one on the 64x64 grid, and print
 milliseconds, Jacobian LU factorizations, Newton iterations and the storage
 of the step's last factors: the band array entries of the 1D LAPACK
 factors, the L+U nonzeros of the 2D SuperLU factors (the fill left by its
@@ -117,6 +119,12 @@ def bench(cells: int, repeats: int) -> None:
     # the face terms of the state, as a step's Newton solve hands them on
     terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
                                     None, True)[1]
+    # the first step from the README example's state, one fresh monitor per call
+    small = _bump_state(64)
+    report0 = step_report(small, PARAMS, tau, opts.n_max)
+    report1 = step(small, tau, PARAMS, opts)[1]
+    monitors = iter([diagnostics.RunMonitor(report0, PARAMS, small.grid.measure, opts)
+                     for _ in range(repeats + 1)])
 
     rows = [
         ("entropy_trace (n=6)", cells, lambda: diagnostics.entropy_trace(state, PARAMS, 6)),
@@ -124,6 +132,7 @@ def bench(cells: int, repeats: int) -> None:
                                                  terms=terms)),
         ("report 1d without terms", cells,
          lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0)),
+        ("monitor 1d", small.grid.num_points, lambda: next(monitors).observe(report1)),
         ("extrapolate 1d", cells, lambda: _extrapolate(history)),
         ("implicit_residual", cells, lambda: fvops.implicit_residual(
             u, u, PARAMS.as_tuple(), tau, state.grid.dx, None, True)),

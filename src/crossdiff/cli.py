@@ -258,21 +258,20 @@ def build_config(file_values: dict[str, str], cli_values: dict[str, str]) -> Run
 # outputs
 # ---------------------------------------------------------------------------
 
-def _csv_header(n_max: int) -> str:
-    return ",".join(["time", "mass_f", "mass_g"]
-                    + [f"E{n}" for n in range(1, n_max + 1)]
-                    + ["dissipation_cum", "linf_sum", "factorizations", "iterations",
-                       "residual"]) + "\n"
-
-
-@lru_cache(maxsize=8)   # the columns of _csv_header, each float in _fmt's text
-def _csv_template(n_max: int) -> str:
-    return ",".join(["{:.16e}"] * (n_max + 5) + ["{}", "{}", "{:.16e}"]) + "\n"
+@lru_cache(maxsize=8)
+def _csv_layout(n_max: int) -> tuple[str, str]:
+    """(header, row template) of ``diagnostics.csv``: each column once, with
+    its format, each float in _fmt's text."""
+    e = "{:.16e}"
+    columns = {"time": e, "mass_f": e, "mass_g": e, **{f"E{n}": e for n in range(1, n_max + 1)},
+               "dissipation_cum": e, "linf_sum": e, "factorizations": "{}", "iterations": "{}",
+               "residual": e}
+    return ",".join(columns) + "\n", ",".join(columns.values()) + "\n"
 
 
 def _csv_row(entry) -> str:
     t, _, rep = entry
-    return _csv_template(len(rep.entropies)).format(
+    return _csv_layout(len(rep.entropies))[1].format(
         t, *rep.masses, *rep.entropies.tolist(), rep.dissipation_cum, rep.linf,
         rep.factorizations, rep.iterations, rep.residual)
 
@@ -336,7 +335,7 @@ def execute_run(config: RunConfig) -> int:
             # line buffered: each row reaches the file when its step is done
             with (out_dir / "diagnostics.csv").open("w", encoding="utf-8",
                                                     buffering=1) as csv:
-                csv.write(_csv_header(config.n_max))
+                csv.write(_csv_layout(config.n_max)[0])
                 for steps, entry in enumerate(entries):
                     csv.write(_csv_row(entry))
                     if _snapshot_due(steps, config.snapshot_every):

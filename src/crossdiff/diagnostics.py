@@ -4,7 +4,9 @@ Entropy traces, the discrete dissipation functional, sup-norm quantities
 and steady-state flux residuals are read-only functions of a state.  The
 run monitor is the one definition of the inequalities a run is checked
 against (mass conservation, entropy monotonicity, cumulative dissipation,
-sup-norm bound): it measures, enforces and reports each of them.
+sup-norm bound): it measures, enforces and reports each of them.  The
+reports carry the run's running values; the monitor keeps only the run's
+constants and the last report that passed.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ def entropy_trace(state: State, params: Params, n_max: int = 6) -> np.ndarray:
     a, b, _, d = params.as_tuple()
     vol = state.grid.cell_volume
     out = np.full(n_max, np.inf)
-    log_f, log_g = _log_deviation(p)
-    out[0] = vol * (log_f + (b * b) / (a * d) * log_g).sum()
     top, flat, weights, starts = _moment_gather(params, n_max)
-    if top >= 2:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_f, log_g = _log_deviation(p)
+        out[0] = vol * (log_f + (b * b) / (a * d) * log_g).sum()
+        if top >= 2:
             powers = p[:, None] ** np.arange(top + 1)[:, None]
             moments = (powers[0] @ powers[1].T).ravel()
             out[1:top] = vol * np.add.reduceat(moments[flat] * weights, starts)
@@ -185,7 +187,9 @@ def step_report(state, params, tau, n_max, iterations=0, residual=0.0,
     entropies = entropy_trace(state, params, min(n_max, top + 1))
     if not np.isfinite(entropies).all():
         n = int(np.argmin(np.isfinite(entropies))) + 1
-        raise InvalidInput(f"n_max={n_max} is too large: E_{n} of the {state_name} is "
+        raise InvalidInput(f"E_1 of the {state_name} is not finite: its values are out of "
+                           "double-precision range for every n_max" if n == 1 else
+                           f"n_max={n_max} is too large: E_{n} of the {state_name} is "
                            f"not finite in double precision; choose n_max < {n}")
     return StepReport(iterations, residual, state.masses(), entropies,
                       dissipation(state, params, terms), linf_sum(state), tau,
@@ -196,7 +200,7 @@ class RunMonitor:
     """The inequalities of one run: measured per step, enforced, and kept.
 
     Built from the report of the initial state, it takes the report of each
-    accepted step in order.  Per step it measures the mass drift of each
+    step in order.  Per step it measures the mass drift of each
     component (|change| minus the mass removed by clamping, at most
     ``MASS_SLACK_FACTOR * tol * |Omega|``) and the relative slacks
 
@@ -205,9 +209,10 @@ class RunMonitor:
     * (||f+g||_inf - cap) / cap, cap = linf_bound_constant * ||f0+g0||_inf.
 
     Each report gets the cumulative dissipation and the worst slacks so far
-    (``dissipation_cum``, ``verdicts``).  With ``opts.check_invariants`` the
-    first breach, a non-finite slack included, raises
-    :class:`InvariantViolation`; regularized runs enforce the mass drift only.
+    (``dissipation_cum``, ``verdicts``), folded from the last accepted report,
+    the only one kept.  With ``opts.check_invariants`` the first breach, a
+    non-finite slack included, raises :class:`InvariantViolation` and the
+    report is not accepted; regularized runs enforce the mass drift only.
     """
 
     def __init__(self, report0: StepReport, params: Params, measure: float, opts):
@@ -216,46 +221,39 @@ class RunMonitor:
         self.regularized = opts.regularization is not None
         self.e1_initial = report0.entropies[0]
         self.cap = linf_bound_constant(params) * report0.linf
+        report0.dissipation_cum = 0.0
+        report0.verdicts = RunVerdicts(dict.fromkeys(range(1, len(report0.entropies) + 1), 0.0),
+                                       0.0, self._linf_slack(report0))
         self.prev = report0
-        self.dissipation_cum = 0.0
-        self.entropy_worst = np.zeros(report0.entropies.shape)
-        self.dissipation_worst = 0.0
-        self.linf_worst = self._linf_slack(report0)
-        report0.verdicts = self.verdicts()
 
     def _linf_slack(self, report) -> float:
         return (report.linf - self.cap) / max(self.cap, 1e-300)
 
-    def verdicts(self) -> RunVerdicts:
-        return RunVerdicts(dict(enumerate(self.entropy_worst.tolist(), start=1)),
-                           self.dissipation_worst, self.linf_worst)
-
     def observe(self, report: StepReport) -> None:
-        prev, self.prev = self.prev, report
-        self.dissipation_cum += report.tau * report.dissipation
+        prev, worst = self.prev, self.prev.verdicts
+        report.dissipation_cum = prev.dissipation_cum + report.tau * report.dissipation
         # np.maximum keeps a NaN, so a non-finite measurement stays failed
-        self.entropy_worst = np.maximum(
-            self.entropy_worst,
+        entropy = np.maximum(
+            list(worst.entropy_slack.values()),
             (report.entropies - prev.entropies) / np.maximum(prev.entropies, 1e-300))
-        self.dissipation_worst = np.maximum(
-            self.dissipation_worst,
-            (report.entropies[0] + self.dissipation_cum - self.e1_initial)
-            / max(self.e1_initial, 1e-300))
-        self.linf_worst = np.maximum(self.linf_worst, self._linf_slack(report))
-        report.dissipation_cum = self.dissipation_cum
-        report.verdicts = self.verdicts()
-        if not self.enforce:
-            return
-        for name, new, old, clamped in zip("fg", report.masses, prev.masses,
-                                           report.clamped_mass):
-            if not abs(new - old) - clamped <= self.mass_tol:
-                raise InvariantViolation(
-                    "mass conservation", None,
-                    f"component {name} drifted by {new - old:.3e} in one step "
-                    f"(tolerance {self.mass_tol:.3e})")
-        # every check passed at the earlier steps, so the running worst
-        # fails only where this step breached
-        for name, slack, tol in [] if self.regularized else report.verdicts.checks():
-            if not slack <= tol:
-                raise InvariantViolation(
-                    name, None, f"measured slack {slack:.3e} exceeds the tolerance {tol:.0e}")
+        report.verdicts = RunVerdicts(
+            dict(enumerate(entropy.tolist(), start=1)),
+            np.maximum(worst.dissipation_slack,
+                       (report.entropies[0] + report.dissipation_cum - self.e1_initial)
+                       / max(self.e1_initial, 1e-300)),
+            np.maximum(worst.linf_slack, self._linf_slack(report)))
+        if self.enforce:
+            for name, new, old, clamped in zip("fg", report.masses, prev.masses,
+                                               report.clamped_mass):
+                if not abs(new - old) - clamped <= self.mass_tol:
+                    raise InvariantViolation(
+                        "mass conservation", None,
+                        f"component {name} drifted by {new - old:.3e} in one step "
+                        f"(tolerance {self.mass_tol:.3e})")
+            # every check passed at the accepted steps, so the running worst
+            # fails only where this step breached
+            for name, slack, tol in [] if self.regularized else report.verdicts.checks():
+                if not slack <= tol:
+                    raise InvariantViolation(
+                        name, None, f"measured slack {slack:.3e} exceeds the tolerance {tol:.0e}")
+        self.prev = report

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ class TestCsvRow:
         want = ",".join([cli._fmt(v) for v in values] + ["2", "7", cli._fmt(3.1e-13)])
         assert cli._csv_row((1e-3, None, rep)) == want + "\n"
         assert cli._csv_row((1e-3, None, rep)).count(",") + 1 == \
-            len(cli._csv_header(3).split(","))
+            len(cli._csv_layout(3)[0].split(","))
 
 
 class TestConfigParsing:
@@ -518,6 +519,23 @@ class TestRunCommand:
         assert (f"error [input]: n_max={n_max} is too large: E_648 of the initial state "
                 f"is not finite in double precision; choose n_max < 648"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_max", [1, 6])
+    def test_overflowing_e1_is_blamed_on_the_values_not_n_max(self, tmp_path, capsys,
+                                                              n_max):
+        # E_1 of f = 1e307 overflows: the advice was "choose n_max < 1", for
+        # every n_max, and numpy's overflow warning reached stderr
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _run_cli(["run", "--ic", "constant", "--ic-f0", "1e307", "--cells", 8,
+                             "--tau", "1e-3", "--t-final", "1e-3", "--n-max", n_max,
+                             "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error [input]: E_1 of the initial state is not finite: its values are out "
+            "of double-precision range for every n_max\n")
         assert not out.exists()
 
     def test_zero_initial_state_has_a_sup_norm_verdict(self, tmp_path):

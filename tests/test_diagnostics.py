@@ -344,18 +344,52 @@ class TestRunMonitor:
         assert second.verdicts.all_ok
 
     def test_dissipation_cum_sums_each_reports_tau_times_dissipation(self, params2111):
-        # the README example; the initial report starts the sum at zero
+        # the README example; the initial report starts the sum at zero, and
+        # the last report's slacks are the running worst of the reports' own
+        # measurements
         grid = cd.Grid1D(64, 1.0)
         state = cd.State(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()), np.ones(64))
         entries = cd.run(state, 1e-3, 1.0, params2111, cd.SolverOptions(tol=1e-12))
-        total, steps = 0.0, 0
+        total, steps, reports = 0.0, 0, []
         for t, _, report in entries:
             assert report.tau == 1e-3
             if t > 0.0:
                 total += report.tau * report.dissipation
                 steps += 1
             assert report.dissipation_cum == total
+            reports.append(report)
         assert steps == 1000 and total > 0.0
+        e1_initial = reports[0].entropies[0]
+        cap = diagnostics.linf_bound_constant(params2111) * reports[0].linf
+        entropy, dissipation = np.zeros(6), 0.0
+        linf = (reports[0].linf - cap) / cap
+        for prev, cur in zip(reports, reports[1:]):
+            entropy = np.maximum(entropy, (cur.entropies - prev.entropies) / prev.entropies)
+            dissipation = np.maximum(
+                dissipation, (cur.entropies[0] + cur.dissipation_cum - e1_initial) / e1_initial)
+            linf = np.maximum(linf, (cur.linf - cap) / cap)
+        verdicts = reports[-1].verdicts
+        assert verdicts.entropy_slack == dict(enumerate(entropy.tolist(), start=1))
+        assert verdicts.dissipation_slack == dissipation and verdicts.linf_slack == linf
+
+    def test_a_report_that_raises_is_not_folded_in(self, params2111):
+        # after a caught breach, the next report is folded from the last
+        # accepted one, as if the breach had not been observed; the breach
+        # used to fail every later report and count in dissipation_cum
+        opts = cd.SolverOptions(n_max=2)
+        first = dict(entropies=[0.49, 2.0 * (1 + 5e-10)], dissipation=3.0)
+        second = dict(entropies=[0.4, 1.0], dissipation=4.0)
+        monitor = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1.0, opts)
+        twin = cd.RunMonitor(_report([0.5, 2.0]), params2111, 1.0, opts)
+        monitor.observe(_report(**first))
+        twin.observe(_report(**first))
+        with pytest.raises(cd.InvariantViolation, match="E_2"):
+            monitor.observe(_report([0.49, 3.0], dissipation=5.0))
+        report, unbroken = _report(**second), _report(**second)
+        monitor.observe(report)
+        twin.observe(unbroken)
+        assert report.dissipation_cum == unbroken.dissipation_cum == 1e-3 * 3.0 + 1e-3 * 4.0
+        assert report.verdicts == unbroken.verdicts and report.verdicts.all_ok
 
     def test_non_finite_entropy_fails(self, params2111):
         # inf - inf is NaN, and max(0.0, nan) is 0.0: a NaN slack must not

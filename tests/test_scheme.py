@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -822,6 +823,18 @@ class TestRun:
         assert str(err.value) == (
             f"n_max={n_max} is too large: E_565 of the new state is not "
             f"finite in double precision; choose n_max < 565")
+
+    def test_step_to_overflowing_e1_blames_the_values(self, params2111):
+        # a constant state stays constant; E_1 of f = 1e307 overflows at
+        # every n_max, which the n_max advice ("choose n_max < 1") missed
+        grid = cd.Grid1D(8, 1.0)
+        st = cd.State(grid, np.full(8, 1e307), np.ones(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cd.InvalidInput) as err:
+                cd.step(st, 1e-3, params2111, _opts(n_max=1))
+        assert str(err.value) == ("E_1 of the new state is not finite: its values are out "
+                                  "of double-precision range for every n_max")
 
     def test_run_builds_the_coefficient_table_once(self, params2111, cosine_state,
                                                    monkeypatch):
