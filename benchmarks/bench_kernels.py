@@ -11,8 +11,9 @@ of the report of one step on 64 cells, each call on a fresh monitor built
 from the report of the initial state), the cubic Newton start of a run
 from four states (``scheme._extrapolate``), the implicit-step residual
 (``fvops.implicit_residual``, the face operator shared by every dimension)
-and the assembly of the upwind Newton Jacobian (``scheme._jacobian``, the
-values that the factors place by the grid's one structure) at
+and the assembly of the upwind Newton Jacobian (``scheme._jacobian``: the
+flux derivatives of ``fvops.flux_derivative`` along each axis, placed in
+the order of the grid's one structure) at
 ``--cells`` cells (the monitor row excepted), and the Jacobian once more
 on a fixed 64x64 grid with a zero patch in f, and prints microseconds per
 call (best of the repeats).  Two more rows time one Newton step, one on

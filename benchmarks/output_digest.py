@@ -49,6 +49,11 @@ CONFIGS = {
     # ramp (1, 2): half of the 200 final values lie in it
     "arithmetic-capped-2d": "--dimension 2 --cells 10 --tau 1e-3 --t-final 1e-2 --tol 1e-11 "
                             "--mobility-face arithmetic --eps 1e-2 --rho 2",
+    # upwind faces on regularized runs whose values enter the cap ramp (1, 2),
+    # so that the upwind weight times the ramp's derivative -1 is digested
+    "capped-1d": "--cells 24 --tau 1e-3 --t-final 1e-2 --tol 1e-11 --eps 1e-2 --rho 2",
+    "capped-2d": "--dimension 2 --cells 10 --tau 1e-3 --t-final 1e-2 --tol 1e-11 "
+                 "--eps 1e-2 --rho 2",
     "square-12": "--dimension 2 --cells 12 --tau 1e-3 --t-final 1e-2 --tol 1e-11",
     # step 1 needs 5 updates, each on a fresh Jacobian, and is the hardest
     # step of the run: 4 iterations fail at step 1 (residual 5e-7), exit 3

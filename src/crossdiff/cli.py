@@ -434,20 +434,21 @@ def cmd_limits(args) -> int:
                           "pass --eps-list/--rho-list instead of --eps/--rho")
     eps_list = _float_list("--eps-list", args.eps_list)
     rho_list = _float_list("--rho-list", args.rho_list)
-    _, (_, exact, _) = _first_step(config)
+    # every entry is checked before the first solve and the first line printed
+    problems = [(eps, rho, replace(config, eps=eps, rho=rho).problem())
+                for rho in rho_list for eps in eps_list]
+    _, (_, exact, _) = _first_step(config.tau, config.problem())
     header = (["eps", "rho", "max_diff"]
               + [f"dE{n}" for n in range(1, config.n_max + 1)])
     rows = [",".join(header)]
     print(f"{'eps':>10} {'rho':>10} {'max-norm diff':>15} {'max entropy increment':>22}")
-    for rho in rho_list:
-        for eps in eps_list:
-            (_, _, before), (_, approx, report) = _first_step(replace(config, eps=eps, rho=rho))
-            diff = np.abs(approx.u - exact.u).max()
-            increments = report.entropies - before.entropies
-            rows.append(",".join([_fmt(eps), _fmt(rho), _fmt(diff)]
-                                 + [_fmt(v) for v in increments]))
-            print(f"{eps:>10.3g} {rho:>10.3g} {diff:>15.6e} "
-                  f"{increments.max():>22.6e}")
+    for eps, rho, problem in problems:
+        (_, _, before), (_, approx, report) = _first_step(config.tau, problem)
+        diff = np.abs(approx.u - exact.u).max()
+        increments = report.entropies - before.entropies
+        rows.append(",".join([_fmt(eps), _fmt(rho), _fmt(diff)]
+                             + [_fmt(v) for v in increments]))
+        print(f"{eps:>10.3g} {rho:>10.3g} {diff:>15.6e} {increments.max():>22.6e}")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "limits.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -455,10 +456,11 @@ def cmd_limits(args) -> int:
     return EXIT_OK
 
 
-def _first_step(config: RunConfig):
-    """The initial entry and the first step of the run of ``config``."""
-    params, initial, opts = config.problem()
-    return run(initial, config.tau, config.tau, params, opts)
+def _first_step(tau: float, problem):
+    """The initial entry and the first step, of length ``tau``, of the run of
+    ``problem``, a :meth:`RunConfig.problem`."""
+    params, initial, opts = problem
+    return run(initial, tau, tau, params, opts)
 
 
 def _float_list(flag: str, text: str) -> list[float]:

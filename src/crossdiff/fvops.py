@@ -1,17 +1,17 @@
-"""Finite-volume face operator of the implicit step, in any dimension.
+"""Finite-volume face operator of the implicit step, in any dimension: the
+face fluxes and, for the Newton Jacobian, their derivatives.
 
 The operator works on the stacked state ``u = (f, g)`` of shape
 ``(2, *grid.shape)``: row 0 belongs to f, row 1 to g, so every face
 quantity is computed for both components by one array operation.  Along
 grid axis ``k`` (array axis ``k + 1``) the faces are indexed 0..n for n
-cells; the face arrays carry that axis last, and the boundary faces 0 and n
-carry zero flux (zero-flux closure).  The face value of a mobility is the
-positive part of the upwind cell value (upwind with respect to the sign of
-the driving pressure gradient) or the mean of the positive parts when
-arithmetic averaging is requested.  With ``reg = (eps, rho)`` (``None``
-for the unregularized operator) the regularized variant replaces the
-positive part by the capped cutoff profile, multiplies the mobility by the
-sigmoid damping factor and adds ``eps`` times the component gradient.
+cells; the face arrays carry that axis last, and the boundary faces 0 and
+n carry zero flux.  The face mobility is the positive part of the upwind
+cell value (upwind for the sign of the pressure gradient) or the mean of
+the positive parts under arithmetic averaging.  With ``reg = (eps, rho)``
+(``None`` unregularized) the capped cutoff profile replaces the positive
+part, the sigmoid damping factor multiplies the mobility, and ``eps``
+times the component gradient is added.
 """
 
 from __future__ import annotations
@@ -73,6 +73,32 @@ def face_terms(u, coef, dx, reg, upwind, axis):
     if reg is not None:
         flux += reg[0] * grad
     return grad, dp, lam, mob, flux
+
+
+def flux_derivative(u, terms, coef, dx, reg, upwind, axis):
+    """``dflux[i, j, k, face]`` = d(flux_i)/d(u_j in the cell on side k, left
+    or right) on the interior faces along grid ``axis``, in face-array order,
+    at the stacked state ``u`` of the :func:`face_terms` ``terms``; mobility
+    and damping derivatives included, upwind choice and cut kinks frozen."""
+    _, dp, lam, mob, _ = terms
+    u = u.swapaxes(axis + 1, -1)
+    # stacked (f, g) values on the two sides of the interior faces
+    v = np.stack((u[..., :-1], u[..., 1:]), axis=1).reshape(2, 2, -1)
+    coef = np.reshape(coef, (2, 2, 1))
+    eps = 0.0 if reg is None else reg[0]
+    sgn, comp = np.array([-1.0, 1.0]), np.arange(2)
+    dp, mob = dp[..., 1:-1].reshape(2, 1, -1), mob[..., 1:-1].reshape(2, -1)
+    lam = lam if reg is None else lam[..., 1:-1].ravel()
+    # the mobility of component i is the cut of u_i upwind, or its mean
+    weight = (dp > 0.0) == (sgn[:, None] > 0.0) if upwind else 0.5
+    dmob = weight * cut_derivative(v, reg)
+    dflux = sgn[:, None] * (lam * mob[:, None] * coef / dx)[:, :, None]
+    dflux[comp, comp] += sgn[:, None] * eps / dx + lam * dmob * dp
+    if reg is not None:
+        # lam = 2 / (1 + exp(eps s)), s half the sum of the four positive parts
+        dlam = -eps * lam * (1.0 - 0.5 * lam) * 0.5 * (v > 0.0)
+        dflux += dlam * mob[:, None, None] * dp[:, None]
+    return dflux
 
 
 def implicit_residual(u, prev, coef, tau, dx, reg, upwind):

@@ -10,6 +10,7 @@ coordinate runs along the last axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -27,6 +28,8 @@ class Grid:
     ndim: ClassVar[int]
 
     def __post_init__(self):
+        if not isinstance(self.num_cells, numbers.Integral):
+            raise ValueError(f"num_cells must be an integer, got {self.num_cells}")
         if self.num_cells < 2:
             raise ValueError(f"need at least 2 cells per axis, got {self.num_cells}")
         if not 0.0 < self.length < math.inf:

@@ -10,14 +10,14 @@ pressure (a f + b g for f, c f + d g for g).  With ``opts.regularization =
 (eps, rho)``, the one value the solve hands down to the face operator, the
 same step uses the capped/damped mobility plus an eps-identity diffusion block.
 
-The face fluxes and the residual come from :mod:`crossdiff.fvops`, one
-operator for every dimension.  The nonlinear solve is a chord Newton
-iteration in every dimension (analytic Jacobian including mobility
+The face fluxes, their derivatives and the residual come from
+:mod:`crossdiff.fvops`, one operator for every dimension.  The nonlinear
+solve is a chord Newton iteration (analytic Jacobian including mobility
 derivatives, one LU factorization reused, with Anderson-mixed updates,
-while it keeps contracting the residual, refreshed with Armijo
-backtracking when it does not).  The Jacobian's structure depends on the grid
-alone: it is ordered once per grid shape, and each Jacobian gives only its
-values, factored as a band matrix by LAPACK in 1D and by SuperLU in 2D.
+while it keeps contracting the residual, refreshed with Armijo backtracking
+when it does not).  The Jacobian's structure depends on the grid alone: it
+is ordered once per grid shape, and each Jacobian only places its values,
+factored as a band matrix by LAPACK in 1D and by SuperLU in 2D.
 Convergence is declared on the max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
@@ -35,6 +35,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,10 +83,14 @@ class SolverOptions:
             raise InvalidInput(f"unknown face average {self.mobility_face!r}")
         if not self.tol > 0.0:
             raise InvalidInput("tol must be positive")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be >= 1")
-        if self.n_max < 1:
-            raise InvalidInput("n_max must be >= 1")
+        if self.tol == math.inf:
+            raise InvalidInput(f"tol must be finite, got {self.tol}")
+        for name in ("max_iters", "n_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidInput(f"{name} must be an integer, got {value}")
+            if value < 1:
+                raise InvalidInput(f"{name} must be >= 1")
         if self.regularization is not None:
             eps, rho = self.regularization
             if not (0.0 < eps < 1.0):
@@ -226,18 +231,17 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     return r[0], r[1]
 
 
-_Structure = collections.namedtuple("_Structure", "sides q slots size csc")
+_Structure = collections.namedtuple("_Structure", "q slots size csc")
 
 
 @functools.lru_cache(maxsize=4)
 def _structure(shape):
     """What every Newton Jacobian on a grid of ``shape`` shares, whatever the
-    state, parameters, ``tau``, face average and regularization: the cells
-    ``sides[axis]`` on the two sides of the interior faces along each axis
-    (in face-array order), the order ``q`` of the stacked unknowns that the
-    factors take, and the place ``slots`` of each value of :func:`_jacobian`
-    among the ``size`` stored entries of ``J[q][:, q]``: LAPACK's band array
-    in 1D, the data of the CSC ``(indices, indptr)`` ``csc`` in 2D."""
+    state, parameters, ``tau``, face average and regularization: the order
+    ``q`` of the stacked unknowns that the factors take, and the place
+    ``slots`` of each value of :func:`_jacobian` among the ``size`` stored
+    entries of ``J[q][:, q]``: LAPACK's band array in 1D, the data of the CSC
+    ``(indices, indptr)`` ``csc`` in 2D."""
     P = math.prod(shape)
     n = 2 * P
     comp = np.arange(2, dtype=np.int32)
@@ -247,7 +251,7 @@ def _structure(shape):
     nnz = n + sum(16 * (P // m) * (m - 1) for m in shape)
     rows, cols = np.empty((2, nnz), np.int32)
     rows[:n] = cols[:n] = np.arange(n)
-    sides, end = [], n
+    end = n
     for axis in range(len(shape)):
         moved = cells.swapaxes(axis, -1)
         side = np.stack((moved[..., :-1].ravel(), moved[..., 1:].ravel()))
@@ -255,7 +259,6 @@ def _structure(shape):
         full = (2, 2, 2) + side.shape
         rows[start:end].reshape(full)[...] = P * comp[:, None, None, None, None] + side
         cols[start:end].reshape(full)[...] = P * comp[:, None, None, None] + side[:, None]
-        sides.append(side)
     if len(shape) == 1:     # the place of each unknown in (f_0, g_0, f_1, ...)
         perm = np.arange(n, dtype=np.int32).reshape(P, 2).T.ravel()
     else:
@@ -273,7 +276,7 @@ def _structure(shape):
         # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n) band
         # array, whose first K rows are dgbtrf's fill workspace
         slots = cols * (3 * BANDS + 1) + 2 * BANDS + rows - cols
-        return _Structure(sides, q, slots, (3 * BANDS + 1) * n, None)
+        return _Structure(q, slots, (3 * BANDS + 1) * n, None)
     keys = cols.astype(np.int32 if n * n < 2**31 else np.int64)
     keys *= n       # column-major places
     keys += rows
@@ -286,7 +289,7 @@ def _structure(shape):
     keys = keys[new]    # the distinct places, sorted
     csc = ((keys % n).astype(np.int32),
            np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))
-    return _Structure(sides, q, slots, len(keys), csc)
+    return _Structure(q, slots, len(keys), csc)
 
 
 def _jacobian(u, terms, grid, params, tau, reg, upwind):
@@ -294,38 +297,18 @@ def _jacobian(u, terms, grid, params, tau, reg, upwind):
     state ``u``, in the order of the entries of :func:`_structure` (summed where
     they coincide); ``terms`` are the per-axis face terms of ``u`` that
     :func:`fvops.implicit_residual` returns with its residual, ``reg`` the
-    ``(eps, rho)`` of a regularized step or None.  Mobility and damping
-    derivatives included, the upwind choice and the cut's kinks frozen at
-    the iterate.  Along each axis ``dflux[i, j, k]`` is d(flux_i)/d(u_j) at
-    the interior faces, with u_j in the cell on side k (left, right)."""
-    P, dx = grid.num_points, grid.dx
-    coef = np.reshape(params.as_tuple(), (2, 2, 1))
-    eps = 0.0 if reg is None else reg[0]
-    sgn = np.array([-1.0, 1.0])
-    comp = np.arange(2)
-    structure = _structure(grid.shape)
-    vals = np.ones(len(structure.slots))
-    end = 2 * P
-    for (_, dp, lam, mob, _), side in zip(terms, structure.sides):
-        # stacked (f, g) values on the two sides of the interior faces
-        v = np.take(u.reshape(2, -1), side, axis=1)
-        dp = dp[..., 1:-1].reshape(2, 1, -1)
-        mob = mob[..., 1:-1].reshape(2, -1)
-        lam = lam if reg is None else lam[..., 1:-1].ravel()
-        # the mobility of component i is the cut of u_i upwind, or its mean
-        weight = (dp > 0.0) == (sgn[:, None] > 0.0) if upwind else 0.5
-        dmob = weight * fvops.cut_derivative(v, reg)
-        dflux = sgn[:, None] * (lam * mob[:, None] * coef / dx)[:, :, None]
-        dflux[comp, comp] += sgn[:, None] * eps / dx + lam * dmob * dp
-        if reg is not None:
-            # lam = 2 / (1 + exp(eps s)), s half the sum of the four positive parts
-            dlam = -eps * lam * (1.0 - 0.5 * lam) * 0.5 * (v > 0.0)
-            dflux += dlam * mob[:, None, None] * dp[:, None]
-        # entries (i, j, k, row side, face): the residual left of a face
-        # sees -tau/dx flux, right of it +tau/dx flux
+    ``(eps, rho)`` of a regularized step or None.  The flux derivatives come
+    from :func:`fvops.flux_derivative`; this places them in the residual."""
+    # entries (i, j, k, row side, face): the residual left of a face sees
+    # -tau/dx flux, right of it +tau/dx flux
+    sgn = tau / grid.dx * np.array([-1.0, 1.0])
+    vals = np.ones(len(_structure(grid.shape).slots))
+    end = 2 * grid.num_points
+    for axis, face in enumerate(terms):
+        dflux = fvops.flux_derivative(u, face, params.as_tuple(), grid.dx, reg, upwind, axis)
         start, end = end, end + 2 * dflux.size
-        np.multiply((tau / dx * sgn)[:, None], dflux[:, :, :, None],
-                    out=vals[start:end].reshape(dflux.shape[:3] + side.shape))
+        np.multiply(sgn[:, None], dflux[:, :, :, None],
+                    out=vals[start:end].reshape(dflux.shape[:3] + (2, -1)))
     return vals
 
 

@@ -321,6 +321,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--tol", "0", "tol must be positive"),
+        ("--tol", "inf", "tol must be finite, got inf"),
         ("--mobility-face", "centered", "unknown face average 'centered'"),
     ])
     def test_rejects_bad_solver_options(self, tmp_path, capsys, flag, value, message):
@@ -764,7 +765,10 @@ class TestLimitsCommand:
         out = tmp_path / "o"
         code = _run_cli(["limits", "--cells", 16, flag, value, "--out", out])
         assert code == cli.EXIT_CONFIG
-        assert f"error [config]: {message}" in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert f"error [config]: {message}" in printed.err
+        # every entry is checked before the exact step is solved and the header printed
+        assert printed.out == ""
         assert not out.exists()
 
     def test_nonconvergence_names_step_one(self, tmp_path, capsys):

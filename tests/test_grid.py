@@ -53,6 +53,10 @@ class TestGrid1D:
             cd.Grid1D(1, 1.0)
         with pytest.raises(ValueError):
             cd.Grid1D(4, 0.0)
+        for cls in (cd.Grid1D, cd.Grid2D):
+            with pytest.raises(ValueError, match=r"^num_cells must be an integer, got 64\.0$"):
+                cls(64.0, 1.0)
+            assert cls(np.int64(4), 1.0).num_points == 4 ** cls.ndim
 
     @pytest.mark.parametrize("length", [np.inf, np.nan])
     def test_rejects_non_finite_length(self, length):

@@ -898,6 +898,43 @@ class TestBarenblatt:
         assert front_errors[-1] <= 2 / 256, fronts
 
 
+class TestBarenblatt2D:
+    """The 2D porous-medium equation f_t = div grad(f^2) (g = 0, (a, b, c, d)
+    = (2, 1, 1, 1)) has the radial Barenblatt solution
+    t^(-1/2) (C - |x - (1/2, 1/2)|^2 t^(-1/2) / 16)_+, with its front at
+    radius 4 sqrt(C) t^(1/4).  From the exact profile at t = 1e-3, run to
+    4e-3 with tau proportional to dx: the flux derivatives along both axes
+    meet the degenerate front."""
+
+    C = 0.1
+
+    def _exact(self, grid, t):
+        x, y = grid.centers()
+        r2 = (x - 0.5) ** 2 + (y - 0.5) ** 2
+        return t ** (-1 / 2) * np.maximum(self.C - r2 * t ** (-1 / 2) / 16, 0.0)
+
+    def test_converges_with_the_front_and_stays_symmetric(self, params2111):
+        errors, fronts = [], []
+        for n in (16, 32, 64):
+            grid = cd.Grid2D(n, 1.0)
+            initial = cd.State(grid, self._exact(grid, 1e-3), np.zeros(grid.shape))
+            *_, (_, final, _) = cd.run(initial, 3e-3 / (n / 4), 3e-3, params2111,
+                                       _opts(tol=1e-11))
+            # g = 0 solves its equation; the 2D sparse LU leaves rounding in it
+            assert np.abs(final.g).max() <= 1e-18
+            # the initial profile is symmetric under x <-> y, and so is each step
+            assert np.abs(final.f - final.f.T).max() <= 1e-12 * final.f.max()
+            errors.append(np.abs(final.f - self._exact(grid, 4e-3)).sum() * grid.dx ** 2)
+            # the front radius of the area where f passes 1% of its maximum
+            area = (final.f > 0.01 * final.f.max()).sum() * grid.dx ** 2
+            fronts.append(math.sqrt(area / math.pi))
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert (orders >= 0.7).all(), (errors, orders)
+        front_errors = np.abs(np.subtract(fronts, 4 * math.sqrt(self.C) * 4e-3 ** (1 / 4)))
+        assert (np.diff(front_errors) < 0).all(), fronts
+        assert front_errors[-1] <= 2 / 64, fronts
+
+
 class TestLinearDecay:
     """Near the constant state (1, 1) the step is, to first order in the
     amplitude, ``(I + tau M A L_h) u_new = u_prev`` with ``M = I``: the mode
@@ -1225,6 +1262,16 @@ class TestErrors:
             cd.SolverOptions(tol=0.0)
         with pytest.raises(cd.InvalidInput, match=r"^rho must exceed 1, got 0\.5$"):
             cd.SolverOptions(regularization=(0.1, 0.5))
+
+    def test_rejects_infinite_tol_and_non_integral_counts(self):
+        with pytest.raises(cd.InvalidInput, match="^tol must be finite, got inf$"):
+            cd.SolverOptions(tol=math.inf)
+        with pytest.raises(cd.InvalidInput, match=r"^n_max must be an integer, got 2\.5$"):
+            cd.SolverOptions(n_max=2.5)
+        with pytest.raises(cd.InvalidInput, match=r"^max_iters must be an integer, got 3\.0$"):
+            cd.SolverOptions(max_iters=3.0)
+        opts = cd.SolverOptions(n_max=np.int64(3), max_iters=np.int32(5))
+        assert (opts.n_max, opts.max_iters) == (3, 5)
 
     def test_step_index_is_declared_once(self):
         assert cd.SchemeError("x").step_index is None
