@@ -33,8 +33,9 @@ updates the solver makes and, in the ``plain`` row, with
 ``scheme._anderson`` patched in this script to return the plain update;
 they print ms per step, updates and factorizations.  The import row
 prints the median wall time of 5 fresh interpreters that run ``import
-crossdiff.cli``, and whether they loaded ``scipy.special`` and
-``scipy.sparse`` (neither is needed before a 2D factorization).  Run:
+crossdiff.cli``, and whether they loaded ``scipy.special``, ``scipy.linalg``
+and ``scipy.sparse`` (no run needs them: the solver reaches LAPACK and
+SuperLU through their compiled modules).  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
@@ -220,7 +221,7 @@ def bench_zero_front(cells: int = 1024, steps: int = 50, runs: int = 3) -> None:
 def bench_import(runs: int = 5) -> None:
     """Wall time of fresh interpreters importing ``crossdiff.cli`` from
     this checkout, and the optional scipy subpackages that import loaded."""
-    optional = ("scipy.special", "scipy.sparse")
+    optional = ("scipy.special", "scipy.linalg", "scipy.sparse")
     code = ("import sys, crossdiff.cli; print(*('loaded' if m in sys.modules "
             f"else 'absent' for m in {optional!r}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

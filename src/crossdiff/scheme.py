@@ -17,7 +17,9 @@ derivatives, one LU factorization reused, with Anderson-mixed updates,
 while it keeps contracting the residual, refreshed with Armijo backtracking
 when it does not).  The Jacobian's structure depends on the grid alone: it
 is ordered once per grid shape, and each Jacobian only places its values,
-factored as a band matrix by LAPACK in 1D and by SuperLU in 2D.
+factored as a band matrix by LAPACK in 1D and by SuperLU in 2D.  Both are
+called through scipy's compiled modules, loaded on their own: no run imports
+``scipy.linalg`` or ``scipy.sparse``.
 Convergence is declared on the max-norm of the true nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
@@ -34,12 +36,14 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import diagnostics, fvops
 from .errors import InvalidInput, InvariantViolation, NonConvergence, RhoTooSmall, SchemeError
@@ -66,6 +70,30 @@ SUPERLU_ORDERING = "MMD_AT_PLUS_A"
 
 # sub- and superdiagonals of the 1D Jacobian over the unknowns (f_0, g_0, f_1, ...)
 BANDS = 3
+
+
+@functools.cache
+def _extension(package, name):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its file
+    so that none of scipy's package inits runs (``scipy.linalg``'s loads
+    numpy.f2py and numpy.testing, and costs more than the rest of a run's
+    set-up).  This relies on scipy's private layout; on any failure the
+    module is imported through its packages, which gives the same module."""
+    fullname = f"scipy.{package}.{name}"
+    try:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(
+            fullname, [os.path.join(root, *package.split("."))])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except Exception:
+        return importlib.import_module(fullname)
+
+
+# LAPACK's band LU of the 1D Jacobians
+_flapack = _extension("linalg", "_flapack")
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 
 @dataclass(frozen=True)
@@ -262,14 +290,12 @@ def _structure(shape):
     if len(shape) == 1:     # the place of each unknown in (f_0, g_0, f_1, ...)
         perm = np.arange(n, dtype=np.int32).reshape(P, 2).T.ravel()
     else:
-        import scipy.sparse.linalg
         # a diagonally dominant matrix of the pattern: its incomplete factors with
         # every entry dropped cost little, and SuperLU orders them as it would J
-        A = scipy.sparse.csc_matrix((np.r_[np.full(n, float(nnz)), np.ones(nnz - n)],
-                                     (rows, cols)), shape=(n, n))
-        perm = scipy.sparse.linalg.spilu(A, drop_tol=np.inf, fill_factor=1.0,
-                                         permc_spec=SUPERLU_ORDERING).perm_c
-        del A
+        slots, csc = _csc(rows, cols, n)
+        data = np.bincount(slots, np.r_[np.full(n, float(nnz)), np.ones(nnz - n)])
+        perm = _gstrf(n, data, csc, True, ILU_DropTol=np.inf, ILU_FillFactor=1.0,
+                      ColPerm=SUPERLU_ORDERING).perm_c
     q = np.argsort(perm)
     rows, cols = perm[rows], perm[cols]     # places in J[q][:, q]
     if len(shape) == 1:
@@ -277,19 +303,40 @@ def _structure(shape):
         # array, whose first K rows are dgbtrf's fill workspace
         slots = cols * (3 * BANDS + 1) + 2 * BANDS + rows - cols
         return _Structure(q, slots, (3 * BANDS + 1) * n, None)
+    slots, csc = _csc(rows, cols, n)
+    return _Structure(q, slots, len(csc[0]), csc)
+
+
+def _csc(rows, cols, n):
+    """The CSC pattern ``(indices, indptr)`` of the entries ``(rows, cols)`` of
+    an ``n`` x ``n`` matrix, and the place ``slots`` of each entry among the
+    pattern's data (shared where entries coincide)."""
     keys = cols.astype(np.int32 if n * n < 2**31 else np.int64)
     keys *= n       # column-major places
     keys += rows
-    del rows, cols
     order = np.argsort(keys)
     keys = keys[order]
     new = np.r_[True, keys[1:] != keys[:-1]]    # the first of equal keys
-    slots = np.empty(nnz, np.int32)
+    slots = np.empty(len(keys), np.int32)
     slots[order] = np.cumsum(new, dtype=np.int32) - 1
     keys = keys[new]    # the distinct places, sorted
-    csc = ((keys % n).astype(np.int32),
-           np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))
-    return _Structure(q, slots, len(keys), csc)
+    return slots, ((keys % n).astype(np.int32),
+                   np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))
+
+
+def _gstrf(n, data, csc, ilu, **options):
+    """SuperLU's LU factors (incomplete ones with ``ilu``) of the ``n`` x ``n``
+    matrix of CSC ``data`` and ``csc = (indices, indptr)``, taking ``options``
+    as ``scipy.sparse.linalg.splu`` and ``spilu`` pass them.  The factors' ``L``
+    and ``U`` import ``scipy.sparse`` when they are read."""
+    superlu = _extension("sparse.linalg._dsolve", "_superlu")
+    return superlu.gstrf(n, len(data), data, *csc, csc_construct_func=_csc_array,
+                         ilu=ilu, options=options)
+
+
+def _csc_array(*args, **kwargs):
+    from scipy.sparse import csc_array
+    return csc_array(*args, **kwargs)
 
 
 def _jacobian(u, terms, grid, params, tau, reg, upwind):
@@ -329,7 +376,8 @@ class _LU:
 def _factor(vals, grid):
     """LU factors, with ``.solve(b)``, of the Newton Jacobian of the values
     ``vals`` of :func:`_jacobian` on ``grid``, in the order of its structure:
-    band factors in 1D, SuperLU's in 2D (only a 2D run loads scipy.sparse)."""
+    band factors by LAPACK in 1D, SuperLU's in 2D, each through its compiled
+    module (see :func:`_extension`)."""
     s = _structure(grid.shape)
     n = len(s.q)
     data = np.bincount(s.slots, vals, s.size)
@@ -339,9 +387,9 @@ def _factor(vals, grid):
         if info != 0:
             raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
         return _LU(lu, s.q, lambda b: dgbtrs(lu, BANDS, BANDS, b, piv, overwrite_b=True)[0])
-    import scipy.sparse.linalg
-    A = scipy.sparse.csc_matrix((data, *s.csc), shape=(n, n))
-    lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL")
+    # the options of splu(permc_spec="NATURAL"), which also sets SymmetricMode:
+    # without it SuperLU pivots otherwise
+    lu = _gstrf(n, data, s.csc, False, ColPerm="NATURAL", SymmetricMode=True)
     return _LU(lu, s.q, lu.solve)
 
 

@@ -888,11 +888,11 @@ class TestSweepCommand:
 
 
 class TestImportFootprint:
-    """A 1D run needs LAPACK's band factors only: neither ``scipy.special``
-    nor ``scipy.sparse`` is loaded; SuperLU is loaded by the first 2D
-    factorization."""
+    """A run reaches LAPACK's band factors and SuperLU through their compiled
+    modules: neither a 1D nor a 2D run loads ``scipy.special``,
+    ``scipy.linalg``, ``scipy.sparse`` or ``scipy.sparse.linalg``."""
 
-    OPTIONAL = ("scipy.special", "scipy.sparse", "scipy.sparse.linalg")
+    OPTIONAL = ("scipy.special", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
 
     def _loaded_after_run(self, args, out):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -908,9 +908,9 @@ class TestImportFootprint:
 
     def test_1d_run_loads_neither_special_nor_sparse(self, tmp_path):
         args = ["run", "--cells", "16", "--tau", "1e-3", "--t-final", "3e-3"]
-        assert self._loaded_after_run(args, tmp_path) == ["0", "False", "False", "False"]
+        assert self._loaded_after_run(args, tmp_path) == ["0"] + ["False"] * 4
 
-    def test_2d_step_loads_superlu(self, tmp_path):
+    def test_2d_run_factors_without_scipy_sparse(self, tmp_path):
         args = ["run", "--dimension", "2", "--cells", "6", "--tau", "1e-3",
                 "--t-final", "1e-3"]
-        assert self._loaded_after_run(args, tmp_path) == ["0", "False", "True", "True"]
+        assert self._loaded_after_run(args, tmp_path) == ["0"] + ["False"] * 4

@@ -245,11 +245,12 @@ class TestBenchScript:
         assert all(cols[0] == "1024" and float(cols[1]) > 0.0 for cols in zero.values())
         mixed, plain = (zero[k] for k in ("zero-front run 1d", "zero-front run 1d plain"))
         assert int(mixed[3]) < int(plain[3])
-        # five fresh imports of the cli load neither scipy.special nor scipy.sparse
+        # five fresh imports of the cli load none of scipy.special, scipy.linalg
+        # and scipy.sparse
         row = next(line.split() for line in proc.stdout.splitlines()
                    if line.startswith("import crossdiff.cli"))
         assert row[2] == "5" and float(row[3]) > 0.0
-        assert row[4:] == ["absent", "absent"]
+        assert row[4:] == ["absent", "absent", "absent"]
 
 
 class TestOutputDigestScript:

@@ -1,9 +1,15 @@
 import dataclasses
 import gc
+import importlib
+import importlib.util
 import math
+import os
+import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -451,24 +457,109 @@ class TestBandFactors:
             scheme._factor(vals, cd.Grid1D(2, 1.0))
 
 
+@pytest.fixture
+def fall_back(monkeypatch, tmp_path):
+    """A function that makes the file path of ``scheme._extension`` fail (scipy's
+    package directory does not exist), reloads the compiled modules through
+    it and returns the list of the modules the fallback goes on to import."""
+    imported = []
+    find_spec, import_module = importlib.util.find_spec, importlib.import_module
+
+    def missing_scipy(name, *args):
+        if name == "scipy":
+            return SimpleNamespace(submodule_search_locations=[str(tmp_path / "scipy")])
+        return find_spec(name, *args)
+
+    def record(name, *args):
+        imported.append(name)
+        return import_module(name, *args)
+
+    def use():
+        monkeypatch.setattr(importlib.util, "find_spec", missing_scipy)
+        monkeypatch.setattr(importlib, "import_module", record)
+        scheme._extension.cache_clear()
+        flapack = scheme._extension("linalg", "_flapack")
+        monkeypatch.setattr(scheme, "dgbtrf", flapack.dgbtrf)
+        monkeypatch.setattr(scheme, "dgbtrs", flapack.dgbtrs)
+        return imported
+
+    yield use
+    scheme._extension.cache_clear()
+
+
+def _band_factors(vals, grid, monkeypatch):
+    """The band array and pivots that ``scheme._factor`` has dgbtrf return."""
+    dgbtrf, made = scheme.dgbtrf, []
+
+    def record(*args, **kwargs):
+        made.append(dgbtrf(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(scheme, "dgbtrf", record)
+    scheme._factor(vals, grid)
+    monkeypatch.setattr(scheme, "dgbtrf", dgbtrf)
+    lu, piv, info = made[0]
+    return lu.tobytes(), piv.tobytes()
+
+
+class TestExtensionModules:
+    """``scheme`` loads LAPACK's and SuperLU's compiled modules from their
+    files; where that fails, it imports them through scipy's packages."""
+
+    def test_fallback_gives_the_same_band_factors(self, params2111, monkeypatch, fall_back):
+        rng = np.random.default_rng(17)
+        grid = cd.Grid1D(33, 1.0)
+        vals = _random_jacobian(rng, grid, params2111, 1e-3, "upwind", None)
+        direct = _band_factors(vals, grid, monkeypatch)
+        assert fall_back() == ["scipy.linalg._flapack"]
+        assert _band_factors(vals, grid, monkeypatch) == direct
+
+    def test_fallback_gives_the_same_superlu_solves(self, params2111, fall_back):
+        rng = np.random.default_rng(19)
+        grid = cd.Grid2D(9, 1.0)
+        vals = _random_jacobian(rng, grid, params2111, 1e-3, "upwind", (1e-1, 10.0))
+        b = rng.normal(size=2 * grid.num_points)
+        direct = scheme._factor(vals, grid).solve(b)
+        imported = fall_back()
+        scheme._structure.cache_clear()     # orders through the fallback too
+        assert scheme._factor(vals, grid).solve(b).tobytes() == direct.tobytes()
+        assert imported == ["scipy.linalg._flapack", "scipy.sparse.linalg._dsolve._superlu"]
+
+    def test_direct_modules_are_the_packages_modules(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys\nfrom crossdiff import scheme\n"
+                "superlu = scheme._extension('sparse.linalg._dsolve', '_superlu')\n"
+                "assert 'scipy.linalg' not in sys.modules\n"
+                "assert 'scipy.sparse' not in sys.modules\n"
+                "import scipy.linalg.lapack, scipy.sparse.linalg._dsolve._superlu as S\n"
+                "assert scheme.dgbtrf is scipy.linalg.lapack.dgbtrf\n"
+                "assert scheme.dgbtrs is scipy.linalg.lapack.dgbtrs\n"
+                "assert superlu.gstrf is S.gstrf\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestSuperLUOrdering:
     def test_newton_factorizations_reduce_fill(self, params2111, monkeypatch):
         factored = []
-        splu = scipy.sparse.linalg.splu
+        gstrf = scheme._gstrf
 
-        def capture(A, *args, **kwargs):
-            lu = splu(A, *args, **kwargs)
-            factored.append((A, lu))
+        def capture(n, data, csc, ilu, **options):
+            lu = gstrf(n, data, csc, ilu, **options)
+            if not ilu:
+                factored.append((scipy.sparse.csc_matrix((data, *csc), shape=(n, n)), lu))
             return lu
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
+        monkeypatch.setattr(scheme, "_gstrf", capture)
         cd.step(_degenerate_2d_state(32), TestChordNewton.TAU, params2111,
                 _opts())
         assert factored
         for A, lu in factored:
-            colamd = splu(A, permc_spec="COLAMD")
+            colamd = scipy.sparse.linalg.splu(A, permc_spec="COLAMD")
             assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
-
 
 
 class TestJacobianPattern:
@@ -522,18 +613,16 @@ class TestJacobianPattern:
 
     def test_run_orders_each_grid_shape_once(self, params2111, monkeypatch):
         specs, ordered = [], []
-        splu, spilu = scipy.sparse.linalg.splu, scipy.sparse.linalg.spilu
+        gstrf = scheme._gstrf
 
-        def record(A, *args, permc_spec=None, **kwargs):
-            specs.append(permc_spec)
-            return splu(A, *args, permc_spec=permc_spec, **kwargs)
+        def record(n, data, csc, ilu, **options):
+            if ilu:     # the incomplete factors that order a structure
+                ordered.append(n)
+            else:
+                specs.append(options["ColPerm"])
+            return gstrf(n, data, csc, ilu, **options)
 
-        def record_order(A, *args, **kwargs):
-            ordered.append(A.shape[0])
-            return spilu(A, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        monkeypatch.setattr(scipy.sparse.linalg, "spilu", record_order)
+        monkeypatch.setattr(scheme, "_gstrf", record)
         scheme._structure.cache_clear()
         lu_count = 0
         for n in (12, 16, 12):
@@ -546,13 +635,13 @@ class TestJacobianPattern:
 
     def test_cache_keeps_no_factors_alive(self, params2111, monkeypatch):
         # SuperLU objects take no weak references, so the test holds the
-        # first one and counts the other references left to it: a cached
-        # view of its perm_c would be one
+        # first ones and counts the other references left to them: a cached
+        # view of a perm_c would be one
         made, wrappers = [], []
-        splu, factor = scipy.sparse.linalg.splu, scheme._factor
+        gstrf, factor = scheme._gstrf, scheme._factor
 
-        def keep_first(*args, **kwargs):
-            lu = splu(*args, **kwargs)
+        def keep(*args, **kwargs):
+            lu = gstrf(*args, **kwargs)
             made.append(lu)
             return lu
 
@@ -561,18 +650,19 @@ class TestJacobianPattern:
             wrappers.append(weakref.ref(lu))
             return lu
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", keep_first)
+        monkeypatch.setattr(scheme, "_gstrf", keep)
         monkeypatch.setattr(scheme, "_factor", keep_wrapper)
         scheme._structure.cache_clear()
         reports = [rep for _, _, rep in cd.run(_degenerate_2d_state(16), 1e-2, 5e-2,
                                                 params2111, _opts())]
         assert sum(rep.factorizations for rep in reports) > 1
         assert scheme._structure.cache_info().currsize == 1
-        first = made[0]
+        ordering, first = made[:2]  # the structure's incomplete factors, the first LU
         del made[:]
         gc.collect()
         assert wrappers[0]() is None
-        assert sys.getrefcount(first) == 2   # the name first and the argument
+        # the name and the argument
+        assert sys.getrefcount(ordering) == 2 and sys.getrefcount(first) == 2
 
 
 def _monotone_state(grid):
