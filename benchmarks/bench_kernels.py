@@ -3,13 +3,12 @@
 
 Times the per-step entropy report (``diagnostics.entropy_trace`` of
 E_1..E_6, from one power-moment product), the whole per-step report
-(``diagnostics.step_report``: masses, entropies, dissipation and sup norm) as a
-step builds it, from the face terms of its Newton solve, and once more
-without them (as for the initial state, which computes its own), the
-run monitor's bookkeeping of one step (``diagnostics.RunMonitor.observe``
-of the report of one step on 64 cells, each call on a fresh monitor built
-from the report of the initial state), the cubic Newton start of a run
-from four states (``scheme._extrapolate``), the implicit-step residual
+(``diagnostics.step_report``: masses, entropies, dissipation and sup norm,
+a function of the state alone), the run monitor's bookkeeping of one step
+(``diagnostics.RunMonitor.observe`` of the report of one step on 64 cells,
+each call on a fresh monitor built from the report of the initial state),
+the cubic Newton start of a run from four states (``scheme._extrapolate``),
+the implicit-step residual
 (``fvops.implicit_residual``, the face operator shared by every dimension)
 and the assembly of the upwind Newton Jacobian (``scheme._jacobian``: the
 flux derivatives of ``fvops.flux_derivative`` along each axis, placed in
@@ -118,9 +117,6 @@ def bench(cells: int, repeats: int) -> None:
     opts = SolverOptions()
     # four states one step apart, newest first, as a run keeps them
     history = [State(state.grid, state.f * (1.0 - 1e-3 * j), state.g) for j in range(4)]
-    # the face terms of the state, as a step's Newton solve hands them on
-    terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
-                                    None, True)[1]
     # the first step from the README example's state, one fresh monitor per call
     small = _bump_state(64)
     report0 = step_report(small, PARAMS, tau, opts.n_max)
@@ -130,10 +126,7 @@ def bench(cells: int, repeats: int) -> None:
 
     rows = [
         ("entropy_trace (n=6)", cells, lambda: diagnostics.entropy_trace(state, PARAMS, 6)),
-        ("report 1d", cells, lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0,
-                                                 terms=terms)),
-        ("report 1d without terms", cells,
-         lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0)),
+        ("report 1d", cells, lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0)),
         ("monitor 1d", small.grid.num_points, lambda: next(monitors).observe(report1)),
         ("extrapolate 1d", cells, lambda: _extrapolate(history)),
         ("implicit_residual", cells, lambda: fvops.implicit_residual(

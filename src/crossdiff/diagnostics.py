@@ -101,15 +101,14 @@ def linf_bound_constant(params: Params) -> float:
     return (d / b) * max(a, b) / min(c, d)
 
 
-def dissipation(state: State, params: Params, terms: list | None = None) -> float:
+def dissipation(state: State, params: Params) -> float:
     """Discrete dissipation (1/a) * sum_faces [ |grad(a f + theta1 g)|^2
     + theta2 |grad g|^2 ] * cell volume, from the face gradients of
-    ``terms``, the per-axis face terms of ``state`` as
-    :func:`fvops.implicit_residual` returns them, or :func:`fvops.face_gradient`."""
+    :func:`fvops.face_gradient`."""
     a, th = params.a, theta_constants(params)
     total = 0.0
     for axis in range(state.grid.ndim):
-        grad = terms[axis][0] if terms else fvops.face_gradient(state.u, state.grid.dx, axis)
+        grad = fvops.face_gradient(state.u, state.grid.dx, axis)
         gp = a * grad[0] + th.theta1 * grad[1]
         total += float(np.sum(gp * gp + th.theta2 * grad[1] * grad[1]))
     return state.grid.cell_volume * total / a
@@ -178,11 +177,10 @@ class StepReport:
 
 
 def step_report(state, params, tau, n_max, iterations=0, residual=0.0,
-                clamped_mass=(0.0, 0.0), factorizations=0, terms=None, state_name="new state"):
-    """The report of ``state``, reached by a step of ``tau`` (``terms`` as
-    :func:`dissipation` takes them); :class:`InvalidInput` unless its
-    E_1..E_n_max are finite.  No E_n beyond the first overflowing
-    coefficients is formed."""
+                clamped_mass=(0.0, 0.0), factorizations=0, state_name="new state"):
+    """The report of ``state``, reached by a step of ``tau``;
+    :class:`InvalidInput` unless its E_1..E_n_max are finite.  No E_n
+    beyond the first overflowing coefficients is formed."""
     top = _moment_gather(params, n_max)[0]
     entropies = entropy_trace(state, params, min(n_max, top + 1))
     if not np.isfinite(entropies).all():
@@ -192,7 +190,7 @@ def step_report(state, params, tau, n_max, iterations=0, residual=0.0,
                            f"n_max={n_max} is too large: E_{n} of the {state_name} is "
                            f"not finite in double precision; choose n_max < {n}")
     return StepReport(iterations, residual, state.masses(), entropies,
-                      dissipation(state, params, terms), linf_sum(state), tau,
+                      dissipation(state, params), linf_sum(state), tau,
                       clamped_mass, factorizations)
 
 

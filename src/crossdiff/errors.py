@@ -18,14 +18,19 @@ class InvalidInput(SchemeError, ValueError):
 
 
 class NonConvergence(SchemeError):
-    def __init__(self, iterations: int, residual: float, step_index: int | None = None):
-        super().__init__(iterations, residual, step_index)
+    """A failed nonlinear solve; ``cause`` says why, when the solver knows
+    better than the stock guess."""
+
+    def __init__(self, iterations: int, residual: float, step_index: int | None = None,
+                 cause: str | None = None):
+        super().__init__(iterations, residual, step_index, cause)
         self.iterations, self.residual, self.step_index = iterations, residual, step_index
+        self.cause = cause or "time step too large or state too degenerate"
 
     def __str__(self) -> str:
         return (f"nonlinear solve did not converge{self._at_step()}: "
                 f"residual {self.residual:.3e} after {self.iterations} iterations "
-                f"(time step too large or state too degenerate)")
+                f"({self.cause})")
 
 
 class RhoTooSmall(InvalidInput):

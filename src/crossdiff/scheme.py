@@ -61,6 +61,10 @@ CAP_TOL = 1e-10
 # Jacobian is refactored at the current iterate
 CHORD_CONTRACTION = 0.25
 
+# a search that fails at a residual within this factor of the rounding floor
+# of the residual (see _residual_floor) is blamed on tol
+FLOOR_FACTOR = 4.0
+
 # SuperLU column order of the 2D Newton Jacobian, computed once per grid shape from
 # the one structure of its Jacobians: minimum degree on the structure of A + A^T.
 # On 2D grids of 32x32 cells and more it leaves about 0.5-0.6 of the L+U fill of
@@ -150,12 +154,11 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
         rho, sup = opts.regularization[1], prev.max_value()
         if rho < sup:
             raise RhoTooSmall(rho, sup)
-    new, iters, res, n_lu, terms = _newton_sparse(prev, tau, params, opts, factors, start)
+    new, iters, res, n_lu = _newton_sparse(prev, tau, params, opts, factors, start)
     clamped = (0.0, 0.0)
     if opts.clamp_negative:
         clamped = tuple(-m for m in State._wrap(new.grid, np.minimum(new.u, 0.0)).masses())
-        # a new state: the report computes its face terms
-        new, terms = State._wrap(new.grid, np.maximum(new.u, 0.0)), None
+        new = State._wrap(new.grid, np.maximum(new.u, 0.0))
     elif (m := new.min_value()) < -NONNEG_TOL:
         raise InvariantViolation("nonnegativity", None,
                                  f"min component {m:.3e} < -{NONNEG_TOL:.0e}")
@@ -166,7 +169,7 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
                 "boundedness cap", None,
                 f"max component {top:.6e} exceeds rho={rho} beyond {CAP_TOL:.0e}")
     return new, diagnostics.step_report(new, params, tau, opts.n_max, iters, res,
-                                        clamped, n_lu, terms)
+                                        clamped, n_lu)
 
 
 def step_regularized(prev: State, tau: float, params: Params, eps: float,
@@ -242,6 +245,12 @@ def _extrapolate(history):
 def _validate_step_inputs(prev: State, tau: float) -> None:
     if not tau > 0.0:
         raise InvalidInput(f"time step must be positive, got {tau}")
+    grid = prev.grid
+    # dx * dx may underflow to 0, so tau is divided by dx twice
+    if not (grid.dx > 0.0 and math.isfinite(tau / grid.dx / grid.dx)):
+        raise InvalidInput(f"tau/dx^2 is not finite for tau={tau} and length={grid.length} "
+                           f"over {grid.num_cells} cells (dx={grid.dx}): choose a larger "
+                           f"length or a smaller tau")
     m = prev.min_value()
     if m < -10.0 * NONNEG_TOL:
         raise InvalidInput(f"previous state has negative component {m}")
@@ -396,9 +405,8 @@ def _factor(vals, grid):
 def _newton_sparse(prev, tau, params, opts, factors, start):
     """Semi-smooth chord Newton with Armijo backtracking on the stacked
     state ``(f, g)`` from ``start`` (default ``prev``); returns the state,
-    the number of updates, the final residual max-norm, the number of
-    factorizations and the face terms of the state (per axis, as
-    :func:`fvops.implicit_residual` returns them).
+    the number of updates, the final residual max-norm and the number of
+    factorizations.
 
     ``factors`` (or None) is a one-slot holder of LU factors of the Jacobian
     at an earlier iterate, possibly of an earlier step with the same
@@ -470,12 +478,42 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
                 break
             t_step *= 0.5
         else:
-            raise NonConvergence(iters, float(phi))
+            raise NonConvergence(iters, float(phi),
+                                 cause=_floor_cause(u, terms, coef, tau, grid.dx, opts.tol, phi))
     if not phi <= opts.tol:
         raise NonConvergence(iters, float(phi))
     if factors is not None and lu is not None:
         factors.append(lu)
-    return State._wrap(grid, u), iters, float(phi), n_lu, terms
+    return State._wrap(grid, u), iters, float(phi), n_lu
+
+
+def _residual_floor(u, terms, coef, tau, dx):
+    """The rounding floor of the implicit residual at the stacked state ``u``
+    of the face terms ``terms``: machine epsilon times tau/dx^2 times the
+    largest, over faces and components, face mobility (damping included)
+    times the pressure-coefficient-weighted |f| and |g| of the face's two
+    cells, the size of the values whose difference a face gradient rounds."""
+    col = np.reshape(coef, (2, 2))
+    top = 0.0
+    for axis, (_, _, lam, mob, _) in enumerate(terms):
+        size = np.abs(u).swapaxes(axis + 1, -1)
+        size = np.maximum(size[..., :-1], size[..., 1:]).reshape(2, -1)
+        top = max(top, float(((lam * mob)[..., 1:-1].reshape(2, -1) * (col @ size)).max()))
+    return math.ulp(1.0) * tau / dx / dx * top
+
+
+def _floor_cause(u, terms, coef, tau, dx, tol, phi):
+    """The cause of a failed search at the residual ``phi`` if the rounding
+    floor of the residual keeps it above ``tol``, else None."""
+    floor = _residual_floor(u, terms, coef, tau, dx)
+    need = FLOOR_FACTOR * floor
+    if not phi <= need < math.inf:
+        return None
+    # the floor scales like tau/dx^2: each of these puts it FLOOR_FACTOR below tol
+    return (f"tol={tol:.3g} is below the rounding floor of the residual, about {floor:.3g} "
+            f"here: machine epsilon times tau/dx^2 times the face flux scale; "
+            f"tol >= {need:.3g}, tau <= {tau * tol / need:.3g} or "
+            f"dx >= {dx * math.sqrt(need / tol):.3g} would reach it")
 
 
 def _anderson(du, pairs):

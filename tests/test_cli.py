@@ -340,7 +340,7 @@ class TestRunCommand:
     def test_cap_breach_exits_as_invariant_violation(self, tmp_path, capsys, monkeypatch):
         def overshoot(prev, tau, params, opts, *args):
             above = np.full_like(prev.u, opts.regularization[1] + 2 * scheme.CAP_TOL)
-            return cd.State(prev.grid, *above), 1, 0.0, 1, None
+            return cd.State(prev.grid, *above), 1, 0.0, 1
 
         monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
         out = tmp_path / "o"
@@ -387,6 +387,35 @@ class TestRunCommand:
             capsys.readouterr().err
         assert not recwarn.list
         assert not out.exists()
+
+    def test_rejects_overflowing_tau_over_dx_squared(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "o"
+        code = _run_cli(["run", "--length", "1e-300", "--t-final", "1e-3", "--out", out])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error [input]: tau/dx^2 is not finite for tau=0.001 and length=1e-300" in err
+        assert not recwarn.list
+        assert not out.exists()
+
+    def test_unreachable_tol_names_the_residual_floor(self, tmp_path, capsys):
+        # the README example on 1024 cells stalls at the rounding floor of
+        # its residual, about 1.4e-12, above tol = 1e-12
+        example = ["run", "--muskat-R", 1, "--muskat-mu", 1, "--cells", 1024,
+                   "--tau", "1e-3", "--tol", "1e-12"]
+        code = _run_cli(example + ["--t-final", "1e-2", "--out", tmp_path / "o"])
+        assert code == cli.EXIT_NONCONVERGENCE
+        err = capsys.readouterr().err
+        assert "error [nonconvergence]: nonlinear solve did not converge at step 1" in err
+        assert "tol=1e-12 is below the rounding floor of the residual" in err
+        assert all(name in err for name in ("tol >= ", "tau <= ", "dx >= "))
+        assert "time step too large" not in err
+        # halving tau halves the floor; the retry's log line gives the cause
+        code = _run_cli(example + ["--t-final", "1e-3", "--tau-retries", 1,
+                                   "--out", tmp_path / "r"])
+        assert code == cli.EXIT_OK
+        line = capsys.readouterr().err
+        assert line.startswith("retrying with halved time step tau=0.0005 (")
+        assert "rounding floor" in line
 
     def test_tau_retry_recovers(self, tmp_path):
         out = tmp_path / "o"

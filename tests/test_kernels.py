@@ -226,7 +226,6 @@ class TestBenchScript:
         starts = [line.split()[:3] for line in proc.stdout.splitlines()]
         assert ["entropy_trace", "(n=6)", "64"] in starts
         assert ["report", "1d", "64"] in starts and ["extrapolate", "1d", "64"] in starts
-        assert ["report", "1d", "without"] in starts
         assert ["monitor", "1d", "64"] in starts
         assert ["jacobian", "1d", "64"] in starts and ["jacobian", "2d", "4096"] in starts
         assert ["newton", "1d", "64"] in starts and ["newton", "2d", "4096"] in starts

@@ -238,7 +238,7 @@ class TestAndersonChord:
                             lambda v, *args: (v - target, None))
         prev = cd.State(cd.Grid1D(32, 1.0), np.ones(32), np.ones(32))
         opts = _opts(tol=1e-10, mobility_face="arithmetic")
-        new, iters, res, n_lu, _ = scheme._newton_sparse(
+        new, iters, res, n_lu = scheme._newton_sparse(
             prev, 1e-3, cd.Params(2.0, 1.0, 1.0, 1.0), opts, [Stale()], None)
         assert res <= opts.tol and n_lu == 0
         assert np.abs(new.u - target).max() <= opts.tol
@@ -803,7 +803,7 @@ class TestStepRegularized:
 
         def overshoot(prev, *args):
             above = np.full_like(prev.u, rho + excess * scheme.CAP_TOL)
-            return cd.State(prev.grid, *above), 1, 0.0, 1, None
+            return cd.State(prev.grid, *above), 1, 0.0, 1
 
         monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
         try:
@@ -1064,9 +1064,9 @@ class TestClamping:
 
 
 class TestReportFaceTerms:
-    """A step's report takes the dissipation from the face terms of the
-    accepted Newton iterate; it equals the dissipation of the new state,
-    which computes its own face terms, bit for bit."""
+    """A step's report is a function of the new state alone: its dissipation
+    is that of the new state, whatever the face average, regularization or
+    clamping of the step."""
 
     @staticmethod
     def _state(grid, fronts):
@@ -1344,6 +1344,42 @@ class TestErrors:
         with pytest.raises(cd.NonConvergence) as err:
             cd.step(st, 1e-3, params2111, _opts(), start=start)
         assert math.isnan(err.value.residual)
+
+    def test_search_stalled_at_the_rounding_floor_blames_tol(self, params2111, cosine_state):
+        # no residual reaches 1e-300: the failed search names tol and the
+        # floor of the residual instead of the time step
+        with pytest.raises(cd.NonConvergence) as err:
+            cd.step(cosine_state(cells=64), 1e-3, params2111, _opts(tol=1e-300))
+        message = str(err.value)
+        assert "tol=1e-300 is below the rounding floor of the residual" in message
+        assert all(name in message for name in ("tol >= ", "tau <= ", "dx >= "))
+        assert "time step too large" not in message
+
+    def test_floor_is_named_only_near_the_floor(self, params2111, cosine_state):
+        u = cosine_state(cells=64).u
+        coef, dx = params2111.as_tuple(), 1.0 / 64
+        terms = fvops.implicit_residual(u, u, coef, 1e-3, dx, None, True)[1]
+        floor = scheme._residual_floor(u, terms, coef, 1e-3, dx)
+        assert 1e-16 < floor < 1e-13
+        cause = scheme._floor_cause
+        assert cause(u, terms, coef, 1e-3, dx, 1e-300, floor) is not None
+        assert cause(u, terms, coef, 1e-3, dx, 1e-300, 5 * floor) is None
+        assert cause(u, terms, coef, 1e-3, dx, 1e-300, math.nan) is None
+        # a floor that overflows names no tol, tau or dx
+        assert cause(u, terms, coef, 1e-3, 1e-300, 1e-300, 1.0) is None
+        assert "time step too large" in str(cd.NonConvergence(1, 1.0, cause=None))
+
+    @pytest.mark.parametrize("grid", [cd.Grid1D(8, 1e-300), cd.Grid1D(8, 5e-324),
+                                      cd.Grid2D(4, 1e-300)], ids=["1d", "dx-zero", "2d"])
+    def test_rejects_overflowing_tau_over_dx_squared(self, params2111, grid, recwarn):
+        # dx * dx underflows to 0 (and dx itself for the smallest length)
+        st = cd.State(grid, np.ones(grid.shape), np.ones(grid.shape))
+        for call in (lambda: cd.step(st, 1e-3, params2111, _opts()),
+                     lambda: cd.run(st, 1e-3, 1e-3, params2111, _opts())):
+            with pytest.raises(cd.InvalidInput, match=r"^tau/dx\^2 is not finite for "
+                               r"tau=0\.001 and length=.* choose a larger length"):
+                call()
+        assert not recwarn.list
 
     def test_invalid_input_is_a_value_error(self):
         assert issubclass(cd.InvalidInput, ValueError)
