@@ -10,9 +10,9 @@ each call on a fresh monitor built from the report of the initial state),
 the cubic Newton start of a run from four states (``scheme._extrapolate``),
 the implicit-step residual
 (``fvops.implicit_residual``, the face operator shared by every dimension)
-and the assembly of the upwind Newton Jacobian (``scheme._jacobian``: the
-flux derivatives of ``fvops.flux_derivative`` along each axis, placed in
-the order of the grid's one structure) at
+and the values of the upwind Newton Jacobian (``fvops.jacobian_values``:
+the flux derivatives of ``fvops.flux_derivative`` along each axis, in the
+order of the entries of ``fvops.jacobian_pattern``) at
 ``--cells`` cells (the monitor row excepted), and the Jacobian once more
 on a fixed 64x64 grid with a zero patch in f, and prints microseconds per
 call (best of the repeats).  Two more rows time one Newton step, one on
@@ -24,9 +24,10 @@ column order).  The next row times one 100-step 1D run on ``--cells``
 cells, which carries the LU factors from step to step, and prints
 milliseconds, factorizations and iterations per step.  The ``factor 2d``
 row times, on the 64x64 grid, the one-time build of the Jacobian's
-structure (``scheme._structure``: the column order and the place of each
-entry) and the SuperLU factorization of one Jacobian's values, and prints
-the fill.  The ``zero-front run 1d`` rows run 50 steps of the zero-front
+structure (``scheme._structure``: the column order of the unknowns and the
+place of each entry of ``fvops.jacobian_pattern`` in the factors' storage)
+and the SuperLU factorization of one Jacobian's values, and prints the
+fill.  The ``zero-front run 1d`` rows run 50 steps of the zero-front
 cap f = max(1.5 (1 - 4x^2), 0) on 1024 cells, with the Anderson-mixed chord
 updates the solver makes and, in the ``plain`` row, with
 ``scheme._anderson`` patched in this script to return the plain update;
@@ -57,7 +58,7 @@ from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
 from crossdiff.diagnostics import step_report  # noqa: E402
 from crossdiff.scheme import (  # noqa: E402
-    SolverOptions, _extrapolate, _factor, _jacobian, _structure, run, step)
+    SolverOptions, _extrapolate, _factor, _structure, run, step)
 
 PARAMS = Params(2.0, 1.0, 1.0, 1.0)
 
@@ -97,11 +98,13 @@ def _zero_front_state(cells: int) -> State:
 
 
 def _jacobian_call(state: State, tau: float):
-    """Upwind Jacobian assembly at ``state``, face terms computed once."""
-    u = state.u
-    terms = fvops.implicit_residual(u, u, PARAMS.as_tuple(), tau, state.grid.dx,
-                                    None, True)[1]
-    return lambda: _jacobian(u, terms, state.grid, PARAMS, tau, None, True)
+    """Upwind Jacobian values at ``state``, face terms computed once, with the
+    grid's structure built, as it is during every solve (the heap it leaves
+    sets where the values' arrays land)."""
+    _structure(state.grid.shape)
+    u, coef, dx = state.u, PARAMS.as_tuple(), state.grid.dx
+    terms = fvops.implicit_residual(u, u, coef, tau, dx, None, True)[1]
+    return lambda: fvops.jacobian_values(u, terms, coef, tau, dx, None, True)
 
 
 def _fill(lu) -> int:

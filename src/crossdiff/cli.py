@@ -413,6 +413,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.n_max < 2:
+        raise ConfigError(f"--n-max must be at least 2, the lowest degree checked, "
+                          f"got {args.n_max}")
     if args.n_max > verify.MAX_DEGREE:
         raise ConfigError(f"--n-max must be at most {verify.MAX_DEGREE}, beyond which "
                           f"the coefficients can overflow double precision, got {args.n_max}")

@@ -245,7 +245,7 @@ class RunMonitor:
                                                report.clamped_mass):
                 if not abs(new - old) - clamped <= self.mass_tol:
                     raise InvariantViolation(
-                        "mass conservation", None,
+                        "mass conservation",
                         f"component {name} drifted by {new - old:.3e} in one step "
                         f"(tolerance {self.mass_tol:.3e})")
             # every check passed at the accepted steps, so the running worst
@@ -253,5 +253,5 @@ class RunMonitor:
             for name, slack, tol in [] if self.regularized else report.verdicts.checks():
                 if not slack <= tol:
                     raise InvariantViolation(
-                        name, None, f"measured slack {slack:.3e} exceeds the tolerance {tol:.0e}")
+                        name, f"measured slack {slack:.3e} exceeds the tolerance {tol:.0e}")
         self.prev = report

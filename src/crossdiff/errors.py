@@ -21,10 +21,9 @@ class NonConvergence(SchemeError):
     """A failed nonlinear solve; ``cause`` says why, when the solver knows
     better than the stock guess."""
 
-    def __init__(self, iterations: int, residual: float, step_index: int | None = None,
-                 cause: str | None = None):
-        super().__init__(iterations, residual, step_index, cause)
-        self.iterations, self.residual, self.step_index = iterations, residual, step_index
+    def __init__(self, iterations: int, residual: float, cause: str | None = None):
+        super().__init__(iterations, residual, cause)
+        self.iterations, self.residual = iterations, residual
         self.cause = cause or "time step too large or state too degenerate"
 
     def __str__(self) -> str:
@@ -44,9 +43,9 @@ class RhoTooSmall(InvalidInput):
 class InvariantViolation(SchemeError):
     """A structural inequality failed beyond its slack; names the inequality."""
 
-    def __init__(self, inequality: str, step_index: int | None, detail: str):
-        super().__init__(inequality, step_index, detail)
-        self.inequality, self.step_index, self.detail = inequality, step_index, detail
+    def __init__(self, inequality: str, detail: str):
+        super().__init__(inequality, detail)
+        self.inequality, self.detail = inequality, detail
 
     def __str__(self) -> str:
         return (f"violated inequality [{self.inequality}]"

@@ -1,5 +1,6 @@
-"""Finite-volume face operator of the implicit step, in any dimension: the
-face fluxes and, for the Newton Jacobian, their derivatives.
+"""Finite-volume operator of the implicit step, in any dimension: the face
+fluxes, the residual, the Newton Jacobian's pattern and values, and the
+residual's rounding floor.
 
 The operator works on the stacked state ``u = (f, g)`` of shape
 ``(2, *grid.shape)``: row 0 belongs to f, row 1 to g, so every face
@@ -75,32 +76,6 @@ def face_terms(u, coef, dx, reg, upwind, axis):
     return grad, dp, lam, mob, flux
 
 
-def flux_derivative(u, terms, coef, dx, reg, upwind, axis):
-    """``dflux[i, j, k, face]`` = d(flux_i)/d(u_j in the cell on side k, left
-    or right) on the interior faces along grid ``axis``, in face-array order,
-    at the stacked state ``u`` of the :func:`face_terms` ``terms``; mobility
-    and damping derivatives included, upwind choice and cut kinks frozen."""
-    _, dp, lam, mob, _ = terms
-    u = u.swapaxes(axis + 1, -1)
-    # stacked (f, g) values on the two sides of the interior faces
-    v = np.stack((u[..., :-1], u[..., 1:]), axis=1).reshape(2, 2, -1)
-    coef = np.reshape(coef, (2, 2, 1))
-    eps = 0.0 if reg is None else reg[0]
-    sgn, comp = np.array([-1.0, 1.0]), np.arange(2)
-    dp, mob = dp[..., 1:-1].reshape(2, 1, -1), mob[..., 1:-1].reshape(2, -1)
-    lam = lam if reg is None else lam[..., 1:-1].ravel()
-    # the mobility of component i is the cut of u_i upwind, or its mean
-    weight = (dp > 0.0) == (sgn[:, None] > 0.0) if upwind else 0.5
-    dmob = weight * cut_derivative(v, reg)
-    dflux = sgn[:, None] * (lam * mob[:, None] * coef / dx)[:, :, None]
-    dflux[comp, comp] += sgn[:, None] * eps / dx + lam * dmob * dp
-    if reg is not None:
-        # lam = 2 / (1 + exp(eps s)), s half the sum of the four positive parts
-        dlam = -eps * lam * (1.0 - 0.5 * lam) * 0.5 * (v > 0.0)
-        dflux += dlam * mob[:, None, None] * dp[:, None]
-    return dflux
-
-
 def implicit_residual(u, prev, coef, tau, dx, reg, upwind):
     """Residual ``u - tau/dx * sum_axis diff(flux) - prev`` of the implicit
     step at the stacked state ``u``, and the face terms of every axis (the
@@ -112,3 +87,69 @@ def implicit_residual(u, prev, coef, tau, dx, reg, upwind):
     for axis, (*_, flux) in enumerate(terms):
         r = r - tau_dx * (flux[..., 1:] - flux[..., :-1]).swapaxes(axis + 1, -1)
     return r - prev, terms
+
+
+def jacobian_pattern(shape):
+    """The int32 ``(rows, cols)`` of the entries of :func:`jacobian_values` on a
+    grid of ``shape``, over the stacked unknowns (f block, then g block): the
+    identity, then per interior face of each axis the 16 entries (i, j, k, row
+    side, face), d(residual_i on the row side)/d(u_j on side k)."""
+    cells = np.arange(np.prod(shape), dtype=np.int32).reshape(shape)
+    comp = cells.size * np.arange(2, dtype=np.int32)
+    ident = np.arange(2 * cells.size, dtype=np.int32)
+    rows, cols = [ident], [ident]
+    for axis in range(cells.ndim):
+        moved = cells.swapaxes(axis, -1)
+        side = np.stack((moved[..., :-1].ravel(), moved[..., 1:].ravel()))
+        full = (2, 2, 2) + side.shape
+        rows.append(np.broadcast_to(comp[:, None, None, None, None] + side, full).ravel())
+        cols.append(np.broadcast_to(comp[:, None, None, None] + side[:, None], full).ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def jacobian_values(u, terms, coef, tau, dx, reg, upwind):
+    """Values of the Jacobian of :func:`implicit_residual` at the stacked state
+    ``u`` of the face terms ``terms``, at the entries of :func:`jacobian_pattern`
+    (summed where they coincide).  ``dflux[i, j, k, face]`` is d(flux_i)/d(u_j
+    in the cell on side k, left or right) on the interior faces of one axis,
+    mobility and damping derivatives included, upwind choice and cut kinks
+    frozen; the residual left of a face sees -tau/dx times it, the one right
+    of it +tau/dx times."""
+    coef = np.reshape(coef, (2, 2, 1))
+    eps = 0.0 if reg is None else reg[0]
+    sgn, comp = np.array([-1.0, 1.0]), np.arange(2)
+    end = u.size
+    vals = np.ones(end + 8 * sum(end // m * (m - 1) for m in u.shape[1:]))
+    for axis, (_, dp, lam, mob, _) in enumerate(terms):
+        w = u.swapaxes(axis + 1, -1)
+        # stacked (f, g) values on the two sides of the interior faces
+        v = np.stack((w[..., :-1], w[..., 1:]), axis=1).reshape(2, 2, -1)
+        dp, mob = dp[..., 1:-1].reshape(2, 1, -1), mob[..., 1:-1].reshape(2, -1)
+        lam = lam if reg is None else lam[..., 1:-1].ravel()
+        # the mobility of component i is the cut of u_i upwind, or its mean
+        weight = (dp > 0.0) == (sgn[:, None] > 0.0) if upwind else 0.5
+        dmob = weight * cut_derivative(v, reg)
+        dflux = sgn[:, None] * (lam * mob[:, None] * coef / dx)[:, :, None]
+        dflux[comp, comp] += sgn[:, None] * eps / dx + lam * dmob * dp
+        if reg is not None:
+            # lam = 2 / (1 + exp(eps s)), s half the sum of the four positive parts
+            dlam = -eps * lam * (1.0 - 0.5 * lam) * 0.5 * (v > 0.0)
+            dflux += dlam * mob[:, None, None] * dp[:, None]
+        start, end = end, end + 2 * dflux.size
+        np.multiply((tau / dx * sgn)[:, None], dflux[:, :, :, None],
+                    out=vals[start:end].reshape(dflux.shape[:3] + (2, -1)))
+    return vals
+
+
+def residual_floor(u, terms, coef, tau, dx):
+    """Rounding floor of :func:`implicit_residual` at the stacked state ``u`` of
+    the face terms ``terms``: machine epsilon times tau/dx^2 times the largest
+    face mobility (damping included) times the coefficient-weighted |f| and
+    |g| of the face's two cells, the size of what a face gradient rounds."""
+    col = np.reshape(coef, (2, 2))
+    top = 0.0
+    for axis, (_, _, lam, mob, _) in enumerate(terms):
+        size = np.abs(u).swapaxes(axis + 1, -1)
+        size = np.maximum(size[..., :-1], size[..., 1:]).reshape(2, -1)
+        top = max(top, float(((lam * mob)[..., 1:-1].reshape(2, -1) * (col @ size)).max()))
+    return float(np.finfo(float).eps) * tau / dx / dx * top

@@ -10,17 +10,17 @@ pressure (a f + b g for f, c f + d g for g).  With ``opts.regularization =
 (eps, rho)``, the one value the solve hands down to the face operator, the
 same step uses the capped/damped mobility plus an eps-identity diffusion block.
 
-The face fluxes, their derivatives and the residual come from
-:mod:`crossdiff.fvops`, one operator for every dimension.  The nonlinear
-solve is a chord Newton iteration (analytic Jacobian including mobility
-derivatives, one LU factorization reused, with Anderson-mixed updates,
-while it keeps contracting the residual, refreshed with Armijo backtracking
-when it does not).  The Jacobian's structure depends on the grid alone: it
-is ordered once per grid shape, and each Jacobian only places its values,
-factored as a band matrix by LAPACK in 1D and by SuperLU in 2D.  Both are
-called through scipy's compiled modules, loaded on their own: no run imports
-``scipy.linalg`` or ``scipy.sparse``.
-Convergence is declared on the max-norm of the true nonlinear residual.
+:mod:`crossdiff.fvops`, one operator for every dimension, gives the
+residual, the Newton Jacobian's pattern and values, and the residual's
+rounding floor; this module orders, stores, factors and iterates.  The
+nonlinear solve is a chord Newton iteration (one LU factorization reused,
+with Anderson-mixed updates, while it keeps contracting the residual,
+refreshed with Armijo backtracking when it does not).  The unknowns are
+ordered once per grid shape, and the Jacobian is factored as a band matrix
+by LAPACK in 1D and by SuperLU in 2D, both called through scipy's compiled
+modules, loaded on their own: no run imports ``scipy.linalg`` or
+``scipy.sparse``.  Convergence is declared on the max-norm of the true
+nonlinear residual.
 
 ``run`` marches the piecewise-constant-in-time sequence one step at a time
 and carries the LU factors from each step into the next: the Jacobian does
@@ -62,7 +62,7 @@ CAP_TOL = 1e-10
 CHORD_CONTRACTION = 0.25
 
 # a search that fails at a residual within this factor of the rounding floor
-# of the residual (see _residual_floor) is blamed on tol
+# of the residual (fvops.residual_floor) is blamed on tol
 FLOOR_FACTOR = 4.0
 
 # SuperLU column order of the 2D Newton Jacobian, computed once per grid shape from
@@ -160,13 +160,12 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
         clamped = tuple(-m for m in State._wrap(new.grid, np.minimum(new.u, 0.0)).masses())
         new = State._wrap(new.grid, np.maximum(new.u, 0.0))
     elif (m := new.min_value()) < -NONNEG_TOL:
-        raise InvariantViolation("nonnegativity", None,
-                                 f"min component {m:.3e} < -{NONNEG_TOL:.0e}")
+        raise InvariantViolation("nonnegativity", f"min component {m:.3e} < -{NONNEG_TOL:.0e}")
     if opts.regularization is not None:
         rho = opts.regularization[1]
         if (top := new.max_value()) > rho + CAP_TOL:
             raise InvariantViolation(
-                "boundedness cap", None,
+                "boundedness cap",
                 f"max component {top:.6e} exceeds rho={rho} beyond {CAP_TOL:.0e}")
     return new, diagnostics.step_report(new, params, tau, opts.n_max, iters, res,
                                         clamped, n_lu)
@@ -221,7 +220,7 @@ def _march(state, report, tau, n_steps, params, opts, monitor):
             state, report = step(state, tau, params, opts, factors=factors, start=start)
             monitor.observe(report)
         except SchemeError as err:
-            err.step_index = err.step_index or l
+            err.step_index = l
             raise
         yield l * tau, state, report
 
@@ -276,31 +275,17 @@ def _structure(shape):
     """What every Newton Jacobian on a grid of ``shape`` shares, whatever the
     state, parameters, ``tau``, face average and regularization: the order
     ``q`` of the stacked unknowns that the factors take, and the place
-    ``slots`` of each value of :func:`_jacobian` among the ``size`` stored
-    entries of ``J[q][:, q]``: LAPACK's band array in 1D, the data of the CSC
-    ``(indices, indptr)`` ``csc`` in 2D."""
-    P = math.prod(shape)
-    n = 2 * P
-    comp = np.arange(2, dtype=np.int32)
-    cells = np.arange(P, dtype=np.int32).reshape(shape)
-    # the identity, then the 16 entries (i, j, k, row side, face) per interior
-    # face of each axis: d(residual_i on the row side)/d(u_j on side k)
-    nnz = n + sum(16 * (P // m) * (m - 1) for m in shape)
-    rows, cols = np.empty((2, nnz), np.int32)
-    rows[:n] = cols[:n] = np.arange(n)
-    end = n
-    for axis in range(len(shape)):
-        moved = cells.swapaxes(axis, -1)
-        side = np.stack((moved[..., :-1].ravel(), moved[..., 1:].ravel()))
-        start, end = end, end + 8 * side.size
-        full = (2, 2, 2) + side.shape
-        rows[start:end].reshape(full)[...] = P * comp[:, None, None, None, None] + side
-        cols[start:end].reshape(full)[...] = P * comp[:, None, None, None] + side[:, None]
+    ``slots`` of each entry of :func:`fvops.jacobian_pattern` among the
+    ``size`` stored entries of ``J[q][:, q]``: LAPACK's band array in 1D, the
+    data of the CSC ``(indices, indptr)`` ``csc`` in 2D."""
+    rows, cols = fvops.jacobian_pattern(shape)
+    n, nnz = 2 * math.prod(shape), len(rows)
     if len(shape) == 1:     # the place of each unknown in (f_0, g_0, f_1, ...)
-        perm = np.arange(n, dtype=np.int32).reshape(P, 2).T.ravel()
+        perm = np.arange(n, dtype=np.int32).reshape(-1, 2).T.ravel()
     else:
-        # a diagonally dominant matrix of the pattern: its incomplete factors with
-        # every entry dropped cost little, and SuperLU orders them as it would J
+        # a diagonally dominant matrix of the pattern (whose first n entries are
+        # the identity): its incomplete factors with every entry dropped cost
+        # little, and SuperLU orders them as it would J
         slots, csc = _csc(rows, cols, n)
         data = np.bincount(slots, np.r_[np.full(n, float(nnz)), np.ones(nnz - n)])
         perm = _gstrf(n, data, csc, True, ILU_DropTol=np.inf, ILU_FillFactor=1.0,
@@ -348,26 +333,6 @@ def _csc_array(*args, **kwargs):
     return csc_array(*args, **kwargs)
 
 
-def _jacobian(u, terms, grid, params, tau, reg, upwind):
-    """Values of the analytic Jacobian of the implicit residual at the stacked
-    state ``u``, in the order of the entries of :func:`_structure` (summed where
-    they coincide); ``terms`` are the per-axis face terms of ``u`` that
-    :func:`fvops.implicit_residual` returns with its residual, ``reg`` the
-    ``(eps, rho)`` of a regularized step or None.  The flux derivatives come
-    from :func:`fvops.flux_derivative`; this places them in the residual."""
-    # entries (i, j, k, row side, face): the residual left of a face sees
-    # -tau/dx flux, right of it +tau/dx flux
-    sgn = tau / grid.dx * np.array([-1.0, 1.0])
-    vals = np.ones(len(_structure(grid.shape).slots))
-    end = 2 * grid.num_points
-    for axis, face in enumerate(terms):
-        dflux = fvops.flux_derivative(u, face, params.as_tuple(), grid.dx, reg, upwind, axis)
-        start, end = end, end + 2 * dflux.size
-        np.multiply(sgn[:, None], dflux[:, :, :, None],
-                    out=vals[start:end].reshape(dflux.shape[:3] + (2, -1)))
-    return vals
-
-
 @dataclass
 class _LU:
     """LU factors ``lu`` of ``J[q][:, q]`` and their ``lu_solve`` (LAPACK's band
@@ -384,9 +349,9 @@ class _LU:
 
 def _factor(vals, grid):
     """LU factors, with ``.solve(b)``, of the Newton Jacobian of the values
-    ``vals`` of :func:`_jacobian` on ``grid``, in the order of its structure:
-    band factors by LAPACK in 1D, SuperLU's in 2D, each through its compiled
-    module (see :func:`_extension`)."""
+    ``vals`` of :func:`fvops.jacobian_values` on ``grid``, in the order of its
+    structure: band factors by LAPACK in 1D, SuperLU's in 2D, each through its
+    compiled module (see :func:`_extension`)."""
     s = _structure(grid.shape)
     n = len(s.q)
     data = np.bincount(s.slots, vals, s.size)
@@ -463,7 +428,8 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
                 continue
             lu = None   # release the stale factors before building new ones
         try:
-            lu = _factor(_jacobian(u, terms, grid, params, tau, reg, upwind), grid)
+            lu = _factor(fvops.jacobian_values(u, terms, coef, tau, grid.dx, reg, upwind),
+                         grid)
         except RuntimeError as err:     # a singular (or NaN) Jacobian
             raise NonConvergence(iters, float(phi)) from err
         n_lu += 1
@@ -487,25 +453,10 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     return State._wrap(grid, u), iters, float(phi), n_lu
 
 
-def _residual_floor(u, terms, coef, tau, dx):
-    """The rounding floor of the implicit residual at the stacked state ``u``
-    of the face terms ``terms``: machine epsilon times tau/dx^2 times the
-    largest, over faces and components, face mobility (damping included)
-    times the pressure-coefficient-weighted |f| and |g| of the face's two
-    cells, the size of the values whose difference a face gradient rounds."""
-    col = np.reshape(coef, (2, 2))
-    top = 0.0
-    for axis, (_, _, lam, mob, _) in enumerate(terms):
-        size = np.abs(u).swapaxes(axis + 1, -1)
-        size = np.maximum(size[..., :-1], size[..., 1:]).reshape(2, -1)
-        top = max(top, float(((lam * mob)[..., 1:-1].reshape(2, -1) * (col @ size)).max()))
-    return math.ulp(1.0) * tau / dx / dx * top
-
-
 def _floor_cause(u, terms, coef, tau, dx, tol, phi):
     """The cause of a failed search at the residual ``phi`` if the rounding
     floor of the residual keeps it above ``tol``, else None."""
-    floor = _residual_floor(u, terms, coef, tau, dx)
+    floor = fvops.residual_floor(u, terms, coef, tau, dx)
     need = FLOOR_FACTOR * floor
     if not phi <= need < math.inf:
         return None

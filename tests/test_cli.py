@@ -695,6 +695,16 @@ class TestVerifyCommand:
         assert _run_cli(["verify", flag, value]) == cli.EXIT_CONFIG
         assert f"error [config]: {message}" in capsys.readouterr().err
 
+    def test_rejects_degrees_below_two(self, capsys):
+        # the suites check the degrees 2..n-max; a lower n-max used to pass
+        # silently after checking 2..3
+        for n_max in (-4, 0, 1):
+            assert _run_cli(["verify", "--n-max", n_max, "--samples", 5]) == cli.EXIT_CONFIG
+            assert (f"error [config]: --n-max must be at least 2, the lowest degree checked, "
+                    f"got {n_max}") in capsys.readouterr().err
+        assert _run_cli(["verify", "--n-max", 2, "--samples", 5]) == 0
+        assert "all property suites passed" in capsys.readouterr().out
+
     def test_largest_accepted_degree_has_finite_coefficients(self):
         # the extreme ratio e^3 of the quadruples that verify draws, at the cap
         e = np.exp(verify.LOG_BOX)

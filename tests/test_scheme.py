@@ -408,7 +408,7 @@ class TestCarriedFactors:
 
 def _sparse_jacobian(vals, grid):
     """The Newton Jacobian over the stacked unknowns (f block, then g block)
-    of the values ``vals`` of ``scheme._jacobian``, each placed through its
+    of the values ``vals`` of ``fvops.jacobian_values``, each placed through its
     slot in the factors' storage of ``scheme._structure``."""
     s = scheme._structure(grid.shape)
     if s.csc is None:   # the band array: slot = col (3K + 1) + 2K + row - col
@@ -427,7 +427,8 @@ def _random_jacobian(rng, grid, params, tau, face, regularization):
     upwind = face == "upwind"
     terms = fvops.implicit_residual(u, u, params.as_tuple(), tau, grid.dx,
                                     regularization, upwind)[1]
-    return scheme._jacobian(u, terms, grid, params, tau, regularization, upwind)
+    return fvops.jacobian_values(u, terms, params.as_tuple(), tau, grid.dx,
+                                 regularization, upwind)
 
 
 class TestBandFactors:
@@ -717,7 +718,8 @@ class TestJacobian:
         u = np.stack((state.f, state.g))
         terms = fvops.implicit_residual(u, u, params.as_tuple(), self.TAU,
                                         grid.dx, regularization, upwind)[1]
-        vals = scheme._jacobian(u, terms, grid, params, self.TAU, regularization, upwind)
+        vals = fvops.jacobian_values(u, terms, params.as_tuple(), self.TAU, grid.dx,
+                                     regularization, upwind)
         J = _sparse_jacobian(vals, grid).toarray()
         assert np.abs(J - fd).max() <= 1e-7 * np.abs(fd).max()
 
@@ -1309,7 +1311,8 @@ class TestRandomizedContract:
 
 class TestErrors:
     def test_invariant_violation_names_inequality(self):
-        err = cd.InvariantViolation("entropy monotonicity E_3", 7, "rose")
+        err = cd.InvariantViolation("entropy monotonicity E_3", "rose")
+        err.step_index = 7
         assert "entropy monotonicity E_3" in str(err)
         assert "step 7" in str(err)
 
@@ -1320,7 +1323,7 @@ class TestErrors:
         nonconv.step_index = 12
         assert "did not converge at step 12" in str(nonconv)
         assert "1.500e-03 after 3 iterations" in str(nonconv)
-        violation = cd.InvariantViolation("sup-norm bound", None, "too large")
+        violation = cd.InvariantViolation("sup-norm bound", "too large")
         assert " at step" not in str(violation)
         violation.step_index = 4
         assert str(violation) == "violated inequality [sup-norm bound] at step 4: too large"
@@ -1359,7 +1362,7 @@ class TestErrors:
         u = cosine_state(cells=64).u
         coef, dx = params2111.as_tuple(), 1.0 / 64
         terms = fvops.implicit_residual(u, u, coef, 1e-3, dx, None, True)[1]
-        floor = scheme._residual_floor(u, terms, coef, 1e-3, dx)
+        floor = fvops.residual_floor(u, terms, coef, 1e-3, dx)
         assert 1e-16 < floor < 1e-13
         cause = scheme._floor_cause
         assert cause(u, terms, coef, 1e-3, dx, 1e-300, floor) is not None
