@@ -9,13 +9,15 @@ a function of the state alone), the run monitor's bookkeeping of one step
 each call on a fresh monitor built from the report of the initial state),
 the cubic Newton start of a run from four states (``scheme._extrapolate``),
 the implicit-step residual
-(``fvops.implicit_residual``, the face operator shared by every dimension)
-and the values of the upwind Newton Jacobian (``fvops.jacobian_values``:
-the flux derivatives of ``fvops.flux_derivative`` along each axis, in the
-order of the entries of ``fvops.jacobian_pattern``) at
-``--cells`` cells (the monitor row excepted), and the Jacobian once more
-on a fixed 64x64 grid with a zero patch in f, and prints microseconds per
-call (best of the repeats).  Two more rows time one Newton step, one on
+(``fvops.implicit_residual``, the face operator shared by every dimension,
+with the pressure coefficients as the ``(2, 2, 1, ...)`` column that a
+solve builds once) and the values of the upwind Newton Jacobian
+(``fvops.jacobian_values``: the flux derivatives along each axis, mobility
+and damping derivatives included, in the order of the entries of
+``fvops.jacobian_pattern``) at ``--cells`` cells (the monitor row
+excepted), and the residual and the Jacobian once more on a fixed 64x64
+grid with a zero patch in f, and prints microseconds per call (best of the
+repeats).  Two more rows time one Newton step, one on
 the 1D grid of ``--cells`` cells and one on the 64x64 grid, and print
 milliseconds, Jacobian LU factorizations, Newton iterations and the storage
 of the step's last factors: the band array entries of the 1D LAPACK
@@ -31,7 +33,12 @@ fill.  The ``zero-front run 1d`` rows run 50 steps of the zero-front
 cap f = max(1.5 (1 - 4x^2), 0) on 1024 cells, with the Anderson-mixed chord
 updates the solver makes and, in the ``plain`` row, with
 ``scheme._anderson`` patched in this script to return the plain update;
-they print ms per step, updates and factorizations.  The import row
+they print ms per step, updates and factorizations.  The ``readme loop``
+row marches the README example (64 cells, tau 1e-3, 1,000 steps to t = 1,
+tol 1e-12) in this process, each step with its ``diagnostics.csv`` row
+formatted but not written, and prints ms per step (best of 5 runs) and
+Newton updates per step: the per-step path without process start-up.  The
+import row
 prints the median wall time of 5 fresh interpreters that run ``import
 crossdiff.cli``, and whether they loaded ``scipy.special``, ``scipy.linalg``
 and ``scipy.sparse`` (no run needs them: the solver reaches LAPACK and
@@ -53,7 +60,7 @@ import numpy as np
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
-from crossdiff import diagnostics, fvops, scheme  # noqa: E402
+from crossdiff import cli, diagnostics, fvops, scheme  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
 from crossdiff.params import Params  # noqa: E402
 from crossdiff.diagnostics import step_report  # noqa: E402
@@ -107,6 +114,13 @@ def _jacobian_call(state: State, tau: float):
     return lambda: fvops.jacobian_values(u, terms, coef, tau, dx, None, True)
 
 
+def _residual_call(state: State, tau: float):
+    """The residual at ``state``, coefficients as the column a solve builds."""
+    u, dx = state.u, state.grid.dx
+    coef = np.array(PARAMS.as_tuple()).reshape((2, 2) + (1,) * state.grid.ndim)
+    return lambda: fvops.implicit_residual(u, u, coef, tau, dx, None, True)
+
+
 def _fill(lu) -> int:
     """Storage of LU factors: band array entries in 1D, L+U nonzeros in 2D."""
     return lu.lu.size if isinstance(lu.lu, np.ndarray) else lu.lu.L.nnz + lu.lu.U.nnz
@@ -132,8 +146,8 @@ def bench(cells: int, repeats: int) -> None:
         ("report 1d", cells, lambda: step_report(state, PARAMS, tau, opts.n_max, 1, 0.0)),
         ("monitor 1d", small.grid.num_points, lambda: next(monitors).observe(report1)),
         ("extrapolate 1d", cells, lambda: _extrapolate(history)),
-        ("implicit_residual", cells, lambda: fvops.implicit_residual(
-            u, u, PARAMS.as_tuple(), tau, state.grid.dx, None, True)),
+        ("implicit_residual", cells, _residual_call(state, tau)),
+        ("residual 2d", square.grid.num_points, _residual_call(square, tau)),
         ("jacobian 1d", cells, _jacobian_call(state, tau)),
         ("jacobian 2d", square.grid.num_points, _jacobian_call(square, tau)),
     ]
@@ -214,6 +228,27 @@ def bench_zero_front(cells: int = 1024, steps: int = 50, runs: int = 3) -> None:
               f"{sum(r.factorizations for r in reports):>15}")
 
 
+def bench_readme(runs: int = 5) -> None:
+    """The README example's 1,000 steps in this process, best of ``runs``,
+    each entry's ``diagnostics.csv`` row formatted as ``crossdiff run``
+    formats it."""
+    config = cli.build_config({}, {"muskat_R": "1", "muskat_mu": "1", "cells": "64",
+                                   "tau": "1e-3", "t_final": "1", "tol": "1e-12"})
+    params, initial, opts = config.problem()
+    best, updates = np.inf, 0
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        updates = 0
+        for entry in run(initial, config.tau, config.t_final, params, opts):
+            cli._csv_row(entry)
+            updates += entry[2].iterations
+        best = min(best, time.perf_counter() - t0)
+    steps = round(config.t_final / config.tau)
+    print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'updates/step':>13}")
+    print(f"{'readme loop':<24} {config.cells:>7} {1e3 * best / steps:>12.4f} "
+          f"{updates / steps:>13.3f}")
+
+
 def bench_import(runs: int = 5) -> None:
     """Wall time of fresh interpreters importing ``crossdiff.cli`` from
     this checkout, and the optional scipy subpackages that import loaded."""
@@ -243,4 +278,5 @@ if __name__ == "__main__":
     bench_newton(args.cells, args.repeats)
     bench_factor(args.repeats)
     bench_zero_front()
+    bench_readme()
     bench_import()

@@ -22,7 +22,6 @@ import argparse
 import itertools
 import os
 import sys
-from concurrent import futures
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -261,17 +260,17 @@ def build_config(file_values: dict[str, str], cli_values: dict[str, str]) -> Run
 @lru_cache(maxsize=8)
 def _csv_layout(n_max: int) -> tuple[str, str]:
     """(header, row template) of ``diagnostics.csv``: each column once, with
-    its format, each float in _fmt's text."""
-    e = "{:.16e}"
+    its %-format, each float in _fmt's text."""
+    e = "%.16e"
     columns = {"time": e, "mass_f": e, "mass_g": e, **{f"E{n}": e for n in range(1, n_max + 1)},
-               "dissipation_cum": e, "linf_sum": e, "factorizations": "{}", "iterations": "{}",
+               "dissipation_cum": e, "linf_sum": e, "factorizations": "%d", "iterations": "%d",
                "residual": e}
     return ",".join(columns) + "\n", ",".join(columns.values()) + "\n"
 
 
 def _csv_row(entry) -> str:
     t, _, rep = entry
-    return _csv_layout(len(rep.entropies))[1].format(
+    return _csv_layout(len(rep.entropies))[1] % (
         t, *rep.masses, *rep.entropies.tolist(), rep.dissipation_cum, rep.linf,
         rep.factorizations, rep.iterations, rep.residual)
 
@@ -389,6 +388,7 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "sweep_manifest.csv").write_text("\n".join(manifest) + "\n",
                                                  encoding="utf-8")
+    from concurrent import futures  # only a sweep starts worker processes
     worst = EXIT_OK
     # the pool starts all its workers at the first submit
     workers = min(args.workers or os.cpu_count() or 1, len(jobs))

@@ -6,13 +6,13 @@ The operator works on the stacked state ``u = (f, g)`` of shape
 ``(2, *grid.shape)``: row 0 belongs to f, row 1 to g, so every face
 quantity is computed for both components by one array operation.  Along
 grid axis ``k`` (array axis ``k + 1``) the faces are indexed 0..n for n
-cells; the face arrays carry that axis last, and the boundary faces 0 and
-n carry zero flux.  The face mobility is the positive part of the upwind
-cell value (upwind for the sign of the pressure gradient) or the mean of
-the positive parts under arithmetic averaging.  With ``reg = (eps, rho)``
-(``None`` unregularized) the capped cutoff profile replaces the positive
-part, the sigmoid damping factor multiplies the mobility, and ``eps``
-times the component gradient is added.
+cells; the boundary faces 0 and n carry zero flux, so the face arrays hold
+the interior faces 1..n-1, with that axis last.  The face mobility is the
+positive part of the upwind cell value (upwind for the sign of the pressure
+gradient) or the mean of the positive parts under arithmetic averaging.
+With ``reg = (eps, rho)`` (``None`` unregularized) the capped cutoff profile
+replaces the positive part, the sigmoid damping factor multiplies the
+mobility, and ``eps`` times the component gradient is added.
 """
 
 from __future__ import annotations
@@ -40,52 +40,54 @@ def cut_derivative(z, reg):
 
 def face_gradient(u, dx, axis):
     """Component gradients of the stacked state ``u`` on the faces 0..n
-    along grid ``axis`` (that axis last), zero on the boundary faces."""
+    along grid ``axis`` (that axis last), zero on the boundary faces: the
+    dissipation's sum over the n - 1 interior ones alone rounds otherwise."""
     u = u.swapaxes(axis + 1, -1)
     grad = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
-    grad[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / dx
+    grad[..., 1:-1] = _gradient(u[..., :-1], u[..., 1:], dx)
     return grad
 
 
+def _gradient(lo, hi, dx):
+    """Gradients between the cell values ``lo`` and ``hi``, ``dx`` apart."""
+    return (hi - lo) / dx
+
+
 def face_terms(u, coef, dx, reg, upwind, axis):
-    """(grad, dp, lam, mob, flux) of the stacked state ``u`` on the faces
-    0..n along grid ``axis``: component gradients (:func:`face_gradient`),
-    pressure gradients, damping (the scalar 1.0 without regularization),
-    face mobilities and fluxes.  ``coef`` holds the pressure coefficients
-    (a, b, c, d): the pressure of f is a f + b g, that of g is c f + d g."""
-    grad = face_gradient(u, dx, axis)
+    """(grad, dp, lam, mob, flux) of the stacked state ``u`` on the interior
+    faces 1..n-1 along grid ``axis``: component gradients, pressure
+    gradients, damping (the scalar 1.0 without regularization), face
+    mobilities and fluxes.  ``coef`` holds the pressure coefficients
+    (a, b, c, d), or their ``(2, 2, 1, ...)`` array as a solve builds it
+    once: the pressure of f is a f + b g, that of g is c f + d g."""
     u = u.swapaxes(axis + 1, -1)
     lo, hi = u[..., :-1], u[..., 1:]
-    n = u.shape[-1]
-    col = np.asarray(coef, dtype=float).reshape((2, 2) + (1,) * (u.ndim - 1))
-    dp = col[:, 0] * grad[0] + col[:, 1] * grad[1]
-    lam = 1.0
-    if reg is not None:
-        pos = np.maximum(u, 0.0)
-        s = 0.5 * (pos[0, ..., :-1] + pos[0, ..., 1:] + pos[1, ..., :-1] + pos[1, ..., 1:])
-        lam = np.ones(grad.shape[1:])
-        lam[..., 1:n] = 2.0 / (1.0 + np.exp(reg[0] * s))
-    mob = np.zeros(grad.shape)
-    if upwind:
-        mob[..., 1:n] = cut(np.where(dp[..., 1:n] > 0.0, hi, lo), reg)
-    else:
-        mob[..., 1:n] = 0.5 * (cut(lo, reg) + cut(hi, reg))
-    flux = lam * mob * dp
-    if reg is not None:
-        flux += reg[0] * grad
-    return grad, dp, lam, mob, flux
+    grad = _gradient(lo, hi, dx)
+    col = coef if isinstance(coef, np.ndarray) else np.reshape(coef, (2, 2) + (1,) * (u.ndim - 1))
+    terms = col * grad      # terms[i, j] = col[i, j] * grad[j]
+    dp = terms[:, 0] + terms[:, 1]
+    mob = cut(np.where(dp > 0.0, hi, lo), reg) if upwind else 0.5 * (cut(lo, reg) + cut(hi, reg))
+    if reg is None:
+        return grad, dp, 1.0, mob, mob * dp
+    pos = np.maximum(u, 0.0)
+    s = 0.5 * (pos[0, ..., :-1] + pos[0, ..., 1:] + pos[1, ..., :-1] + pos[1, ..., 1:])
+    lam = 2.0 / (1.0 + np.exp(reg[0] * s))
+    return grad, dp, lam, mob, lam * mob * dp + reg[0] * grad
 
 
 def implicit_residual(u, prev, coef, tau, dx, reg, upwind):
     """Residual ``u - tau/dx * sum_axis diff(flux) - prev`` of the implicit
     step at the stacked state ``u``, and the face terms of every axis (the
-    :func:`face_terms` tuples, in axis order)."""
-    terms = [face_terms(u, coef, dx, reg, upwind, axis)
-             for axis in range(u.ndim - 1)]
-    tau_dx = tau / dx
-    r = u
-    for axis, (*_, flux) in enumerate(terms):
-        r = r - tau_dx * (flux[..., 1:] - flux[..., :-1]).swapaxes(axis + 1, -1)
+    :func:`face_terms` tuples, in axis order).  The zero boundary fluxes are
+    not stored: the first cell takes F_1, which F_1 - 0 equals exactly."""
+    terms, tau_dx, r = [], tau / dx, u
+    for axis in range(u.ndim - 1):
+        terms.append(face_terms(u, coef, dx, reg, upwind, axis))
+        flux = terms[-1][-1]
+        div = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 1,))
+        div[..., :-1] = flux
+        div[..., 1:] -= flux
+        r = r - tau_dx * div.swapaxes(axis + 1, -1)
     return r - prev, terms
 
 
@@ -124,8 +126,8 @@ def jacobian_values(u, terms, coef, tau, dx, reg, upwind):
         w = u.swapaxes(axis + 1, -1)
         # stacked (f, g) values on the two sides of the interior faces
         v = np.stack((w[..., :-1], w[..., 1:]), axis=1).reshape(2, 2, -1)
-        dp, mob = dp[..., 1:-1].reshape(2, 1, -1), mob[..., 1:-1].reshape(2, -1)
-        lam = lam if reg is None else lam[..., 1:-1].ravel()
+        dp, mob = dp.reshape(2, 1, -1), mob.reshape(2, -1)
+        lam = lam if reg is None else lam.ravel()
         # the mobility of component i is the cut of u_i upwind, or its mean
         weight = (dp > 0.0) == (sgn[:, None] > 0.0) if upwind else 0.5
         dmob = weight * cut_derivative(v, reg)
@@ -151,5 +153,5 @@ def residual_floor(u, terms, coef, tau, dx):
     for axis, (_, _, lam, mob, _) in enumerate(terms):
         size = np.abs(u).swapaxes(axis + 1, -1)
         size = np.maximum(size[..., :-1], size[..., 1:]).reshape(2, -1)
-        top = max(top, float(((lam * mob)[..., 1:-1].reshape(2, -1) * (col @ size)).max()))
+        top = max(top, float(((lam * mob).reshape(2, -1) * (col @ size)).max()))
     return float(np.finfo(float).eps) * tau / dx / dx * top

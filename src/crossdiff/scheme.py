@@ -267,17 +267,17 @@ def step_residual(state: State, prev: State, tau: float, params: Params,
     return r[0], r[1]
 
 
-_Structure = collections.namedtuple("_Structure", "q slots size csc")
+_Structure = collections.namedtuple("_Structure", "q q_inv slots size csc")
 
 
 @functools.lru_cache(maxsize=4)
 def _structure(shape):
     """What every Newton Jacobian on a grid of ``shape`` shares, whatever the
     state, parameters, ``tau``, face average and regularization: the order
-    ``q`` of the stacked unknowns that the factors take, and the place
-    ``slots`` of each entry of :func:`fvops.jacobian_pattern` among the
-    ``size`` stored entries of ``J[q][:, q]``: LAPACK's band array in 1D, the
-    data of the CSC ``(indices, indptr)`` ``csc`` in 2D."""
+    ``q`` of the stacked unknowns that the factors take and its inverse
+    ``q_inv``, and the place ``slots`` of each entry of :func:`fvops.jacobian_pattern`
+    among the ``size`` stored entries of ``J[q][:, q]``: LAPACK's band array in
+    1D, the data of the CSC ``(indices, indptr)`` ``csc`` in 2D."""
     rows, cols = fvops.jacobian_pattern(shape)
     n, nnz = 2 * math.prod(shape), len(rows)
     if len(shape) == 1:     # the place of each unknown in (f_0, g_0, f_1, ...)
@@ -290,15 +290,15 @@ def _structure(shape):
         data = np.bincount(slots, np.r_[np.full(n, float(nnz)), np.ones(nnz - n)])
         perm = _gstrf(n, data, csc, True, ILU_DropTol=np.inf, ILU_FillFactor=1.0,
                       ColPerm=SUPERLU_ORDERING).perm_c
-    q = np.argsort(perm)
+    q, q_inv = np.argsort(perm), perm.astype(np.intp)
     rows, cols = perm[rows], perm[cols]     # places in J[q][:, q]
     if len(shape) == 1:
         # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n) band
         # array, whose first K rows are dgbtrf's fill workspace
         slots = cols * (3 * BANDS + 1) + 2 * BANDS + rows - cols
-        return _Structure(q, slots, (3 * BANDS + 1) * n, None)
+        return _Structure(q, q_inv, slots, (3 * BANDS + 1) * n, None)
     slots, csc = _csc(rows, cols, n)
-    return _Structure(q, slots, len(csc[0]), csc)
+    return _Structure(q, q_inv, slots, len(csc[0]), csc)
 
 
 def _csc(rows, cols, n):
@@ -339,12 +339,11 @@ class _LU:
     array in 1D, a SuperLU object in 2D), solving over J's unknowns."""
     lu: object
     q: np.ndarray
+    q_inv: np.ndarray
     lu_solve: object
 
     def solve(self, b):
-        x = np.empty_like(b)
-        x[self.q] = self.lu_solve(b[self.q])
-        return x
+        return self.lu_solve(b[self.q])[self.q_inv]
 
 
 def _factor(vals, grid):
@@ -360,11 +359,12 @@ def _factor(vals, grid):
         lu, piv, info = dgbtrf(data.reshape(n, -1).T, BANDS, BANDS, overwrite_ab=True)
         if info != 0:
             raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
-        return _LU(lu, s.q, lambda b: dgbtrs(lu, BANDS, BANDS, b, piv, overwrite_b=True)[0])
+        return _LU(lu, s.q, s.q_inv,
+                   lambda b: dgbtrs(lu, BANDS, BANDS, b, piv, overwrite_b=True)[0])
     # the options of splu(permc_spec="NATURAL"), which also sets SymmetricMode:
     # without it SuperLU pivots otherwise
     lu = _gstrf(n, data, s.csc, False, ColPerm="NATURAL", SymmetricMode=True)
-    return _LU(lu, s.q, lu.solve)
+    return _LU(lu, s.q, s.q_inv, lu.solve)
 
 
 def _newton_sparse(prev, tau, params, opts, factors, start):
@@ -397,7 +397,7 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     grid = prev.grid
     reg = opts.regularization
     upwind = opts.mobility_face == "upwind"
-    coef = params.as_tuple()
+    coef = np.array(params.as_tuple()).reshape((2, 2) + (1,) * grid.ndim)  # fvops' column
 
     def norm(v):
         r, terms = fvops.implicit_residual(v, prev.u, coef, tau, grid.dx, reg, upwind)
@@ -471,14 +471,15 @@ def _anderson(du, pairs):
     """The type-II Anderson mix ``du - sum_k gamma_k (s_k + y_k)`` of the chord
     update ``du`` with the ``pairs`` ``(s_k, y_k)`` of iterate and update
     differences, ``gamma`` minimising ``|du - sum_k gamma_k y_k|_2`` (Cramer's
-    rule); ``du`` itself if the Gram determinant is not positive and finite."""
+    rule, in Python floats: numpy's scalars round alike but cost more); ``du``
+    itself if the Gram determinant is not positive and finite."""
     if not pairs:
         return du
     y = [pair[1] for pair in pairs]
-    g11, b1 = np.vdot(y[0], y[0]), np.vdot(y[0], du)
+    g11, b1 = float(np.vdot(y[0], y[0])), float(np.vdot(y[0], du))
     det, gamma = g11, [b1]
     if len(y) == 2:
-        g12, g22, b2 = np.vdot(y[0], y[1]), np.vdot(y[1], y[1]), np.vdot(y[1], du)
+        g12, g22, b2 = (float(np.vdot(*v)) for v in ((y[0], y[1]), (y[1], y[1]), (y[1], du)))
         det, gamma = g11 * g22 - g12 * g12, [g22 * b1 - g12 * b2, g11 * b2 - g12 * b1]
     if not 0.0 < det < math.inf:
         return du

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -29,6 +30,19 @@ class TestCsvRow:
         assert cli._csv_row((1e-3, None, rep)) == want + "\n"
         assert cli._csv_row((1e-3, None, rep)).count(",") + 1 == \
             len(cli._csv_layout(3)[0].split(","))
+
+    def test_special_values_are_written_as_fmt_writes_them(self):
+        # the row template and _fmt must agree on every float a run can
+        # report, the non-finite ones included
+        special = (np.inf, np.nan, -0.0, 5e-324, np.float64(2.0 / 3.0))
+        rep = diagnostics.StepReport(
+            iterations=1, residual=special[0], masses=special[1:3],
+            entropies=np.array(special), dissipation=0.0, linf=special[3], tau=1e-3,
+            factorizations=0, dissipation_cum=special[4])
+        values = (special[2], *special[1:3], *special, special[4], special[3])
+        want = ",".join([cli._fmt(v) for v in values] + ["0", "1", cli._fmt(special[0])])
+        assert cli._csv_row((special[2], None, rep)) == want + "\n"
+        assert "inf" in want and "nan" in want and "-0.0000000000000000e+00" in want
 
 
 class TestConfigParsing:
@@ -906,7 +920,7 @@ class TestSweepCommand:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         out = tmp_path / "sw"
         code = _run_cli(["sweep", "--cells", 8, "--t-final", "2e-3", "--tau", "1e-3,2e-3",
@@ -929,9 +943,12 @@ class TestSweepCommand:
 class TestImportFootprint:
     """A run reaches LAPACK's band factors and SuperLU through their compiled
     modules: neither a 1D nor a 2D run loads ``scipy.special``,
-    ``scipy.linalg``, ``scipy.sparse`` or ``scipy.sparse.linalg``."""
+    ``scipy.linalg``, ``scipy.sparse`` or ``scipy.sparse.linalg``.  Only a
+    sweep starts worker processes, so a run loads neither
+    ``concurrent.futures`` nor the ``logging`` that it imports."""
 
-    OPTIONAL = ("scipy.special", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    OPTIONAL = ("scipy.special", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg",
+                "concurrent.futures", "logging")
 
     def _loaded_after_run(self, args, out):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -947,9 +964,9 @@ class TestImportFootprint:
 
     def test_1d_run_loads_neither_special_nor_sparse(self, tmp_path):
         args = ["run", "--cells", "16", "--tau", "1e-3", "--t-final", "3e-3"]
-        assert self._loaded_after_run(args, tmp_path) == ["0"] + ["False"] * 4
+        assert self._loaded_after_run(args, tmp_path) == ["0"] + ["False"] * len(self.OPTIONAL)
 
     def test_2d_run_factors_without_scipy_sparse(self, tmp_path):
         args = ["run", "--dimension", "2", "--cells", "6", "--tau", "1e-3",
                 "--t-final", "1e-3"]
-        assert self._loaded_after_run(args, tmp_path) == ["0"] + ["False"] * 4
+        assert self._loaded_after_run(args, tmp_path) == ["0"] + ["False"] * len(self.OPTIONAL)

@@ -409,6 +409,32 @@ class TestRunMonitor:
                 cd.RunMonitor(report0, params2111, 1.0,
                               cd.SolverOptions(n_max=2)).observe(_report([0.5, np.inf]))
 
+    def test_the_first_breach_in_summary_order_is_named(self, params2111):
+        # E_3 and the sup-norm bound breach at once: E_3 comes first in the
+        # summary, so it is named, and both verdicts fail
+        opts = cd.SolverOptions(n_max=3)
+        cap = diagnostics.linf_bound_constant(params2111)
+        monitor = cd.RunMonitor(_report([0.5, 2.0, 3.0]), params2111, 1.0, opts)
+        report = _report([0.5, 2.0, 3.0 * (1.0 + 1e-6)], linf=10.0 * cap)
+        with pytest.raises(cd.InvariantViolation) as err:
+            monitor.observe(report)
+        assert err.value.inequality == "entropy monotonicity E_3"
+        failed = [name for name, slack, tol in report.verdicts.checks() if not slack <= tol]
+        assert failed == ["entropy monotonicity E_3", "sup-norm bound"]
+        with pytest.raises(cd.InvariantViolation) as err:
+            monitor.observe(_report([0.5, 2.0, 3.0], linf=10.0 * cap))
+        assert err.value.inequality == "sup-norm bound"
+
+    @pytest.mark.parametrize("slack", [-1.0, 0.0, -0.0, 1e-9, 1e-8, 2e-8, np.inf, np.nan])
+    def test_all_ok_is_every_check_passing(self, slack):
+        # all_ok reads the slacks without the checks' names; it must agree
+        # with checks() wherever the slack sits
+        for place in range(4):
+            slacks = [0.0] * 4
+            slacks[place] = slack
+            verdicts = cd.RunVerdicts({1: slacks[0], 2: slacks[1]}, *slacks[2:])
+            assert verdicts.all_ok == all(s <= tol for _, s, tol in verdicts.checks())
+
     def test_mass_drift_is_enforced_net_of_clamped_mass(self, params2111):
         # tol 1e-10 on a unit measure: each component may drift by 1e-9
         opts = cd.SolverOptions(n_max=2)

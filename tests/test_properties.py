@@ -4,7 +4,9 @@ Hypothesis draws admissible parameters, small nonnegative states with exact
 zeros and time steps; each draw must either fail to converge, loudly, or
 give a step that keeps the invariants the run monitor enforces.  It also
 draws two-cell faces, whose entropy dissipation density must not be
-negative: the decay of each E_n in a step rests on that sign.
+negative: the decay of each E_n in a step rests on that sign, and pairs of
+states, at which the residual must close the zero-flux boundary faces bit
+for bit as the padded difference of the interior fluxes does.
 """
 
 import itertools
@@ -80,7 +82,7 @@ def faces(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(params=params, n=st.integers(2, 30), u=faces(), upwind=st.booleans())
 def test_face_dissipation_density_is_nonnegative(params, n, u, upwind):
-    flux = fvops.face_terms(u, params.as_tuple(), 1.0, None, upwind, axis=1)[-1][..., 1]
+    flux = fvops.face_terms(u, params.as_tuple(), 1.0, None, upwind, axis=1)[-1][..., 0]
     density, scale = _face_density(u, flux, params, n)
     assert (density >= -1e-12 * scale).all(), (density, scale)
 
@@ -92,7 +94,38 @@ def test_downwind_face_dissipation_density_is_negative():
     params, n = cd.Params(4.0, 1.0, 1.0, 1.0), 4
     u = np.array([[[0.0, 0.5]], [[1.0, 0.25]]])     # (f, g) of the two cells
     _, dp, _, _, flux = fvops.face_terms(u, params.as_tuple(), 1.0, None, True, axis=1)
-    downwind = np.maximum(np.where(dp[..., 1] > 0.0, u[..., 0], u[..., 1]), 0.0) * dp[..., 1]
+    downwind = np.maximum(np.where(dp[..., 0] > 0.0, u[..., 0], u[..., 1]), 0.0) * dp[..., 0]
     density, scale = _face_density(u, downwind, params, n)
     assert density[0] < 0.0 and density[0] == -scale[0]
-    assert _face_density(u, flux[..., 1], params, n)[0][0] > 0.0
+    assert _face_density(u, flux[..., 0], params, n)[0][0] > 0.0
+
+
+# plain, regularized, and capped: values above rho - 1 = 1.2 are on the cut's ramp
+regs = st.sampled_from([None, (1e-3, 1e3), (0.3, 2.2)])
+
+
+@st.composite
+def state_pairs(draw):
+    """A state, and a previous state's stacked array on its grid."""
+    state = draw(states())
+    prev = draw(st.lists(values, min_size=state.u.size, max_size=state.u.size))
+    return state, np.reshape(prev, state.u.shape)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(params=params, pair=state_pairs(), tau=taus, reg=regs, upwind=st.booleans())
+def test_residual_closes_the_boundary_faces_bit_for_bit(params, pair, tau, reg, upwind):
+    # the face arrays hold the interior faces only; padding them with the
+    # zero boundary fluxes and differencing must give the residual's bits
+    state, prev = pair
+    u, dx, coef = state.u, state.grid.dx, params.as_tuple()
+    want = u
+    for axis in range(state.grid.ndim):
+        flux = fvops.face_terms(u, coef, dx, reg, upwind, axis)[-1]
+        zero = np.zeros(flux.shape[:-1] + (1,))
+        padded = np.concatenate((zero, flux, zero), axis=-1)
+        want = want - (tau / dx * np.diff(padded)).swapaxes(axis + 1, -1)
+    want = want - prev
+    r = fvops.implicit_residual(u, prev, coef, tau, dx, reg, upwind)[0]
+    np.testing.assert_array_equal(r, want)
+    np.testing.assert_array_equal(np.signbit(r), np.signbit(want))
