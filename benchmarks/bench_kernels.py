@@ -29,15 +29,17 @@ row times, on the 64x64 grid, the one-time build of the Jacobian's
 structure (``scheme._structure``: the column order of the unknowns and the
 place of each entry of ``fvops.jacobian_pattern`` in the factors' storage)
 and the SuperLU factorization of one Jacobian's values, and prints the
-fill.  The ``zero-front run 1d`` rows run 50 steps of the zero-front
-cap f = max(1.5 (1 - 4x^2), 0) on 1024 cells, with the Anderson-mixed chord
-updates the solver makes and, in the ``plain`` row, with
-``scheme._anderson`` patched in this script to return the plain update;
-they print ms per step, updates and factorizations.  The ``readme loop``
+fill.  The ``zero-front run 1d`` rows run the zero-front cap
+f = max(1.5 (1 - 4x^2), 0) for 50 steps on 256 and 1024 cells and 20 steps
+on 4096 cells, with the Anderson-mixed chord updates the solver makes and,
+in the ``plain`` rows, with ``scheme._anderson`` patched in this script to
+return the plain update; they print ms per step, updates and
+factorizations.  The ``readme loop``
 row marches the README example (64 cells, tau 1e-3, 1,000 steps to t = 1,
 tol 1e-12) in this process, each step with its ``diagnostics.csv`` row
-formatted but not written, and prints ms per step (best of 5 runs) and
-Newton updates per step: the per-step path without process start-up.  The
+formatted but not written, and prints ms per step (best of 5 runs),
+Newton updates and factorizations per step: the per-step path without
+process start-up.  The
 import row
 prints the median wall time of 5 fresh interpreters that run ``import
 crossdiff.cli``, and whether they loaded ``scipy.special``, ``scipy.linalg``
@@ -202,30 +204,33 @@ def bench_factor(repeats: int) -> None:
           f"{factor_ms:>12.2f} {_fill(_factor(vals, state.grid)):>11}")
 
 
-def bench_zero_front(cells: int = 1024, steps: int = 50, runs: int = 3) -> None:
-    """``steps`` steps of the zero-front cap of :func:`_zero_front_state` on
-    ``cells`` cells (tau 1e-3, tol 1e-9), best of ``runs``: once with the
-    Anderson-mixed chord updates the solver makes, once with
-    ``scheme._anderson`` patched to return the plain update."""
-    state = _zero_front_state(cells)
+def bench_zero_front(sizes=((256, 50), (1024, 50), (4096, 20)), runs: int = 3) -> None:
+    """For each ``(cells, steps)`` of ``sizes``, ``steps`` steps of the
+    zero-front cap of :func:`_zero_front_state` on ``cells`` cells (tau
+    1e-3, tol 1e-9), best of ``runs``: once with the Anderson-mixed chord
+    updates the solver makes, once with ``scheme._anderson`` patched to
+    return the plain update."""
     opts = SolverOptions(tol=1e-9)
     print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'updates':>12} "
           f"{'factorizations':>15}")
     mixed = scheme._anderson
-    for label, anderson in (("zero-front run 1d", mixed),
-                            ("zero-front run 1d plain", lambda du, pairs: du)):
-        scheme._anderson = anderson
-        try:
-            best = np.inf
-            for _ in range(runs):
-                t0 = time.perf_counter()
-                reports = [rep for _, _, rep in run(state, 1e-3, steps * 1e-3, PARAMS, opts)]
-                best = min(best, time.perf_counter() - t0)
-        finally:
-            scheme._anderson = mixed
-        print(f"{label:<24} {cells:>7} {1e3 * best / steps:>12.2f} "
-              f"{sum(r.iterations for r in reports):>12} "
-              f"{sum(r.factorizations for r in reports):>15}")
+    for cells, steps in sizes:
+        state = _zero_front_state(cells)
+        for label, anderson in (("zero-front run 1d", mixed),
+                                ("zero-front run 1d plain", lambda du, pairs: du)):
+            scheme._anderson = anderson
+            try:
+                best = np.inf
+                for _ in range(runs):
+                    t0 = time.perf_counter()
+                    reports = [rep for _, _, rep in
+                               run(state, 1e-3, steps * 1e-3, PARAMS, opts)]
+                    best = min(best, time.perf_counter() - t0)
+            finally:
+                scheme._anderson = mixed
+            print(f"{label:<24} {cells:>7} {1e3 * best / steps:>12.2f} "
+                  f"{sum(r.iterations for r in reports):>12} "
+                  f"{sum(r.factorizations for r in reports):>15}")
 
 
 def bench_readme(runs: int = 5) -> None:
@@ -235,18 +240,20 @@ def bench_readme(runs: int = 5) -> None:
     config = cli.build_config({}, {"muskat_R": "1", "muskat_mu": "1", "cells": "64",
                                    "tau": "1e-3", "t_final": "1", "tol": "1e-12"})
     params, initial, opts = config.problem()
-    best, updates = np.inf, 0
+    best = np.inf
     for _ in range(runs):
         t0 = time.perf_counter()
-        updates = 0
+        updates = factorizations = 0
         for entry in run(initial, config.tau, config.t_final, params, opts):
             cli._csv_row(entry)
             updates += entry[2].iterations
+            factorizations += entry[2].factorizations
         best = min(best, time.perf_counter() - t0)
     steps = round(config.t_final / config.tau)
-    print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'updates/step':>13}")
+    print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'updates/step':>13} "
+          f"{'factorizations/step':>20}")
     print(f"{'readme loop':<24} {config.cells:>7} {1e3 * best / steps:>12.4f} "
-          f"{updates / steps:>13.3f}")
+          f"{updates / steps:>13.3f} {factorizations / steps:>20.3f}")
 
 
 def bench_import(runs: int = 5) -> None:

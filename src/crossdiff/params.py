@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 
 @dataclass(frozen=True)
 class Params:
-    """Diffusion coefficients (a, b, c, d), all positive with a*d > b*c.
+    """Diffusion coefficients (a, b, c, d), all positive and finite with
+    a*d > b*c.
 
     The strict inequality a*d > b*c is what makes the whole entropy
     construction work; it is validated eagerly so downstream code can rely
@@ -23,8 +25,8 @@ class Params:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             v = getattr(self, name)
-            if not (v > 0.0):
-                raise ValueError(f"parameter {name} must be positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"parameter {name} must be positive and finite, got {v}")
         if not (self.a * self.d > self.b * self.c):
             raise ValueError(
                 f"parameters must satisfy ad > bc, got ad={self.a * self.d} "
@@ -44,10 +46,12 @@ def muskat_params(R: float, mu: float) -> Params:
     """Two-layer thin-film preset: (a, b, c, d) = (1+R, R, mu*R, mu*R).
 
     The determinant is mu*R*(1+R) - mu*R**2 = mu*R > 0, so the preset is
-    always admissible for R, mu > 0.
+    admissible for finite R, mu > 0 (as long as mu*R does not overflow).
     """
-    if not (R > 0.0 and mu > 0.0):
-        raise ValueError(f"muskat preset requires R > 0 and mu > 0, got R={R}, mu={mu}")
+    for name, v in (("R", R), ("mu", mu)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"muskat preset requires positive and finite R and mu, "
+                             f"got {name}={v}")
     return Params(1.0 + R, R, mu * R, mu * R)
 
 

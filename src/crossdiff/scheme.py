@@ -14,7 +14,8 @@ same step uses the capped/damped mobility plus an eps-identity diffusion block.
 residual, the Newton Jacobian's pattern and values, and the residual's
 rounding floor; this module orders, stores, factors and iterates.  The
 nonlinear solve is a chord Newton iteration (one LU factorization reused,
-with Anderson-mixed updates, while it keeps contracting the residual,
+with Anderson-mixed updates, while it contracts the residual by the factor
+its back-end's price sets, 10x for the band LU and 4x for SuperLU,
 refreshed with Armijo backtracking when it does not).  The unknowns are
 ordered once per grid shape, and the Jacobian is factored as a band matrix
 by LAPACK in 1D and by SuperLU in 2D, both called through scipy's compiled
@@ -58,8 +59,10 @@ CAP_TOL = 1e-10
 # a Newton update made with kept LU factors is accepted only if it cuts the
 # residual max-norm to at most this fraction of its current value (and, at
 # that rate, the remaining iterations still reach tol); otherwise the
-# Jacobian is refactored at the current iterate
-CHORD_CONTRACTION = 0.25
+# Jacobian is refactored at the current iterate.  The fraction is set by the
+# back-end that built the factors, by what a factorization costs in updates:
+# one or two for LAPACK's band LU of a 1D Jacobian, 15-20 for SuperLU at 64x64
+CHORD_CONTRACTION = {"band": 0.1, "superlu": 0.25}
 
 # a search that fails at a residual within this factor of the rounding floor
 # of the residual (fvops.residual_floor) is blamed on tol
@@ -336,11 +339,13 @@ def _csc_array(*args, **kwargs):
 @dataclass
 class _LU:
     """LU factors ``lu`` of ``J[q][:, q]`` and their ``lu_solve`` (LAPACK's band
-    array in 1D, a SuperLU object in 2D), solving over J's unknowns."""
+    array in 1D, a SuperLU object in 2D), solving over J's unknowns, and the
+    chord ``contraction`` of their back-end (:data:`CHORD_CONTRACTION`)."""
     lu: object
     q: np.ndarray
     q_inv: np.ndarray
     lu_solve: object
+    contraction: float
 
     def solve(self, b):
         return self.lu_solve(b[self.q])[self.q_inv]
@@ -360,11 +365,12 @@ def _factor(vals, grid):
         if info != 0:
             raise RuntimeError(f"band LU factorization failed (dgbtrf info={info})")
         return _LU(lu, s.q, s.q_inv,
-                   lambda b: dgbtrs(lu, BANDS, BANDS, b, piv, overwrite_b=True)[0])
+                   lambda b: dgbtrs(lu, BANDS, BANDS, b, piv, overwrite_b=True)[0],
+                   CHORD_CONTRACTION["band"])
     # the options of splu(permc_spec="NATURAL"), which also sets SymmetricMode:
     # without it SuperLU pivots otherwise
     lu = _gstrf(n, data, s.csc, False, ColPerm="NATURAL", SymmetricMode=True)
-    return _LU(lu, s.q, s.q_inv, lu.solve)
+    return _LU(lu, s.q, s.q_inv, lu.solve, CHORD_CONTRACTION["superlu"])
 
 
 def _newton_sparse(prev, tau, params, opts, factors, start):
@@ -381,8 +387,9 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
     on success; on any error the holder stays empty.
 
     Each iteration first tries a chord update with the kept factors and
-    accepts it if it contracts the true residual by ``CHORD_CONTRACTION``
-    and, at the ratio it achieved, the iterations left still reach ``tol``;
+    accepts it if it contracts the true residual by the factors'
+    ``contraction`` (:data:`CHORD_CONTRACTION` of their back-end) and, at
+    the ratio it achieved, the iterations left still reach ``tol``;
     otherwise the Jacobian is refactored at the current iterate and the
     fresh Newton direction is backtracked on the true residual.  A chord
     update is Anderson-mixed (:func:`_anderson`) with the pairs of the last
@@ -420,7 +427,7 @@ def _newton_sparse(prev, tau, params, opts, factors, start):
             phi_try, r_try, terms_try = norm(u_try)
             # a linear rate that cannot reach tol within max_iters would
             # make the step fail where a fresh Jacobian converges
-            if phi_try <= CHORD_CONTRACTION * phi and (
+            if phi_try <= lu.contraction * phi and (
                     phi_try <= opts.tol
                     or math.log(opts.tol / phi_try)
                     >= (opts.max_iters - iters) * math.log(phi_try / phi)):

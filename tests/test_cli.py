@@ -298,6 +298,23 @@ class TestRunCommand:
         assert code == cli.EXIT_CONFIG
         assert "ad > bc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--a", "inf", "--b", 1, "--c", 1, "--d", 1],
+         "parameter a must be positive and finite, got inf"),
+        (["--a", "inf", "--b", 1, "--c", 1, "--d", 1, "--n-max", 1],
+         "parameter a must be positive and finite, got inf"),
+        (["--muskat-R", "inf"], "muskat preset requires positive and finite R and mu, got R=inf"),
+    ])
+    def test_rejects_non_finite_params(self, tmp_path, capsys, recwarn, flags, message):
+        # a = inf used to blame n_max, or with --n-max 1 to exit 3 with a NaN
+        # residual after RuntimeWarnings
+        out = tmp_path / "o"
+        code = _run_cli(["run", *flags, "--t-final", "1e-3", "--out", out])
+        assert code == cli.EXIT_CONFIG == 2
+        assert f"error [config]: {message}" in capsys.readouterr().err
+        assert not recwarn.list
+        assert not out.exists()
+
     def test_rejects_bad_grid(self, tmp_path, capsys):
         assert _run_cli(["run", "--cells", 1, "--out", tmp_path / "o"]) == \
             cli.EXIT_CONFIG

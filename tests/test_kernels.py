@@ -236,14 +236,21 @@ class TestBenchScript:
         row = next(line.split() for line in lines if line.startswith("factor 2d"))
         assert row[2] == "4096" and float(row[3]) > 0.0 and float(row[4]) > 0.0
         assert int(row[5]) > 0
-        # the 1024-cell zero front, with Anderson-mixed and with plain chord
-        # updates: (updates, factorizations) differ, the mix saving factorizations
-        zero = {line[:24].strip(): line[24:].split() for line in lines
-                if line.startswith("zero-front run 1d")}
-        assert set(zero) == {"zero-front run 1d", "zero-front run 1d plain"}
-        assert all(cols[0] == "1024" and float(cols[1]) > 0.0 for cols in zero.values())
-        mixed, plain = (zero[k] for k in ("zero-front run 1d", "zero-front run 1d plain"))
+        # the zero front on 256, 1024 and 4096 cells, with Anderson-mixed and
+        # with plain chord updates: on 1024 cells the mix saves factorizations
+        zero = {(line[:24].strip(), line[24:].split()[0]): line[24:].split()
+                for line in lines if line.startswith("zero-front run 1d")}
+        assert set(zero) == {(label, cells)
+                             for label in ("zero-front run 1d", "zero-front run 1d plain")
+                             for cells in ("256", "1024", "4096")}
+        assert all(float(cols[1]) > 0.0 for cols in zero.values())
+        mixed, plain = (zero[k, "1024"] for k in ("zero-front run 1d",
+                                                  "zero-front run 1d plain"))
         assert int(mixed[3]) < int(plain[3])
+        # the README example's loop: ms, updates and factorizations per step
+        row = next(line.split() for line in lines if line.startswith("readme loop"))
+        assert row[2] == "64" and float(row[3]) > 0.0
+        assert float(row[4]) > 1.0 and 0.0 < float(row[5]) < 0.01
         # five fresh imports of the cli load none of scipy.special, scipy.linalg
         # and scipy.sparse
         row = next(line.split() for line in proc.stdout.splitlines()

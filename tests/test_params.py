@@ -19,6 +19,16 @@ class TestParams:
         with pytest.raises(ValueError, match="positive"):
             cd.Params(*bad)
 
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_and_names_it(self, index, value):
+        coef = [2.0, 1.0, 1.0, 1.0]
+        coef[index] = value
+        name = "abcd"[index]
+        with pytest.raises(ValueError,
+                           match=f"parameter {name} must be positive and finite, got {value}"):
+            cd.Params(*coef)
+
     def test_rejects_degenerate_determinant(self):
         with pytest.raises(ValueError, match="ad > bc"):
             cd.Params(1.0, 2.0, 2.0, 1.0)
@@ -43,6 +53,15 @@ class TestMuskatPreset:
             cd.muskat_params(0.0, 1.0)
         with pytest.raises(ValueError):
             cd.muskat_params(1.0, -2.0)
+
+    @pytest.mark.parametrize("R, mu, named", [
+        (np.inf, 1.0, "R=inf"), (np.nan, 1.0, "R=nan"), (1.0, np.inf, "mu=inf"),
+        (1.0, np.nan, "mu=nan"),
+    ])
+    def test_rejects_non_finite_and_names_it(self, R, mu, named):
+        # R = inf used to be reported as "ad=inf <= bc=inf"
+        with pytest.raises(ValueError, match=f"positive and finite R and mu, got {named}"):
+            cd.muskat_params(R, mu)
 
 
 class TestThetaConstants:

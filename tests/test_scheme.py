@@ -17,7 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import crossdiff as cd
-from crossdiff import fvops, scheme
+from crossdiff import cli, fvops, scheme
 from test_kernels import _reference_picard
 
 
@@ -183,7 +183,8 @@ class TestChordNewton:
         # followed by a refactorization
         assert 1 < len(count_factorizations) < rep_c.iterations
         count_factorizations.clear()
-        monkeypatch.setattr(scheme, "CHORD_CONTRACTION", 0.0)
+        monkeypatch.setattr(scheme, "CHORD_CONTRACTION",
+                            dict.fromkeys(scheme.CHORD_CONTRACTION, 0.0))
         fresh, rep_f = cd.step(st, self.TAU, params2111, _opts())
         assert len(count_factorizations) == rep_f.iterations
         assert np.abs(chord.f - fresh.f).max() <= 10 * TOL
@@ -226,11 +227,14 @@ class TestAndersonChord:
     def _linear_chord_updates(self, monkeypatch):
         # the residual u - target with stale factors of its Jacobian (the
         # identity) that leave the error e at d * e, d from 0 to 0.2: every
-        # plain chord update cuts the residual by 5x, so none refactors
+        # plain chord update cuts the residual by 5x, which factors priced
+        # as SuperLU's accept, so none refactors
         target = 1.0 + np.random.default_rng(0).uniform(0.0, 1.0, (2, 32))
         d = np.linspace(0.0, 0.2, 64)
 
         class Stale:
+            contraction = scheme.CHORD_CONTRACTION["superlu"]
+
             def solve(self, b):
                 return (1.0 - d) * b
 
@@ -287,6 +291,42 @@ class TestAndersonChord:
         assert sum(rep.iterations for rep in reports) <= 68
 
 
+class TestChordThreshold:
+    """A chord update is judged by the threshold of the back-end that built
+    the kept factors: band LU in 1D, SuperLU in 2D."""
+
+    @pytest.mark.parametrize("d", [0.05, 0.2])
+    @pytest.mark.parametrize("grid", [cd.Grid1D(32, 1.0), cd.Grid2D(6, 1.0)],
+                             ids=["1d", "2d"])
+    def test_refactors_when_the_back_end_refuses(self, grid, d, monkeypatch):
+        # the residual u - target, whose Jacobian is the identity, and kept
+        # factors of the identity over (1 - d), built by the grid's back-end:
+        # the first chord update leaves the error e at d * e
+        band, superlu = scheme.CHORD_CONTRACTION["band"], scheme.CHORD_CONTRACTION["superlu"]
+        assert 0.05 < band < 0.2 <= superlu
+        target = 1.0 + np.random.default_rng(1).uniform(0.0, 1.0, (2, *grid.shape))
+        n = target.size
+        identity = np.zeros(len(fvops.jacobian_pattern(grid.shape)[0]))
+        identity[:n] = 1.0
+        kept = scheme._factor(identity / (1.0 - d), grid)
+        assert kept.contraction == (band if grid.ndim == 1 else superlu)
+        monkeypatch.setattr(scheme.fvops, "implicit_residual",
+                            lambda v, *args: (v - target, None))
+        monkeypatch.setattr(scheme.fvops, "jacobian_values", lambda *args: identity)
+        prev = cd.State(grid, np.ones(grid.shape), np.ones(grid.shape))
+        opts = _opts(tol=1e-10, mobility_face="arithmetic")
+        new, iters, res, n_lu = scheme._newton_sparse(
+            prev, 1e-3, cd.Params(2.0, 1.0, 1.0, 1.0), opts, [kept], None)
+        assert res <= opts.tol
+        assert np.abs(new.u - target).max() <= opts.tol
+        # a 5x contraction is refused by band factors and refactored (after
+        # which the exact Newton update converges); SuperLU's accept it, and
+        # the Anderson mix of the second update lands on the target
+        refused = d > kept.contraction
+        assert refused == (grid.ndim == 1 and d == 0.2)
+        assert (iters, n_lu) == ((1, 1) if refused else (2, 0))
+
+
 class TestCarriedFactors:
     """``run`` carries the Newton LU factors from step to step."""
 
@@ -302,11 +342,30 @@ class TestCarriedFactors:
         assert len(count_factorizations) <= 5
         assert sum(rep.factorizations for rep in reports) == len(count_factorizations)
         count_factorizations.clear()
-        monkeypatch.setattr(scheme, "CHORD_CONTRACTION", 0.0)
+        monkeypatch.setattr(scheme, "CHORD_CONTRACTION",
+                            dict.fromkeys(scheme.CHORD_CONTRACTION, 0.0))
         fresh, reports = self._final(st, params2111, _opts())
         assert len(count_factorizations) == sum(rep.iterations for rep in reports)
         assert np.abs(carried.f - fresh.f).max() <= 1e-9
         assert np.abs(carried.g - fresh.g).max() <= 1e-9
+
+    def test_readme_example_counts(self, monkeypatch):
+        # the README example (64 cells, 1,000 steps): with the 4x rule of
+        # SuperLU on its band factors it took 1,795 updates, 2 factorizations
+        # and 2,796 residual evaluations
+        calls = []
+        residual = scheme.fvops.implicit_residual
+        monkeypatch.setattr(scheme.fvops, "implicit_residual",
+                            lambda *args: calls.append(1) or residual(*args))
+        config = cli.build_config({}, {"muskat_R": "1", "muskat_mu": "1", "cells": "64",
+                                       "tau": "1e-3", "t_final": "1", "tol": "1e-12"})
+        params, initial, opts = config.problem()
+        reports = [rep for _, _, rep in cd.run(initial, config.tau, config.t_final,
+                                               params, opts)]
+        assert len(reports) == 1001
+        assert sum(rep.iterations for rep in reports) <= 1450
+        assert sum(rep.factorizations for rep in reports) <= 5
+        assert len(calls) <= 2450
 
     def test_regularized_run_reuses_factors(self, params2111, cosine_state,
                                             count_factorizations):
