@@ -29,28 +29,43 @@ row times, on the 64x64 grid, the one-time build of the Jacobian's
 structure (``scheme._structure``: the column order of the unknowns and the
 place of each entry of ``fvops.jacobian_pattern`` in the factors' storage)
 and the SuperLU factorization of one Jacobian's values, and prints the
-fill.  The ``zero-front run 1d`` rows run the zero-front cap
+fill and the minor page faults of one factorization (the median over the
+repeats).  The ``zero-front run 1d`` rows run the zero-front cap
 f = max(1.5 (1 - 4x^2), 0) for 50 steps on 256 and 1024 cells and 20 steps
 on 4096 cells, with the Anderson-mixed chord updates the solver makes and,
 in the ``plain`` rows, with ``scheme._anderson`` patched in this script to
-return the plain update; they print ms per step, updates and
-factorizations.  The ``readme loop``
+return the plain update; they print ms per step (best of 3 runs, or of
+``--repeats`` if fewer), updates and factorizations.  The ``readme loop``
 row marches the README example (64 cells, tau 1e-3, 1,000 steps to t = 1,
 tol 1e-12) in this process, each step with its ``diagnostics.csv`` row
-formatted but not written, and prints ms per step (best of 5 runs),
+formatted but not written, and prints ms per step (best of 5 runs, or of
+``--repeats`` if fewer),
 Newton updates and factorizations per step: the per-step path without
 process start-up.  The
 import row
 prints the median wall time of 5 fresh interpreters that run ``import
 crossdiff.cli``, and whether they loaded ``scipy.special``, ``scipy.linalg``
 and ``scipy.sparse`` (no run needs them: the solver reaches LAPACK and
-SuperLU through their compiled modules).  Run:
+SuperLU through their compiled modules).  The ``newton run 2d`` rows come
+last: 10 steps of the 64x64 cap, and of the same cap on 96x96 cells, with
+the Muskat parameters of ``square-2d``, each printing ms per step,
+factorizations, triangular solves and the minor page faults of a
+factorization (median).
+
+The first SuperLU call of a process sets glibc's malloc thresholds for the
+whole process (``scheme._set_malloc_thresholds``).  Here that call is made
+when the ``jacobian 2d`` row builds the 64x64 structure, before any row is
+timed, so every row, the 1D rows included, runs under the new thresholds.
+The ``newton run 2d`` rows run in a fresh interpreter, whose first SuperLU
+call is that of the 64x64 run, as in a ``crossdiff run`` process: in this
+one the earlier rows have already moved glibc's own thresholds.  Run:
 
     python benchmarks/bench_kernels.py [--cells N] [--repeats R]
 """
 
 import argparse
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,7 +79,7 @@ sys.path.insert(0, SRC)
 
 from crossdiff import cli, diagnostics, fvops, scheme  # noqa: E402
 from crossdiff.grid import Grid1D, Grid2D, State  # noqa: E402
-from crossdiff.params import Params  # noqa: E402
+from crossdiff.params import Params, muskat_params  # noqa: E402
 from crossdiff.diagnostics import step_report  # noqa: E402
 from crossdiff.scheme import (  # noqa: E402
     SolverOptions, _extrapolate, _factor, _structure, run, step)
@@ -88,9 +103,10 @@ def _bump_state(cells: int) -> State:
     return State(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()), np.ones(cells))
 
 
-def _square_state() -> State:
-    """The 64x64 state: f a compactly supported cap (zero near the corners)."""
-    grid = Grid2D(64, 1.0)
+def _square_state(cells: int = 64) -> State:
+    """The cap state on ``cells`` x ``cells`` cells: f a compactly supported
+    cap (zero near the corners)."""
+    grid = Grid2D(cells, 1.0)
     x, y = grid.centers()
     f = 1.5 * np.maximum(0.0, 1.0 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.35**2)
     g = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
@@ -189,19 +205,33 @@ def bench_newton(cells: int, repeats: int) -> None:
           f"{sum(r.iterations for r in reports) / steps:>16.2f}")
 
 
+def _minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def bench_factor(repeats: int) -> None:
     """On the 64x64 grid of :func:`_square_state`: the build of the
     Jacobian's structure, which a process makes once per grid shape, and
     the SuperLU factorization of the upwind Jacobian at that state, made
-    once per Jacobian, and the fill."""
+    once per Jacobian (best time and median minor page faults of the
+    repeats, after one warm-up), and the fill."""
     state = _square_state()
     vals = _jacobian_call(state, 1e-3)()
     structure_ms = 1e-3 * _time_us(lambda: _structure.__wrapped__(state.grid.shape), repeats)
-    factor_ms = 1e-3 * _time_us(lambda: _factor(vals, state.grid), repeats)
+    _factor(vals, state.grid)   # warm-up
+    times, faults = [], []
+    for _ in range(repeats):
+        before = _minor_faults()
+        t0 = time.perf_counter()
+        _factor(vals, state.grid)
+        times.append(time.perf_counter() - t0)
+        faults.append(_minor_faults() - before)
     print(f"\n{'factor':<24} {'cells':>7} {'structure ms':>12} {'factor ms':>12} "
-          f"{'LU entries':>11}")
+          f"{'LU entries':>11} {'faults':>7}")
     print(f"{'factor 2d':<24} {state.grid.num_points:>7} {structure_ms:>12.2f} "
-          f"{factor_ms:>12.2f} {_fill(_factor(vals, state.grid)):>11}")
+          f"{1e3 * min(times):>12.2f} {_fill(_factor(vals, state.grid)):>11} "
+          f"{statistics.median(faults):>7.0f}")
 
 
 def bench_zero_front(sizes=((256, 50), (1024, 50), (4096, 20)), runs: int = 3) -> None:
@@ -256,6 +286,46 @@ def bench_readme(runs: int = 5) -> None:
           f"{updates / steps:>13.3f} {factorizations / steps:>20.3f}")
 
 
+def bench_run_2d(sizes=(64, 96), steps: int = 10) -> None:
+    """``steps`` steps of the cap of :func:`_square_state` on each grid of
+    ``sizes`` cells per axis (Muskat R = mu = 1, tau 1e-3, tol 1e-10, as
+    ``square-2d`` without its seeded terms), timed once after the grid's
+    structure is built: ms per step, SuperLU factorizations, triangular
+    solves and the median minor page faults of a factorization."""
+    opts = SolverOptions(tol=1e-10)
+    params = muskat_params(1.0, 1.0)
+    factor, solve = scheme._factor, scheme._LU.solve
+    faults, solves = [], []
+
+    def counted_factor(vals, grid):
+        before = _minor_faults()
+        lu = factor(vals, grid)
+        faults.append(_minor_faults() - before)
+        return lu
+
+    def counted_solve(lu, b):
+        solves.append(1)
+        return solve(lu, b)
+
+    print(f"\n{'run':<24} {'cells':>7} {'ms/step':>12} {'factorizations':>15} "
+          f"{'solves':>7} {'faults/factorization':>21}")
+    for cells in sizes:
+        state = _square_state(cells)
+        _structure(state.grid.shape)
+        faults.clear()
+        solves.clear()
+        scheme._factor, scheme._LU.solve = counted_factor, counted_solve
+        try:
+            t0 = time.perf_counter()
+            for _ in run(state, 1e-3, steps * 1e-3, params, opts):
+                pass
+            ms = 1e3 * (time.perf_counter() - t0) / steps
+        finally:
+            scheme._factor, scheme._LU.solve = factor, solve
+        print(f"{'newton run 2d':<24} {state.grid.num_points:>7} {ms:>12.2f} "
+              f"{len(faults):>15} {len(solves):>7} {statistics.median(faults):>21.0f}")
+
+
 def bench_import(runs: int = 5) -> None:
     """Wall time of fresh interpreters importing ``crossdiff.cli`` from
     this checkout, and the optional scipy subpackages that import loaded."""
@@ -284,6 +354,13 @@ if __name__ == "__main__":
     bench(args.cells, args.repeats)
     bench_newton(args.cells, args.repeats)
     bench_factor(args.repeats)
-    bench_zero_front()
-    bench_readme()
+    # whole runs: best of 3 and of 5, or of --repeats if fewer
+    bench_zero_front(runs=min(3, args.repeats))
+    bench_readme(runs=min(5, args.repeats))
     bench_import()
+    # a fresh interpreter, whose first SuperLU call is that of the first run,
+    # as in a ``crossdiff run`` process
+    sys.stdout.flush()
+    subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                    "import bench_kernels; bench_kernels.bench_run_2d()",
+                    str(Path(__file__).resolve().parent)], check=True)

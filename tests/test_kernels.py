@@ -257,6 +257,17 @@ class TestBenchScript:
                    if line.startswith("import crossdiff.cli"))
         assert row[2] == "5" and float(row[3]) > 0.0
         assert row[4:] == ["absent", "absent", "absent"]
+        # the factor row's last column counts the page faults of a
+        # factorization; 10-step 2D runs on 64x64 and 96x96 cells print ms,
+        # factorizations, solves (at least one per factorization) and faults
+        row = next(line.split() for line in lines if line.startswith("factor 2d"))
+        assert len(row) == 7 and int(row[6]) >= 0
+        runs = {line.split()[3]: line.split()[4:] for line in lines
+                if line.startswith("newton run 2d")}
+        assert set(runs) == {"4096", "9216"}
+        for ms, factorizations, solves, faults in runs.values():
+            assert float(ms) > 0.0 and 0 < int(factorizations) <= int(solves)
+            assert int(faults) >= 0
 
 
 class TestOutputDigestScript:

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import gc
 import importlib
@@ -15,6 +16,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
 
 import crossdiff as cd
 from crossdiff import cli, fvops, scheme
@@ -595,6 +601,51 @@ class TestExtensionModules:
                 "assert scheme.dgbtrf is scipy.linalg.lapack.dgbtrf\n"
                 "assert scheme.dgbtrs is scipy.linalg.lapack.dgbtrs\n"
                 "assert superlu.gstrf is S.gstrf\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def _has_mallopt():
+    return os.name == "posix" and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+class TestMallocThresholds:
+    """The first SuperLU load of a process sets glibc's malloc thresholds, so
+    that each factorization reuses the memory the one before it freed."""
+
+    @pytest.mark.skipif(resource is None or not _has_mallopt(),
+                        reason="needs glibc's mallopt and the resource module")
+    def test_warm_factorization_takes_no_new_pages(self, params2111):
+        # with glibc's default thresholds a 64x64 factorization page-faults
+        # its ~4.8 MB of L and U in again: 1,240-1,570 minor faults
+        st = _degenerate_2d_state(64)
+        u, coef, dx = st.u, params2111.as_tuple(), st.grid.dx
+        terms = fvops.implicit_residual(u, u, coef, 1e-3, dx, None, True)[1]
+        vals = fvops.jacobian_values(u, terms, coef, 1e-3, dx, None, True)
+        for _ in range(2):
+            scheme._factor(vals, st.grid)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        scheme._factor(vals, st.grid)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 100
+
+    def test_one_dimensional_run_never_reaches_the_superlu_loader(self):
+        # the README example, in a fresh process that records every ctypes
+        # library load; 1D factors by LAPACK's band LU only
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import ctypes\nloads = []\nCDLL = ctypes.CDLL\n"
+                "ctypes.CDLL = lambda name, *a, **k: loads.append(name) or CDLL(name, *a, **k)\n"
+                "import crossdiff as cd\nfrom crossdiff import cli, scheme\n"
+                "config = cli.build_config({}, {'muskat_R': '1', 'muskat_mu': '1', "
+                "'cells': '64', 'tau': '1e-3', 't_final': '1', 'tol': '1e-12'})\n"
+                "params, initial, opts = config.problem()\n"
+                "entries = list(cd.run(initial, config.tau, config.t_final, params, opts))\n"
+                "assert len(entries) == 1001\n"
+                "assert None not in loads, loads\n"
+                "assert scheme._set_malloc_thresholds.cache_info().misses == 0\n"
+                "assert scheme._extension.cache_info().misses == 1   # LAPACK only\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
