@@ -211,27 +211,30 @@ def _minor_faults() -> int:
 
 
 def bench_factor(repeats: int) -> None:
-    """On the 64x64 grid of :func:`_square_state`: the build of the
+    """On the 4096 cells of :func:`_zero_front_state` (LAPACK's band LU) and
+    the 64x64 grid of :func:`_square_state` (SuperLU): the build of the
     Jacobian's structure, which a process makes once per grid shape, and
-    the SuperLU factorization of the upwind Jacobian at that state, made
-    once per Jacobian (best time and median minor page faults of the
-    repeats, after one warm-up), and the fill."""
-    state = _square_state()
-    vals = _jacobian_call(state, 1e-3)()
-    structure_ms = 1e-3 * _time_us(lambda: _structure.__wrapped__(state.grid.shape), repeats)
-    _factor(vals, state.grid)   # warm-up
-    times, faults = [], []
-    for _ in range(repeats):
-        before = _minor_faults()
-        t0 = time.perf_counter()
-        _factor(vals, state.grid)
-        times.append(time.perf_counter() - t0)
-        faults.append(_minor_faults() - before)
+    the factorization of the upwind Jacobian at that state, made once per
+    Jacobian (best time and median minor page faults of the repeats, after
+    one warm-up), and the fill."""
     print(f"\n{'factor':<24} {'cells':>7} {'structure ms':>12} {'factor ms':>12} "
           f"{'LU entries':>11} {'faults':>7}")
-    print(f"{'factor 2d':<24} {state.grid.num_points:>7} {structure_ms:>12.2f} "
-          f"{1e3 * min(times):>12.2f} {_fill(_factor(vals, state.grid)):>11} "
-          f"{statistics.median(faults):>7.0f}")
+    for label, state in (("factor 1d", _zero_front_state(4096)),
+                         ("factor 2d", _square_state())):
+        vals = _jacobian_call(state, 1e-3)()
+        structure_ms = 1e-3 * _time_us(lambda: _structure.__wrapped__(state.grid.shape),
+                                       repeats)
+        _factor(vals, state.grid)   # warm-up
+        times, faults = [], []
+        for _ in range(repeats):
+            before = _minor_faults()
+            t0 = time.perf_counter()
+            _factor(vals, state.grid)
+            times.append(time.perf_counter() - t0)
+            faults.append(_minor_faults() - before)
+        print(f"{label:<24} {state.grid.num_points:>7} {structure_ms:>12.2f} "
+              f"{1e3 * min(times):>12.2f} {_fill(_factor(vals, state.grid)):>11} "
+              f"{statistics.median(faults):>7.0f}")
 
 
 def bench_zero_front(sizes=((256, 50), (1024, 50), (4096, 20)), runs: int = 3) -> None:

@@ -9,7 +9,7 @@ logarithmic entropy with an explicit dissipation identity, and the
 regularized mobility used to keep the implicit step uniformly elliptic.
 """
 
-from .params import Params, ThetaConstants, muskat_params, theta_constants
+from .params import Params, muskat_params, theta_constants
 from .entropy import (
     EntropyPoly,
     build_coefficients,
@@ -40,7 +40,6 @@ from .scheme import (
     SolverOptions,
     run,
     step,
-    step_regularized,
     step_residual,
 )
 from .diagnostics import (

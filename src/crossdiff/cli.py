@@ -440,13 +440,14 @@ def cmd_limits(args) -> int:
     # every entry is checked before the first solve and the first line printed
     problems = [(eps, rho, replace(config, eps=eps, rho=rho).problem())
                 for rho in rho_list for eps in eps_list]
-    _, (_, exact, _) = _first_step(config.tau, config.problem())
+    params, initial, opts = config.problem()
+    _, (_, exact, _) = run(initial, config.tau, config.tau, params, opts)
     header = (["eps", "rho", "max_diff"]
               + [f"dE{n}" for n in range(1, config.n_max + 1)])
     rows = [",".join(header)]
     print(f"{'eps':>10} {'rho':>10} {'max-norm diff':>15} {'max entropy increment':>22}")
-    for eps, rho, problem in problems:
-        (_, _, before), (_, approx, report) = _first_step(config.tau, problem)
+    for eps, rho, (params, initial, opts) in problems:
+        (_, _, before), (_, approx, report) = run(initial, config.tau, config.tau, params, opts)
         diff = np.abs(approx.u - exact.u).max()
         increments = report.entropies - before.entropies
         rows.append(",".join([_fmt(eps), _fmt(rho), _fmt(diff)]
@@ -457,13 +458,6 @@ def cmd_limits(args) -> int:
     (out_dir / "limits.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/limits.csv")
     return EXIT_OK
-
-
-def _first_step(tau: float, problem):
-    """The initial entry and the first step, of length ``tau``, of the run of
-    ``problem``, a :meth:`RunConfig.problem`."""
-    params, initial, opts = problem
-    return run(initial, tau, tau, params, opts)
 
 
 def _float_list(flag: str, text: str) -> list[float]:

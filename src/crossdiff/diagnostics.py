@@ -105,12 +105,12 @@ def dissipation(state: State, params: Params) -> float:
     """Discrete dissipation (1/a) * sum_faces [ |grad(a f + theta1 g)|^2
     + theta2 |grad g|^2 ] * cell volume, from the face gradients of
     :func:`fvops.face_gradient`."""
-    a, th = params.a, theta_constants(params)
+    a, (theta1, theta2) = params.a, theta_constants(params)
     total = 0.0
     for axis in range(state.grid.ndim):
         grad = fvops.face_gradient(state.u, state.grid.dx, axis)
-        gp = a * grad[0] + th.theta1 * grad[1]
-        total += float((gp * gp + th.theta2 * grad[1] * grad[1]).sum())
+        gp = a * grad[0] + theta1 * grad[1]
+        total += float((gp * gp + theta2 * grad[1] * grad[1]).sum())
     return state.grid.cell_volume * total / a
 
 

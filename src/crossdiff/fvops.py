@@ -92,13 +92,13 @@ def implicit_residual(u, prev, coef, tau, dx, reg, upwind):
 
 
 def jacobian_pattern(shape):
-    """The int32 ``(rows, cols)`` of the entries of :func:`jacobian_values` on a
+    """The intp ``(rows, cols)`` of the entries of :func:`jacobian_values` on a
     grid of ``shape``, over the stacked unknowns (f block, then g block): the
     identity, then per interior face of each axis the 16 entries (i, j, k, row
     side, face), d(residual_i on the row side)/d(u_j on side k)."""
-    cells = np.arange(np.prod(shape), dtype=np.int32).reshape(shape)
-    comp = cells.size * np.arange(2, dtype=np.int32)
-    ident = np.arange(2 * cells.size, dtype=np.int32)
+    cells = np.arange(np.prod(shape), dtype=np.intp).reshape(shape)
+    comp = cells.size * np.arange(2)
+    ident = np.arange(2 * cells.size)
     rows, cols = [ident], [ident]
     for axis in range(cells.ndim):
         moved = cells.swapaxes(axis, -1)

@@ -55,23 +55,12 @@ def muskat_params(R: float, mu: float) -> Params:
     return Params(1.0 + R, R, mu * R, mu * R)
 
 
-@dataclass(frozen=True)
-class ThetaConstants:
-    """Constants pairing with the logarithmic entropy dissipation.
-
-    theta1 = b(ad+bc)/(2ad) and theta2 = (ad-bc)(3ad+bc)/(4 a^2 d^2); both
-    are positive exactly when ad > bc.
-    """
-
-    theta1: float
-    theta2: float
-
-
 @lru_cache(maxsize=256)     # read by the dissipation report at every step
-def theta_constants(params: Params) -> ThetaConstants:
+def theta_constants(params: Params) -> tuple[float, float]:
+    """Constants ``(theta1, theta2)`` pairing with the logarithmic entropy
+    dissipation: theta1 = b(ad+bc)/(2ad) and theta2 = (ad-bc)(3ad+bc)/(4 a^2 d^2);
+    both are positive exactly when ad > bc."""
     a, b, c, d = params.as_tuple()
     ad = a * d
     bc = b * c
-    theta1 = b * (ad + bc) / (2.0 * ad)
-    theta2 = (ad - bc) * (3.0 * ad + bc) / (4.0 * ad * ad)
-    return ThetaConstants(theta1, theta2)
+    return b * (ad + bc) / (2.0 * ad), (ad - bc) * (3.0 * ad + bc) / (4.0 * ad * ad)

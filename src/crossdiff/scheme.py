@@ -48,7 +48,7 @@ import importlib.util
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,15 +180,6 @@ def step(prev: State, tau: float, params: Params, opts: SolverOptions, *,
                                         clamped, n_lu)
 
 
-def step_regularized(prev: State, tau: float, params: Params, eps: float,
-                     rho: float, opts: SolverOptions, *, factors: list | None = None,
-                     start: np.ndarray | None = None) -> tuple[State, diagnostics.StepReport]:
-    """:func:`step` with ``opts.regularization = (eps, rho)``; an ``eps``
-    outside (0, 1) or a ``rho`` not above 1 raises :class:`InvalidInput`."""
-    return step(prev, tau, params, replace(opts, regularization=(eps, rho)),
-                factors=factors, start=start)
-
-
 def run(initial: State, tau: float, t_final: float, params: Params,
         opts: SolverOptions):
     """March to t_final with uniform steps; returns an iterator over
@@ -290,7 +281,7 @@ def _structure(shape):
     rows, cols = fvops.jacobian_pattern(shape)
     n, nnz = 2 * math.prod(shape), len(rows)
     if len(shape) == 1:     # the place of each unknown in (f_0, g_0, f_1, ...)
-        perm = np.arange(n, dtype=np.int32).reshape(-1, 2).T.ravel()
+        perm = np.arange(n).reshape(-1, 2).T.ravel()
     else:
         # a diagonally dominant matrix of the pattern (whose first n entries are
         # the identity): its incomplete factors with every entry dropped cost
@@ -298,8 +289,8 @@ def _structure(shape):
         slots, csc = _csc(rows, cols, n)
         data = np.bincount(slots, np.r_[np.full(n, float(nnz)), np.ones(nnz - n)])
         perm = _gstrf(n, data, csc, True, ILU_DropTol=np.inf, ILU_FillFactor=1.0,
-                      ColPerm=SUPERLU_ORDERING).perm_c
-    q, q_inv = np.argsort(perm), perm.astype(np.intp)
+                      ColPerm=SUPERLU_ORDERING).perm_c.astype(np.intp)
+    q, q_inv = np.argsort(perm), perm
     rows, cols = perm[rows], perm[cols]     # places in J[q][:, q]
     if len(shape) == 1:
         # A[i, j] goes to ab[2K + i - j, j] of the column-major (3K+1, n) band
@@ -314,14 +305,13 @@ def _csc(rows, cols, n):
     """The CSC pattern ``(indices, indptr)`` of the entries ``(rows, cols)`` of
     an ``n`` x ``n`` matrix, and the place ``slots`` of each entry among the
     pattern's data (shared where entries coincide)."""
-    keys = cols.astype(np.int32 if n * n < 2**31 else np.int64)
-    keys *= n       # column-major places
+    keys = cols * n     # column-major places
     keys += rows
     order = np.argsort(keys)
     keys = keys[order]
     new = np.r_[True, keys[1:] != keys[:-1]]    # the first of equal keys
-    slots = np.empty(len(keys), np.int32)
-    slots[order] = np.cumsum(new, dtype=np.int32) - 1
+    slots = np.empty_like(keys)
+    slots[order] = np.cumsum(new) - 1
     keys = keys[new]    # the distinct places, sorted
     return slots, ((keys % n).astype(np.int32),
                    np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ def warm_kernels():
     ic = cd.State(grid, np.linspace(0.5, 1.5, 8), np.ones(8))
     opts = cd.SolverOptions(tol=1e-10)
     cd.step(ic, 1e-4, p, opts)
-    cd.step_regularized(ic, 1e-4, p, 1e-2, 100.0, opts)
+    cd.step(ic, 1e-4, p, replace(opts, regularization=(1e-2, 100.0)))
     cd.entropy_trace(ic, p, 3)
 
 

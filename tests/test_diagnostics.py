@@ -122,14 +122,14 @@ class TestStackedReport:
         st = _state_with_zeros(grid, seed)
         for params in [cd.Params(2.0, 1.0, 1.0, 1.0)] + random_params(
                 np.random.default_rng(seed), 3):
-            th = cd.theta_constants(params)
+            theta1, theta2 = cd.theta_constants(params)
             total = 0.0
             for axis in range(grid.ndim):
                 u = st.u.swapaxes(axis + 1, -1)
                 grad = np.zeros(u.shape[:-1] + (grid.num_cells + 1,))
                 grad[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / grid.dx
-                gp = params.a * grad[0] + th.theta1 * grad[1]
-                total += float(np.sum(gp * gp + th.theta2 * grad[1] * grad[1]))
+                gp = params.a * grad[0] + theta1 * grad[1]
+                total += float(np.sum(gp * gp + theta2 * grad[1] * grad[1]))
             assert cd.dissipation(st, params) == grid.cell_volume * total / params.a
 
     @pytest.mark.parametrize("grid, seed", _REPORT_CASES)
@@ -139,12 +139,12 @@ class TestStackedReport:
         st = _state_with_zeros(grid, seed)
         for params in [cd.Params(2.0, 1.0, 1.0, 1.0)] + random_params(
                 np.random.default_rng(seed), 3):
-            th = cd.theta_constants(params)
-            u = np.stack((params.a * st.f + th.theta1 * st.g, st.g))
+            theta1, theta2 = cd.theta_constants(params)
+            u = np.stack((params.a * st.f + theta1 * st.g, st.g))
             total = 0.0
             for axis in range(grid.ndim):
                 gp, gg = np.diff(u, axis=axis + 1) / grid.dx
-                total += float(np.sum(gp * gp + th.theta2 * gg * gg))
+                total += float(np.sum(gp * gp + theta2 * gg * gg))
             assert cd.dissipation(st, params) == pytest.approx(
                 grid.cell_volume * total / params.a, rel=1e-13, abs=0.0)
 

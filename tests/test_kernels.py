@@ -236,6 +236,11 @@ class TestBenchScript:
         row = next(line.split() for line in lines if line.startswith("factor 2d"))
         assert row[2] == "4096" and float(row[3]) > 0.0 and float(row[4]) > 0.0
         assert int(row[5]) > 0
+        # the band LU of a 4096-cell 1D Jacobian: the same columns, the fill
+        # being the band array's (3 * 3 + 1) entries per unknown
+        row = next(line.split() for line in lines if line.startswith("factor 1d"))
+        assert row[2] == "4096" and float(row[3]) > 0.0 and float(row[4]) > 0.0
+        assert int(row[5]) == 10 * 2 * 4096 and len(row) == 7 and int(row[6]) >= 0
         # the zero front on 256, 1024 and 4096 cells, with Anderson-mixed and
         # with plain chord updates: on 1024 cells the mix saves factorizations
         zero = {(line[:24].strip(), line[24:].split()[0]): line[24:].split()

@@ -66,17 +66,16 @@ class TestMuskatPreset:
 
 class TestThetaConstants:
     def test_reference_values(self):
-        th = cd.theta_constants(cd.Params(2.0, 1.0, 1.0, 1.0))
-        assert th.theta1 == pytest.approx(0.75, abs=0.0)
-        assert th.theta2 == pytest.approx(0.4375, abs=0.0)
+        theta1, theta2 = cd.theta_constants(cd.Params(2.0, 1.0, 1.0, 1.0))
+        assert theta1 == pytest.approx(0.75, abs=0.0)
+        assert theta2 == pytest.approx(0.4375, abs=0.0)
 
     def test_muskat_unit_case_matches(self):
-        th = cd.theta_constants(cd.muskat_params(1.0, 1.0))
-        assert (th.theta1, th.theta2) == (0.75, 0.4375)
+        assert cd.theta_constants(cd.muskat_params(1.0, 1.0)) == (0.75, 0.4375)
 
     def test_positive_for_all_admissible(self):
         rng = np.random.default_rng(11)
         for p in random_params(rng, 200, margin=1.0 + 1e-9):
-            th = cd.theta_constants(p)
-            assert th.theta1 > 0.0
-            assert th.theta2 > 0.0
+            theta1, theta2 = cd.theta_constants(p)
+            assert theta1 > 0.0
+            assert theta2 > 0.0

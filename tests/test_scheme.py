@@ -145,7 +145,7 @@ class TestNewton:
     def test_matches_picard_regularized(self, params2111, cosine_state):
         st = cosine_state(cells=24, amp=0.3)
         f_p, g_p = _picard(st, 1e-3, params2111, eps=1e-2, rho=50.0, reg=True)
-        new_n, _ = cd.step_regularized(st, 1e-3, params2111, 1e-2, 50.0, _opts())
+        new_n, _ = cd.step(st, 1e-3, params2111, _opts(regularization=(1e-2, 50.0)))
         assert np.abs(f_p - new_n.f).max() <= 10 * TOL
         assert np.abs(g_p - new_n.g).max() <= 10 * TOL
 
@@ -722,6 +722,18 @@ class TestJacobianPattern:
                 assert np.array_equal(scheme._structure(grid.shape).q,
                                       np.argsort(lu.perm_c)), (n, face, regularization)
 
+    def test_slots_decode_to_the_pattern_beyond_the_int32_key_range(self):
+        # 2 * 153^2 = 46,818 unknowns, so the column-major places col * n + row
+        # of J[q][:, q] that _csc sorts reach past 2^31
+        shape = (153, 153)
+        n = 2 * math.prod(shape)
+        assert n * n > 2**31
+        s = scheme._structure.__wrapped__(shape)    # kept out of the cache
+        indices, indptr = s.csc
+        row, col = indices[s.slots], np.searchsorted(indptr, s.slots, side="right") - 1
+        rows, cols = fvops.jacobian_pattern(shape)
+        assert np.array_equal(s.q[row], rows) and np.array_equal(s.q[col], cols)
+
     def test_run_orders_each_grid_shape_once(self, params2111, monkeypatch):
         specs, ordered = [], []
         gstrf = scheme._gstrf
@@ -862,7 +874,7 @@ class TestStepRegularized:
         grid = cd.Grid1D(8, 1.0)
         st = cd.State.constant(grid, 3.0, 1.0)
         with pytest.raises(cd.RhoTooSmall):
-            cd.step_regularized(st, 1e-3, params2111, 1e-2, 2.0, _opts())
+            cd.step(st, 1e-3, params2111, dataclasses.replace(_opts(), regularization=(1e-2, 2.0)))
 
     def test_step_with_regularization_checks_rho(self, params2111):
         grid = cd.Grid1D(8, 1.0)
@@ -876,9 +888,10 @@ class TestStepRegularized:
         x = grid.centers() if grid.ndim == 1 else grid.centers()[0]
         st = cd.State(grid, 1.0 + 0.5 * np.cos(np.pi * x), np.ones(grid.shape))
         opts = _opts(mobility_face="arithmetic")
-        new_r, rep_r = cd.step_regularized(st, 1e-3, params2111, 1e-2, 50.0, opts)
-        new_s, rep_s = cd.step(st, 1e-3, params2111,
+        new_r, rep_r = cd.step(st, 1e-3, params2111,
                                dataclasses.replace(opts, regularization=(1e-2, 50.0)))
+        new_s, rep_s = cd.step(st, 1e-3, params2111,
+                               _opts(mobility_face="arithmetic", regularization=(1e-2, 50.0)))
         np.testing.assert_array_equal(new_r.f, new_s.f)
         np.testing.assert_array_equal(new_r.g, new_s.g)
         np.testing.assert_array_equal(rep_r.entropies, rep_s.entropies)
@@ -889,21 +902,21 @@ class TestStepRegularized:
         st = cd.State.constant(grid, 0.5, 0.5)
         for eps in (0.0, 1.0, -0.5):
             with pytest.raises(cd.InvalidInput, match=r"eps must lie in \(0, 1\)"):
-                cd.step_regularized(st, 1e-3, params2111, eps, 10.0, _opts())
+                cd.step(st, 1e-3, params2111, _opts(regularization=(eps, 10.0)))
         with pytest.raises(cd.InvalidInput, match="rho must exceed 1, got 1.0"):
-            cd.step_regularized(st, 1e-3, params2111, 0.1, 1.0, _opts())
+            cd.step(st, 1e-3, params2111, _opts(regularization=(0.1, 1.0)))
 
     def test_constant_state_unchanged(self, params2111):
         grid = cd.Grid1D(16, 1.0)
         st = cd.State.constant(grid, 1.2, 0.8)  # below rho - 1
-        new, rep = cd.step_regularized(st, 1e-2, params2111, 1e-2, 10.0, _opts())
+        new, rep = cd.step(st, 1e-2, params2111, _opts(regularization=(1e-2, 10.0)))
         np.testing.assert_array_equal(new.f, st.f)
         np.testing.assert_array_equal(new.g, st.g)
 
     def test_output_capped_and_nonnegative(self, params2111, cosine_state):
         st = cosine_state(cells=32, amp=0.5)
         rho = 3.0
-        new, _ = cd.step_regularized(st, 1e-3, params2111, 1e-2, rho, _opts())
+        new, _ = cd.step(st, 1e-3, params2111, _opts(regularization=(1e-2, rho)))
         assert new.max_value() <= rho + 1e-10
         assert new.min_value() >= -1e-12
 
@@ -919,7 +932,7 @@ class TestStepRegularized:
 
         monkeypatch.setattr(scheme, "_newton_sparse", overshoot)
         try:
-            cd.step_regularized(cosine_state(cells=16), 1e-3, params2111, 1e-2, rho, _opts())
+            cd.step(cosine_state(cells=16), 1e-3, params2111, _opts(regularization=(1e-2, rho)))
         except cd.InvariantViolation as err:
             assert excess > 1.0 and err.inequality == "boundedness cap"
         else:
@@ -931,7 +944,8 @@ class TestStepRegularized:
         exact, _ = cd.step(st, 1e-3, params2111, opts)
         prev_diff = np.inf
         for eps in (1e-2, 1e-3, 1e-4):
-            approx, _ = cd.step_regularized(st, 1e-3, params2111, eps, 1e3, opts)
+            approx, _ = cd.step(st, 1e-3, params2111,
+                                dataclasses.replace(opts, regularization=(eps, 1e3)))
             diff = max(np.abs(approx.f - exact.f).max(),
                        np.abs(approx.g - exact.g).max())
             assert diff <= 10 * eps
@@ -1328,7 +1342,7 @@ class TestDegenerateFront:
         rho = 3.0
         st = cd.State(grid, 2.2 + 0.6 * np.cos(np.pi * x), np.ones(32))
         assert st.max_value() > rho - 1.0  # the declining branch is active
-        new, rep = cd.step_regularized(st, 1e-3, params2111, 1e-2, rho, _opts())
+        new, rep = cd.step(st, 1e-3, params2111, _opts(regularization=(1e-2, rho)))
         assert rep.residual <= TOL
         assert new.max_value() <= rho + 1e-10
         assert new.min_value() >= -1e-12
